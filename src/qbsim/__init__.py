@@ -16,7 +16,6 @@ from .errors import (
     NotAnEigenpairError,
     NumericalError,
     QbsimError,
-    QuadratureError,
     ResonantDenominatorError,
 )
 from .model import (
@@ -35,7 +34,6 @@ from .ideal import (
 )
 from .environment import (
     LatticeEnvironment,
-    elliptic_K,
     memory_kernel_continuum,
     memory_kernel_discrete,
     spectral_density,
@@ -73,7 +71,6 @@ from .perturbation import (
     asymptotic_energy_closed_form,
     nonresonant_zeroth_order,
     phase_fourier_coeff,
-    phase_fourier_coeff_quadrature,
     phase_profile,
     second_order_corrections,
     splitting_large_coupling,
@@ -85,7 +82,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "QbsimError", "ConfigError", "NumericalError", "QuadratureError",
+    "QbsimError", "ConfigError", "NumericalError",
     "ConvergenceError", "MemoryCapError", "ResonantDenominatorError",
     "NotAnEigenpairError",
     # model
@@ -95,7 +92,7 @@ __all__ = [
     "TwoLevelAmplitudes", "ideal_propagator", "ideal_evolve",
     "ideal_energy", "ideal_peak_energy",
     # environment
-    "LatticeEnvironment", "elliptic_K", "spectral_density",
+    "LatticeEnvironment", "spectral_density",
     "memory_kernel_discrete", "memory_kernel_continuum",
     # markovian
     "MarkovRates", "markov_rates", "markov_energy",
@@ -110,7 +107,7 @@ __all__ = [
     "floquet_mode", "fbs_floquet_modes", "asymptotic_energy",
     "decompose_energy_terms",
     # perturbation
-    "phase_profile", "phase_fourier_coeff", "phase_fourier_coeff_quadrature",
+    "phase_profile", "phase_fourier_coeff",
     "SecondOrderResult", "second_order_corrections", "splitting_main_sum",
     "splitting_large_coupling", "asymptotic_energy_closed_form",
     "NonresonantPair", "nonresonant_zeroth_order",

@@ -10,17 +10,13 @@ which in the continuum limit produces a spectral density supported on
 center and a complete elliptic integral profile.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-
-from .errors import QuadratureError
+from scipy import special
 
 __all__ = [
     "LatticeEnvironment",
-    "elliptic_K",
     "spectral_density",
     "memory_kernel_discrete",
     "memory_kernel_continuum",
@@ -63,42 +59,15 @@ class LatticeEnvironment:
         return (self.varpi - 2.0 * self.q * (ck[:, None] + ck[None, :])).ravel()
 
 
-def _elliptic_K_complement(m1):
-    """K(1 - m1) from the complementary parameter m1 in (0, 1].
-
-    Forming m1 directly avoids the cancellation in 1 - m near the
-    logarithmic point m -> 1, where K(1 - m1) ~ ln(4/sqrt(m1)).
-    """
-    b = np.sqrt(np.asarray(m1, dtype=float))
-    a = np.ones_like(b)
-    for _ in range(80):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        if np.max(np.abs(a - b)) <= 1e-16 * np.max(a):
-            break
-    return np.pi / (2.0 * a)
-
-
-def elliptic_K(m):
-    """Complete elliptic integral K(m), parameter convention.
-
-    K(m) = int_0^{pi/2} (1 - m sin^2 x)^{-1/2} dx, evaluated with the
-    arithmetic-geometric mean K(m) = pi / (2 AGM(1, sqrt(1 - m))).
-    Accepts scalars or arrays for 0 <= m < 1; K(m) -> +inf as m -> 1.
-    """
-    m_arr = np.asarray(m, dtype=float)
-    if np.any(m_arr < 0) or np.any(m_arr >= 1):
-        raise ValueError("elliptic_K requires 0 <= m < 1")
-    out = _elliptic_K_complement(1.0 - m_arr)
-    return float(out) if np.ndim(m) == 0 else out
-
-
 def spectral_density(env: LatticeEnvironment, omega):
     """Continuum spectral density J(omega) of either bath.
 
     J = g^2/(2 q pi^2) * K(1 - (omega - varpi)^2 / (16 q^2)) on the band,
     zero outside (band edges included, where J = g^2/(4 pi q)).  At the
     band center omega = varpi the value is logarithmically divergent and
-    +inf is returned rather than raising.
+    +inf is returned rather than raising.  K(1 - m1) is taken from the
+    complementary parameter m1 directly (``ellipkm1``), which avoids the
+    cancellation in 1 - m near the logarithmic point m -> 1.
     """
     om = np.asarray(omega, dtype=float)
     u = om - env.varpi
@@ -110,7 +79,7 @@ def spectral_density(env: LatticeEnvironment, omega):
         m1 = np.minimum((u[reg] / (4.0 * env.q)) ** 2, 1.0)
         # m1 underflows only for |omega - varpi| < ~1e-154: effectively center
         m1 = np.maximum(m1, 5e-324)
-        out[reg] = env.g**2 / (2.0 * env.q * np.pi**2) * _elliptic_K_complement(m1)
+        out[reg] = env.g**2 / (2.0 * env.q * np.pi**2) * special.ellipkm1(m1)
     out[center] = np.inf
     return float(out) if np.ndim(omega) == 0 else out
 
@@ -130,31 +99,13 @@ def memory_kernel_discrete(env: LatticeEnvironment, x):
     return complex(nu[0]) if np.ndim(x) == 0 else nu
 
 
-def _kernel_cos_integral(env: LatticeEnvironment, x: float) -> float:
-    """I(x) = int_0^{4q} K(1 - u^2/(16 q^2)) cos(u x) du via adaptive quadrature."""
-
-    def f(u):
-        m1 = max((u / (4.0 * env.q)) ** 2, 5e-324)  # the u -> 0 log endpoint is integrable
-        return float(_elliptic_K_complement(m1)) * math.cos(u * x)
-
-    res = integrate.quad(f, 0.0, 4.0 * env.q,
-                         epsabs=1e-11, epsrel=1e-11, limit=300, full_output=1)
-    val, err = res[0], res[1]
-    if len(res) > 3 and err > 1e-7 * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"memory kernel quadrature failed at x={x}", residual=err
-        )
-    return val
-
-
 def memory_kernel_continuum(env: LatticeEnvironment, x):
     """Continuum-limit kernel nu(x) = int J(omega) exp(-i omega x) domega.
 
-    Evenness of J about varpi reduces the transform to a single real cosine
-    integral; the integrable log singularity sits at the lower endpoint.
+    The transform of the square-lattice density of states factorizes per
+    axis, like the discrete sum, into nu(x) = g^2 exp(-i varpi x) J0(2 q x)^2.
+    Accepts scalar or array x (any sign); nu(-x) = conj(nu(x)).
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    pref = env.g**2 / (env.q * np.pi**2)
-    vals = np.array([_kernel_cos_integral(env, xi) for xi in np.abs(xs)])
-    nu = pref * vals * np.exp(-1j * env.varpi * xs)
+    nu = env.g**2 * special.j0(2.0 * env.q * xs) ** 2 * np.exp(-1j * env.varpi * xs)
     return complex(nu[0]) if np.ndim(x) == 0 else nu

@@ -4,7 +4,6 @@ __all__ = [
     "QbsimError",
     "ConfigError",
     "NumericalError",
-    "QuadratureError",
     "ConvergenceError",
     "MemoryCapError",
     "ResonantDenominatorError",
@@ -22,13 +21,6 @@ class ConfigError(QbsimError):
 
 class NumericalError(QbsimError):
     """A numerical routine failed to meet its accuracy contract."""
-
-
-class QuadratureError(NumericalError):
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message if residual is None
-                         else f"{message} (estimated residual {residual:.3e})")
-        self.residual = residual
 
 
 class ConvergenceError(NumericalError):

@@ -84,8 +84,6 @@ class ExperimentConfig:
     weight_threshold: float = 0.05
     gap_tolerance: float | None = None
     n_offsets: int = 96
-    # reserved: all computations are deterministic
-    seed: int = 0
 
     def stem(self) -> str:
         return self.label or self.kind
@@ -102,7 +100,7 @@ def _coerce_value(key: str, raw: str):
     raw = raw.strip()
     if key in ("kind", "label", "route", "kernel"):
         return raw
-    if key in ("n_side", "n_samples", "n_offsets", "seed"):
+    if key in ("n_side", "n_samples", "n_offsets"):
         try:
             return int(raw)
         except ValueError:
@@ -188,6 +186,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key n_samples: must be nonnegative")
     if cfg.gamma is not None and cfg.gamma < 0:
         raise ConfigError("config key gamma: must be nonnegative")
+    if cfg.kind == "markov" and cfg.delta != 0.0:
+        raise ConfigError("kind markov: the decay envelope holds only at "
+                          "delta = 0")
     sweep_keys = (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step)
     if cfg.kind in ("kappa-sweep",) and any(v is None for v in sweep_keys):
         raise ConfigError("kappa-sweep requires kappa_min, kappa_max, kappa_step")
@@ -449,7 +450,7 @@ def _run_asymptotic(cfg, out_dir, jobs, files):
         header.append(f"diag_{j + 1}")
         cols.append(decomp.elements[j])
     header.append("interference")
-    cols.append(decomp.interference / params.omega_0)
+    cols.append(decomp.interference / params.omega_b)
     stem = cfg.stem()
     files.append(write_csv(csv_path(out_dir, stem), header, cols))
     files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
@@ -459,7 +460,7 @@ def _run_asymptotic(cfg, out_dir, jobs, files):
         columns={"t": "time", "energy_exact": "propagated battery energy",
                  "energy_asymptotic": "bound-state-only battery energy",
                  "diag_j": "battery population of bound state j (dimensionless)",
-                 "interference": "cross term / omega_0 (dimensionless)"})))
+                 "interference": "cross term / omega_b (dimensionless)"})))
     tail = trace.times >= t_max - min(20.0 * T, t_max) - 1e-9 * T
     diff = np.abs(trace.energies[tail] - decomp.total[tail])
     summary = {"kind": cfg.kind, "label": stem, "m_fbs": m,
@@ -566,7 +567,7 @@ def _run_nonresonant(cfg, out_dir, jobs, files):
         header.append(f"diag_{j + 1}")
         cols.append(decomp.elements[j])
     header.append("interference")
-    cols.append(decomp.interference / params.omega_0)
+    cols.append(decomp.interference / params.omega_b)
     files.append(write_csv(csv_path(out_dir, stem + "-energy"), header, cols))
 
     zeroth = nonresonant_zeroth_order(params, schedule)
@@ -580,7 +581,7 @@ def _run_nonresonant(cfg, out_dir, jobs, files):
                  "c_initial_sq": "initial-state overlap |c_j|^2",
                  "p_j": "probability distribution of bound state j",
                  "diag_j": "battery population of bound state j",
-                 "interference": "cross term / omega_0"})))
+                 "interference": "cross term / omega_b"})))
     summary = {"kind": cfg.kind, "label": stem, "m_fbs": m,
                "weight_battery": battery_w, "weight_charger": charger_w,
                "c_initial_sq": c_sq}

@@ -117,13 +117,19 @@ def one_period_operator(
     return u
 
 
-def _spectrum_from_unitary(u_t, schedule, env):
-    t_mat, q_mat = sla.schur(u_t, output="complex")
+def _folded_schur(u, schedule):
+    """Schur vectors of a one-period operator and their folded quasienergies."""
+    t_mat, q_mat = sla.schur(u, output="complex")
     lam = np.diag(t_mat)
     eps = fold_quasienergy(-np.angle(lam) / schedule.period, schedule.omega_T)
+    return eps, q_mat
+
+
+def _assemble_spectrum(eps, vecs, schedule, env):
+    """Sort modes by quasienergy and attach system weights and folded band."""
     order = np.argsort(eps, kind="stable")
     eps = eps[order]
-    vecs = q_mat[:, order]
+    vecs = vecs[:, order]
     weights = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
     lo, hi = env.band_edges
     band = BandSupport(lo=fold_quasienergy(lo, schedule.omega_T),
@@ -138,7 +144,8 @@ def quasienergy_spectrum(
     u_t: np.ndarray, schedule: ProtocolSchedule, env: LatticeEnvironment
 ) -> QuasienergySpectrum:
     """Eigendecompose a one-period operator (any detuning)."""
-    return _spectrum_from_unitary(u_t, schedule, env)
+    eps, vecs = _folded_schur(u_t, schedule)
+    return _assemble_spectrum(eps, vecs, schedule, env)
 
 
 def resonant_spectrum(
@@ -163,9 +170,7 @@ def resonant_spectrum(
             w, v = mats[f]
             step = (v * np.exp(-1j * w * dur)) @ v.T
             u = step if u is None else step @ u
-        t_mat, q_mat = sla.schur(u, output="complex")
-        lam = np.diag(t_mat)
-        eps = fold_quasienergy(-np.angle(lam) / schedule.period, schedule.omega_T)
+        eps, q_mat = _folded_schur(u, schedule)
         s = 1.0 / math.sqrt(2.0)
         full = np.zeros((d, q_mat.shape[1]), dtype=complex)
         full[0] = s * q_mat[0]
@@ -174,19 +179,8 @@ def resonant_spectrum(
         full[2 + nm:] = sector * s * q_mat[1:]
         eps_all.append(eps)
         vec_blocks.append(full)
-    eps = np.concatenate(eps_all)
-    vecs = np.concatenate(vec_blocks, axis=1)
-    order = np.argsort(eps, kind="stable")
-    eps = eps[order]
-    vecs = vecs[:, order]
-    weights = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
-    lo, hi = env.band_edges
-    band = BandSupport(lo=fold_quasienergy(lo, schedule.omega_T),
-                       hi=fold_quasienergy(lo, schedule.omega_T) + (hi - lo),
-                       omega_T=schedule.omega_T)
-    return QuasienergySpectrum(quasienergies=eps, modes=vecs,
-                               system_weights=weights,
-                               omega_T=schedule.omega_T, band=band)
+    return _assemble_spectrum(np.concatenate(eps_all),
+                              np.concatenate(vec_blocks, axis=1), schedule, env)
 
 
 def compute_spectrum(
@@ -235,6 +229,8 @@ class FloquetMode:
 
     ``offsets`` holds n_samples times j*T/n_samples (T excluded); the
     closure residual ||phi(T) - phi(0)|| is stored at construction.
+    ``omega_b`` is the battery splitting that prices a battery population
+    as energy.
     """
 
     epsilon: float
@@ -242,7 +238,7 @@ class FloquetMode:
     offsets: np.ndarray
     states: np.ndarray  # (n_samples, d)
     period: float
-    omega_0: float
+    omega_b: float
     closure_error: float
 
     @property
@@ -292,7 +288,7 @@ def floquet_mode(
         states[j] = np.exp(1j * epsilon * s) * raw
     # ||phi(T) - phi(0)|| coincides with the eigenpair residual
     return FloquetMode(epsilon=float(epsilon), phi0=phi0, offsets=offsets,
-                       states=states, period=T, omega_0=params.omega_0,
+                       states=states, period=T, omega_b=params.omega_b,
                        closure_error=residual)
 
 
@@ -333,7 +329,7 @@ def _mode_battery_terms(modes, initial, ts):
 def asymptotic_energy(modes: list[FloquetMode], initial: np.ndarray, ts):
     """Long-time battery energy carried by the bound states.
 
-    E(t) = omega_0 * |sum_j c_j e^{-i eps_j t} <battery|phi_j(t)>|^2 with
+    E(t) = omega_b * |sum_j c_j e^{-i eps_j t} <battery|phi_j(t)>|^2 with
     c_j the initial-state overlaps; an empty mode list gives zero (complete
     discharge into the band).
     """
@@ -342,7 +338,7 @@ def asymptotic_energy(modes: list[FloquetMode], initial: np.ndarray, ts):
         out = np.zeros(ts_arr.size)
         return float(out[0]) if np.ndim(ts) == 0 else out
     _, amps = _mode_battery_terms(modes, initial, ts_arr)
-    e = modes[0].omega_0 * np.abs(amps.sum(axis=0)) ** 2
+    e = modes[0].omega_b * np.abs(amps.sum(axis=0)) ** 2
     return float(e[0]) if np.ndim(ts) == 0 else e
 
 
@@ -374,9 +370,9 @@ def decompose_energy_terms(modes: list[FloquetMode], initial: np.ndarray, ts
                                    elements=np.zeros((0, ts_arr.size)),
                                    coefficients=np.zeros(0, dtype=complex))
     coeffs, amps = _mode_battery_terms(modes, initial, ts_arr)
-    omega_0 = modes[0].omega_0
-    diagonal = omega_0 * np.abs(amps) ** 2
-    total = omega_0 * np.abs(amps.sum(axis=0)) ** 2
+    omega_b = modes[0].omega_b
+    diagonal = omega_b * np.abs(amps) ** 2
+    total = omega_b * np.abs(amps.sum(axis=0)) ** 2
     interference = total - diagonal.sum(axis=0)
     elements = np.empty((len(modes), ts_arr.size))
     for j, mode in enumerate(modes):

@@ -4,10 +4,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .environment import LatticeEnvironment, spectral_density
-from .errors import ConvergenceError, QuadratureError
 from .model import ProtocolSchedule, SystemParams
 
 __all__ = ["MarkovRates", "markov_rates", "markov_energy"]
@@ -21,61 +20,35 @@ class MarkovRates:
     lamb_shift: float
 
 
-def _quad(f, lo, hi, points=None):
-    res = integrate.quad(f, lo, hi, points=points,
-                         epsabs=1e-12, epsrel=1e-10, limit=400, full_output=1)
-    if len(res) > 3 and res[1] > 1e-6 * max(1.0, abs(res[0])):
-        raise QuadratureError("rate quadrature failed", residual=res[1])
-    return res[0]
-
-
 def markov_rates(env: LatticeEnvironment, omega_0: float) -> MarkovRates:
     """Gamma = pi J(omega_0) and the principal-value shift of the band.
 
-    The shift Delta = P int J(omega)/(omega_0 - omega) domega is evaluated
-    with a symmetric excision around omega_0 whose half-width is halved
-    until two successive values agree to 1e-6 relative.  The band-center
-    point omega_0 = varpi is rejected: J diverges there and no finite rate
-    exists.
+    The shift Delta = P int J(omega)/(omega_0 - omega) domega is g^2 Re G(E)
+    with G the square-lattice Green's function at E = omega_0 - varpi
+    (Economou, Green's Functions in Quantum Physics, ch. 5):
+
+        |E| >= 4q:  Delta = 2 g^2/(pi E) K(16 q^2/E^2)
+        |E| <  4q:  Delta = g^2 sgn(E)/(2 pi q) K(E^2/(16 q^2))
+
+    Both are +-inf on the band edges, where J stays finite and the principal
+    value diverges logarithmically.  K(m) is evaluated from 1 - m, formed as
+    a product so that it keeps full precision near the edges.  The
+    band-center point omega_0 = varpi is rejected: J diverges there and no
+    finite rate exists.
     """
-    lo, hi = env.band_edges
     if omega_0 == env.varpi:
         raise ValueError("J(omega) diverges at the band center; "
                          "Markovian rates are undefined at omega_0 = varpi")
-    j0 = spectral_density(env, omega_0)
-    gamma = math.pi * j0
-
-    def f(om):
-        return spectral_density(env, om) / (omega_0 - om)
-
-    if omega_0 < lo or omega_0 > hi:
-        # no pole inside the band; only the log point at varpi needs care
-        shift = _quad(f, lo, env.varpi) + _quad(f, env.varpi, hi)
-        return MarkovRates(gamma=gamma, lamb_shift=shift)
-
-    r = min(hi - omega_0, omega_0 - lo, env.q) / 4.0
-    if r <= 0:
-        # omega_0 sits exactly on a band edge, where J stays finite and the
-        # principal value diverges logarithmically: report the signed infinity
-        shift = math.inf if omega_0 == hi else -math.inf
-        return MarkovRates(gamma=gamma, lamb_shift=shift)
-    def seg(a, b):
-        pts = [p for p in (env.varpi,) if a < p < b] or None
-        return _quad(f, a, b, points=pts)
-
-    # value at excision radius r; each halving only adds the two uncovered
-    # windows next to the pole, so the far field is integrated once
-    cur = seg(lo, omega_0 - r) + seg(omega_0 + r, hi)
-    delta_last = math.inf
-    for _ in range(48):
-        nxt = cur + seg(omega_0 - r, omega_0 - r / 2.0) \
-                  + seg(omega_0 + r / 2.0, omega_0 + r)
-        delta_last = abs(nxt - cur)
-        if delta_last <= 1e-6 * max(abs(nxt), 1e-30):
-            return MarkovRates(gamma=gamma, lamb_shift=nxt)
-        cur, r = nxt, r / 2.0
-    raise ConvergenceError("principal-value shift did not converge",
-                           estimate=delta_last)
+    gamma = math.pi * spectral_density(env, omega_0)
+    e = omega_0 - env.varpi
+    a, half = abs(e), 4.0 * env.q
+    if a >= half:
+        k = special.ellipkm1((a - half) * (a + half) / e**2)
+        shift = 2.0 * env.g**2 / (math.pi * e) * k
+    else:
+        k = special.ellipkm1((half - a) * (half + a) / half**2)
+        shift = math.copysign(env.g**2 / (2.0 * math.pi * env.q), e) * k
+    return MarkovRates(gamma=gamma, lamb_shift=float(shift))
 
 
 def markov_energy(
@@ -86,10 +59,14 @@ def markov_energy(
 ) -> float | np.ndarray:
     """Memoryless-limit battery energy omega_0 exp(-2 Gamma t) sin^2(kappa F(t)).
 
-    F(t) is the accumulated drive integral.  `rates` may be a MarkovRates or
-    a bare decay rate; the frequency shift only rotates the phase of the
-    amplitude and drops out of the population either way.
+    F(t) is the accumulated drive integral.  The sin^2 law is the resonant
+    pair's population, so a detuned pair (delta != 0) is rejected.  `rates`
+    may be a MarkovRates or a bare decay rate; the frequency shift only
+    rotates the phase of the amplitude and drops out of the population
+    either way.
     """
+    if params.delta != 0.0:
+        raise ValueError("markov_energy holds only at zero detuning")
     gamma = rates.gamma if isinstance(rates, MarkovRates) else float(rates)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")

@@ -20,7 +20,6 @@ from .model import ProtocolSchedule, SystemParams
 __all__ = [
     "phase_profile",
     "phase_fourier_coeff",
-    "phase_fourier_coeff_quadrature",
     "SecondOrderResult",
     "second_order_corrections",
     "splitting_main_sum",
@@ -75,8 +74,7 @@ def phase_fourier_coeff(kappa: float, schedule: ProtocolSchedule, n: int) -> com
     """Closed-form harmonic f_n = (1/T) int_0^T e^{-i n omega_T t} y(t) dt.
 
     Independent of kappa on the constrained protocol (the reduced-time
-    profile is universal); exposed with the full signature for symmetry
-    with the quadrature variant.
+    profile is universal); the full signature checks the protocol.
     """
     _check_protocol(kappa, schedule)
     th = _THETA
@@ -86,32 +84,6 @@ def phase_fourier_coeff(kappa: float, schedule: ProtocolSchedule, n: int) -> com
     i2 = np.exp(-1j * th) * _exp_integral(a2, 1.0 / 3.0, 2.0 / 3.0)
     i3 = np.exp(1j * th) * _exp_integral(a1, 2.0 / 3.0, 1.0)
     return complex(i1 + i2 + i3)
-
-
-def phase_fourier_coeff_quadrature(
-    kappa: float, schedule: ProtocolSchedule, n: int,
-    profile=None, nodes: int = 200,
-) -> complex:
-    """Gauss-Legendre evaluation of f_n, segment by segment.
-
-    ``profile`` substitutes an arbitrary T-periodic function of reduced
-    time tau in [0, 1] (profile = 1 recovers f_n = delta_n0), which makes
-    the quadrature machinery testable on its own.
-    """
-    if profile is None:
-        _check_protocol(kappa, schedule)
-        T = schedule.period
-
-        def profile(tau):
-            return phase_profile(kappa, schedule, tau * T)
-
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    total = 0.0 + 0.0j
-    for lo, hi in ((0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0)):
-        tau = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        vals = np.asarray(profile(tau), dtype=complex) * np.exp(-2j * np.pi * n * tau)
-        total += 0.5 * (hi - lo) * np.sum(w * vals)
-    return complex(total)
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(kind="dynamics", n_side=0))
 
+    def test_markov_requires_resonance(self):
+        # the decay envelope uses the resonant sin^2(kappa F) population
+        with pytest.raises(ConfigError, match="markov"):
+            validate_config(ExperimentConfig(kind="markov", delta=0.5))
+
     def test_offset_granularity(self):
         with pytest.raises(ConfigError, match="n_offsets"):
             validate_config(ExperimentConfig(kind="asymptotic", n_offsets=50))

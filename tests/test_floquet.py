@@ -299,6 +299,25 @@ class TestAsymptoticEnergy:
         err = np.mean(np.abs(asym - trace.energies[sel])) / PARAMS.omega_0
         assert err < 0.02
 
+    def test_detuned_matches_exact_propagation(self):
+        # both routes price the battery population at omega_b; at delta = 0.5
+        # an omega_0 price overstates the bound-state energy by 4/3
+        from qbsim import propagate_exact
+
+        kappa = 15.0
+        env = LatticeEnvironment(n_side=12, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=0.5, kappa=kappa)
+        tau = 0.5 * np.pi / kappa
+        schedule = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        T = schedule.period
+        trace = propagate_exact(params, env, schedule, 40 * T, sample_dt=T / 24)
+        spec = compute_spectrum(params, env, schedule)
+        modes = fbs_floquet_modes(params, env, schedule, spec)
+        init = ExcitationState.charger_excited(BasisIndex(12)).amplitudes
+        sel = trace.times >= 30 * T - 1e-9 * T
+        asym = asymptotic_energy(modes, init, trace.times[sel])
+        assert np.mean(np.abs(asym - trace.energies[sel])) < 1e-3
+
 
 class TestDecomposition:
     def test_identity_and_elements(self, modes4):

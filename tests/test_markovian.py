@@ -52,7 +52,7 @@ class TestMarkovRates:
     def test_shift_against_cauchy_oracle(self):
         for w0 in (2.0, 1.4, 0.5, 2.7):
             assert rates_at(w0).lamb_shift == pytest.approx(
-                principal_value_oracle(ENV, w0), abs=5e-6
+                principal_value_oracle(ENV, w0), abs=1e-9
             )
 
     def test_reference_point(self):
@@ -141,3 +141,9 @@ class TestMarkovEnergy:
             markov_energy(params, self.SCHEDULE, -0.1, 1.0)
         with pytest.raises(ValueError):
             markov_energy(params, self.SCHEDULE, 0.1, -1.0)
+
+    def test_detuned_pair_rejected(self):
+        # sin^2(kappa F) is the resonant population; it does not hold at delta != 0
+        params = SystemParams.from_center(omega_0=2.0, delta=0.5, kappa=0.8)
+        with pytest.raises(ValueError):
+            markov_energy(params, self.SCHEDULE, 0.1, 1.0)

@@ -11,7 +11,6 @@ from qbsim.perturbation import (
     asymptotic_energy_closed_form,
     nonresonant_zeroth_order,
     phase_fourier_coeff,
-    phase_fourier_coeff_quadrature,
     phase_profile,
     second_order_corrections,
     splitting_large_coupling,
@@ -22,6 +21,26 @@ from qbsim.perturbation import (
 def equal_schedule(kappa: float) -> ProtocolSchedule:
     tau = 0.5 * np.pi / kappa
     return ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+
+
+def phase_fourier_coeff_quadrature(kappa, schedule, n, profile=None, nodes=200):
+    """Gauss-Legendre oracle for f_n, segment by segment.
+
+    ``profile`` substitutes an arbitrary T-periodic function of reduced
+    time tau in [0, 1] (profile = 1 recovers f_n = delta_n0), which makes
+    the oracle testable on its own.
+    """
+    if profile is None:
+        def profile(tau):
+            return phase_profile(kappa, schedule, tau * schedule.period)
+
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0 + 0.0j
+    for lo, hi in ((0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0)):
+        tau = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        vals = np.asarray(profile(tau), dtype=complex) * np.exp(-2j * np.pi * n * tau)
+        total += 0.5 * (hi - lo) * np.sum(w * vals)
+    return complex(total)
 
 
 class TestPhaseProfile:
