@@ -51,8 +51,6 @@ def _build_parser() -> _Parser:
                      help="override a config field (repeatable; applies to "
                           "every member of a preset bundle)")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker processes for sweep points")
 
     val = sub.add_parser("validate", help="check a config file")
     val.add_argument("config_file")
@@ -81,12 +79,10 @@ def _load_configs(args):
 
 def _cmd_run(args) -> int:
     configs = _load_configs(args)
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     os.makedirs(args.out, exist_ok=True)
     all_files, results = [], []
     for cfg in configs:
-        files, summary = run_experiment(cfg, args.out, jobs=args.jobs)
+        files, summary = run_experiment(cfg, args.out)
         all_files.extend(files)
         results.append(summary)
         for path in files:

@@ -72,7 +72,6 @@ class EnergyTrace:
     metadata: dict = field(default_factory=dict)
     u_b: np.ndarray | None = None
     u_c: np.ndarray | None = None
-    states: np.ndarray | None = None
 
 
 def build_hamiltonian(
@@ -226,15 +225,13 @@ def propagate_exact(
     t_max: float,
     sample_dt: float | None = None,
     initial: ExcitationState | None = None,
-    keep_states: bool = False,
     props: SegmentPropagators | None = None,
     memory_cap: float = 3e9,
 ) -> EnergyTrace:
     """Numerically exact lattice propagation, sampled on a uniform grid.
 
     The sampling grid is snapped so that every drive switching time is a
-    grid point.  Returns an EnergyTrace carrying u_b and u_c at the samples
-    (and the full state history when ``keep_states``).
+    grid point.  Returns an EnergyTrace carrying u_b and u_c at the samples.
     """
     if sample_dt is None:
         sample_dt = min(s for s in (schedule.tau_c, schedule.tau_s,
@@ -242,29 +239,18 @@ def propagate_exact(
     h, n_steps, f_step = _build_grid(schedule, t_max, sample_dt)
     if props is None:
         props = SegmentPropagators(params, env, memory_cap=memory_cap)
-    d = props.dimension
-    if keep_states:
-        estimate = (n_steps + 1) * d * 16
-        if estimate > memory_cap:
-            raise MemoryCapError(required=estimate, cap=int(memory_cap))
-    basis = props.basis
     if initial is None:
-        initial = ExcitationState.charger_excited(basis)
+        initial = ExcitationState.charger_excited(props.basis)
     state = np.array(initial.amplitudes, dtype=complex)
     if abs(np.linalg.norm(state) - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
 
     u_b = np.empty(n_steps + 1, dtype=complex)
     u_c = np.empty(n_steps + 1, dtype=complex)
-    states = np.empty((n_steps + 1, d), dtype=complex) if keep_states else None
     u_b[0], u_c[0] = state[0], state[1]
-    if keep_states:
-        states[0] = state
     for j in range(n_steps):
         state = props.apply(state, f_step[j], h)
         u_b[j + 1], u_c[j + 1] = state[0], state[1]
-        if keep_states:
-            states[j + 1] = state
     times = np.arange(n_steps + 1) * h
     energies = params.omega_b * np.abs(u_b) ** 2
     meta = {
@@ -274,7 +260,7 @@ def propagate_exact(
         "final_norm": float(np.linalg.norm(state)),
     }
     return EnergyTrace(times=times, energies=energies, metadata=meta,
-                       u_b=u_b, u_c=u_c, states=states)
+                       u_b=u_b, u_c=u_c)
 
 
 def _kernel_table(env: LatticeEnvironment, kernel: str, lags: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ plus a machine-readable summary.
 
 import dataclasses
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -90,17 +89,18 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_OPTIONAL_FLOATS = {"tau_c", "tau_s", "tau_d", "dt", "t_max", "kappa_min",
-                    "kappa_max", "kappa_step", "gamma", "gap_tolerance"}
+_STR_KEYS = ("kind", "label", "route", "kernel")
+_INT_KEYS = ("n_side", "n_samples", "n_offsets")
+_FLOAT_KEYS = tuple(k for k in _FIELDS if k not in _STR_KEYS + _INT_KEYS)
 
 
 def _coerce_value(key: str, raw: str):
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key: {key}")
     raw = raw.strip()
-    if key in ("kind", "label", "route", "kernel"):
+    if key in _STR_KEYS:
         return raw
-    if key in ("n_side", "n_samples", "n_offsets"):
+    if key in _INT_KEYS:
         try:
             return int(raw)
         except ValueError:
@@ -166,6 +166,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.kernel not in KERNELS:
         raise ConfigError(
             f"config key kernel: {cfg.kernel!r} is not one of {KERNELS}")
+    for key in _FLOAT_KEYS:
+        v = getattr(cfg, key)
+        if v is not None and not math.isfinite(v):
+            raise ConfigError(f"config key {key}: must be finite, got {v}")
+    if cfg.omega_0 <= abs(cfg.delta):
+        raise ConfigError("config keys omega_0, delta: omega_0 must exceed "
+                          "|delta| so both level splittings are positive")
     if cfg.kappa <= 0:
         raise ConfigError("config key kappa: must be positive")
     if cfg.n_side < 1:
@@ -184,6 +191,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key t_max: must be positive")
     if cfg.n_samples < 0:
         raise ConfigError("config key n_samples: must be nonnegative")
+    if cfg.n_offsets < 1:
+        raise ConfigError("config key n_offsets: must be >= 1")
     if cfg.gamma is not None and cfg.gamma < 0:
         raise ConfigError("config key gamma: must be nonnegative")
     if cfg.kind == "markov" and cfg.delta != 0.0:
@@ -278,7 +287,7 @@ def _charger_start(dimension: int) -> np.ndarray:
 # runners (one per experiment kind); each returns a summary fragment and
 # appends written file paths to ``files``
 
-def _run_ideal_cycle(cfg, out_dir, jobs, files):
+def _run_ideal_cycle(cfg, out_dir, files):
     params = resolve_system(cfg)
     schedule = resolve_schedule(cfg)
     t_max = cfg.t_max if cfg.t_max is not None else 3.0 * schedule.period
@@ -296,7 +305,7 @@ def _run_ideal_cycle(cfg, out_dir, jobs, files):
             "period": schedule.period}
 
 
-def _run_markov(cfg, out_dir, jobs, files):
+def _run_markov(cfg, out_dir, files):
     params = resolve_system(cfg)
     schedule = resolve_schedule(cfg)
     lamb_shift = None
@@ -319,7 +328,7 @@ def _run_markov(cfg, out_dir, jobs, files):
             "lamb_shift": lamb_shift}
 
 
-def _run_dynamics(cfg, out_dir, jobs, files):
+def _run_dynamics(cfg, out_dir, files):
     params = resolve_system(cfg)
     env = resolve_environment(cfg)
     schedule = resolve_schedule(cfg)
@@ -370,23 +379,13 @@ def _spectrum_rows(cfg: ExperimentConfig, kappa: float):
     return spec.quasienergies, spec.system_weights, flags, point
 
 
-def _sweep_worker(args):
-    cfg, kappa = args
-    return _spectrum_rows(cfg, float(kappa))
-
-
-def _run_kappa_sweep(cfg, out_dir, jobs, files):
+def _run_kappa_sweep(cfg, out_dir, files):
     grid = sweep_grid_values(cfg)
     if not grid.size:
         raise ConfigError("empty sweep")
-    tasks = [(cfg, k) for k in grid]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            results = pool.map(_sweep_worker, tasks)
-    else:
-        results = [_sweep_worker(t) for t in tasks]
     kcol, icol, ecol, wcol, fcol, points = [], [], [], [], [], []
-    for kappa, (eps, weights, flags, point) in zip(grid, results):
+    for kappa in grid:
+        eps, weights, flags, point = _spectrum_rows(cfg, float(kappa))
         d = eps.size
         kcol.append(np.full(d, kappa))
         icol.append(np.arange(d))
@@ -408,7 +407,7 @@ def _run_kappa_sweep(cfg, out_dir, jobs, files):
     return {"kind": cfg.kind, "label": stem, "points": points}
 
 
-def _run_spectrum(cfg, out_dir, jobs, files):
+def _run_spectrum(cfg, out_dir, files):
     eps, weights, flags, point = _spectrum_rows(cfg, cfg.kappa)
     stem = cfg.stem()
     files.append(write_csv(
@@ -432,7 +431,7 @@ def _bound_state_modes(cfg, params, env, schedule):
     return spec, modes
 
 
-def _run_asymptotic(cfg, out_dir, jobs, files):
+def _run_asymptotic(cfg, out_dir, files):
     params = resolve_system(cfg)
     env = resolve_environment(cfg)
     schedule = resolve_schedule(cfg)
@@ -472,7 +471,7 @@ def _run_asymptotic(cfg, out_dir, jobs, files):
     return summary
 
 
-def _run_perturbation(cfg, out_dir, jobs, files):
+def _run_perturbation(cfg, out_dir, files):
     env = resolve_environment(cfg)
     if None in (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step):
         cfg = dataclasses.replace(cfg, kappa_min=5.0, kappa_max=15.0,
@@ -532,7 +531,7 @@ def _run_perturbation(cfg, out_dir, jobs, files):
     return {"kind": cfg.kind, "label": stem, "points": points}
 
 
-def _run_nonresonant(cfg, out_dir, jobs, files):
+def _run_nonresonant(cfg, out_dir, files):
     params = resolve_system(cfg)
     env = resolve_environment(cfg)
     schedule = resolve_schedule(cfg)
@@ -606,11 +605,17 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
-    """Run one configured experiment; returns (files, summary fragment)."""
+    """Run one configured experiment; returns (files, summary fragment).
+
+    Runs in one process.  ``jobs`` is accepted for existing callers and
+    must be 1.
+    """
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1, got {jobs!r}")
     validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     files: list[str] = []
-    summary = _RUNNERS[cfg.kind](cfg, out_dir, jobs, files)
+    summary = _RUNNERS[cfg.kind](cfg, out_dir, files)
     return files, summary
 
 

@@ -102,11 +102,9 @@ def one_period_operator(
     params: SystemParams,
     env: LatticeEnvironment,
     schedule: ProtocolSchedule,
-    props: SegmentPropagators | None = None,
 ) -> np.ndarray:
     """U_T = U(tau_d; f=1) U(tau_s; f=0) U(tau_c; f=1)."""
-    if props is None:
-        props = SegmentPropagators(params, env)
+    props = SegmentPropagators(params, env)
     cache: dict = {}
     u = None
     for dur, f in schedule.segments():
@@ -189,13 +187,12 @@ def compute_spectrum(
     schedule: ProtocolSchedule,
     weight_threshold: float = 0.05,
     gap_tolerance: float | None = None,
-    props: SegmentPropagators | None = None,
 ) -> QuasienergySpectrum:
     """Spectrum with FBS classification, taking the fast path when resonant."""
-    if params.delta == 0.0 and props is None:
+    if params.delta == 0.0:
         spec = resonant_spectrum(params, env, schedule)
     else:
-        u_t = one_period_operator(params, env, schedule, props=props)
+        u_t = one_period_operator(params, env, schedule)
         spec = quasienergy_spectrum(u_t, schedule, env)
     idx = identify_fbs(spec, weight_threshold=weight_threshold,
                        gap_tolerance=gap_tolerance)

@@ -15,6 +15,7 @@ from .model import ProtocolSchedule, SystemParams
 
 __all__ = [
     "TwoLevelAmplitudes",
+    "ideal_propagator",
     "ideal_evolve",
     "ideal_energy",
     "ideal_peak_energy",

@@ -6,13 +6,10 @@ Units: hbar = 1 throughout, so energies and angular frequencies coincide.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "SystemParams",
     "ProtocolSchedule",
     "BasisIndex",
-    "evaluate_protocol",
     "optimal_schedule",
 ]
 
@@ -137,11 +134,6 @@ class ProtocolSchedule:
         return n * (self.tau_c + self.tau_d) + partial
 
 
-def evaluate_protocol(schedule: ProtocolSchedule, t: float) -> int:
-    """Drive value f(t) in {0, 1}; see ProtocolSchedule for the convention."""
-    return schedule.evaluate(t)
-
-
 def optimal_schedule(
     kappa: float,
     delta: float,
@@ -196,32 +188,3 @@ class BasisIndex:
     @property
     def dimension(self) -> int:
         return 2 + 2 * self.n_modes
-
-    def battery_mode(self, i: int) -> int:
-        self._check_mode(i)
-        return 2 + i
-
-    def charger_mode(self, i: int) -> int:
-        self._check_mode(i)
-        return 2 + self.n_modes + i
-
-    def mode_index(self, m_x: int, m_y: int) -> int:
-        if not (0 <= m_x < self.n_side and 0 <= m_y < self.n_side):
-            raise ValueError("momentum indices out of range")
-        return m_x * self.n_side + m_y
-
-    def momentum(self, i: int) -> tuple[float, float]:
-        self._check_mode(i)
-        m_x, m_y = divmod(i, self.n_side)
-        return (2.0 * math.pi * m_x / self.n_side, 2.0 * math.pi * m_y / self.n_side)
-
-    def momenta(self) -> np.ndarray:
-        """(N^2, 2) array of momentum vectors in row-major order."""
-        m = np.arange(self.n_side)
-        kx, ky = np.meshgrid(2.0 * np.pi * m / self.n_side,
-                             2.0 * np.pi * m / self.n_side, indexing="ij")
-        return np.column_stack([kx.ravel(), ky.ravel()])
-
-    def _check_mode(self, i: int):
-        if not (0 <= i < self.n_modes):
-            raise ValueError("mode index out of range")

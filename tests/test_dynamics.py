@@ -139,19 +139,6 @@ class TestExactPropagation:
         for edge in (0.7, 1.8, 2.3, 3.0, 4.6):
             assert np.min(np.abs(trace.times - edge)) < 1e-9
 
-    def test_keep_states(self):
-        trace = propagate_exact(PARAMS, ENV10, SCHEDULE, t_max=0.5,
-                                sample_dt=0.05, keep_states=True)
-        assert trace.states.shape == (len(trace.times), 202)
-        np.testing.assert_allclose(trace.states[:, 0], trace.u_b, atol=0)
-        np.testing.assert_allclose(np.linalg.norm(trace.states, axis=1), 1.0,
-                                   atol=1e-12)
-
-    def test_keep_states_memory_cap(self):
-        with pytest.raises(MemoryCapError):
-            propagate_exact(PARAMS, ENV10, SCHEDULE, t_max=100 * SCHEDULE.period,
-                            sample_dt=1e-4, keep_states=True, memory_cap=2.5e6)
-
     def test_energy_column_identity(self):
         trace = propagate_exact(PARAMS, ENV10, SCHEDULE, t_max=1.0, sample_dt=0.05)
         np.testing.assert_allclose(trace.energies,

@@ -6,6 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qbsim
+from qbsim import (dynamics, environment, errors, floquet, ideal, markovian,
+                   model, perturbation)
 from qbsim.errors import ConfigError
 from qbsim.experiments import (
     PRESETS,
@@ -82,6 +85,15 @@ class TestValidation:
             validate_config(ExperimentConfig(kind="spectrum", kappa=-1.0))
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(kind="dynamics", n_side=0))
+        # omega_0 <= |delta| would make a level splitting nonpositive
+        with pytest.raises(ConfigError, match="omega_0"):
+            validate_config(ExperimentConfig(kind="spectrum", omega_0=2.0,
+                                             delta=3.0))
+        with pytest.raises(ConfigError, match="omega_0"):
+            validate_config(ExperimentConfig(kind="spectrum", omega_0=-1.0))
+        with pytest.raises(ConfigError, match="kappa"):
+            validate_config(ExperimentConfig(kind="spectrum",
+                                             kappa=float("nan")))
 
     def test_markov_requires_resonance(self):
         # the decay envelope uses the resonant sin^2(kappa F) population
@@ -91,6 +103,10 @@ class TestValidation:
     def test_offset_granularity(self):
         with pytest.raises(ConfigError, match="n_offsets"):
             validate_config(ExperimentConfig(kind="asymptotic", n_offsets=50))
+        for n in (0, -24):
+            with pytest.raises(ConfigError, match="n_offsets"):
+                validate_config(ExperimentConfig(kind="asymptotic",
+                                                 n_offsets=n))
 
     def test_presets_all_valid(self):
         for name, bundle in PRESETS.items():
@@ -106,6 +122,22 @@ class TestValidation:
         assert vals[-1] == pytest.approx(6.0)
         wide = replace(cfg, kappa_min=5.0, kappa_max=15.0, kappa_step=0.5)
         assert len(sweep_grid_values(wide)) == 21
+
+
+class TestPackageSurface:
+    def test_exports_and_single_process(self, tmp_path):
+        union = ["__version__"]
+        for module in (errors, model, ideal, environment, markovian, dynamics,
+                       floquet, perturbation):
+            union += module.__all__
+        assert len(set(union)) == len(union)
+        assert sorted(qbsim.__all__) == sorted(union)
+        for name in qbsim.__all__:
+            assert getattr(qbsim, name) is not None
+        cfg = ExperimentConfig(kind="ideal-cycle", n_samples=12)
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(cfg, tmp_path, jobs=2)
+        assert not list(tmp_path.iterdir())
 
 
 class TestScheduleResolution:

@@ -7,7 +7,6 @@ from qbsim import (
     BasisIndex,
     ProtocolSchedule,
     SystemParams,
-    evaluate_protocol,
     optimal_schedule,
 )
 
@@ -52,7 +51,6 @@ class TestProtocolSchedule:
         for n in range(4):
             assert s.evaluate(n * T) == 1
             assert s.evaluate(n * T + 1.5) == 0
-        assert evaluate_protocol(s, 2.0) == 0
 
     def test_zero_storage_always_on(self):
         s = ProtocolSchedule(tau_c=1.0, tau_s=0.0, tau_d=1.0)
@@ -123,26 +121,3 @@ class TestBasisIndex:
         b = BasisIndex(3)
         assert b.dimension == 2 + 2 * 9
         assert BasisIndex.BATTERY == 0 and BasisIndex.CHARGER == 1
-        assert b.battery_mode(0) == 2
-        assert b.battery_mode(8) == 10
-        assert b.charger_mode(0) == 11
-        assert b.charger_mode(8) == 19
-
-    def test_row_major_momenta(self):
-        b = BasisIndex(4)
-        assert b.mode_index(0, 0) == 0
-        assert b.mode_index(0, 3) == 3
-        assert b.mode_index(1, 0) == 4
-        kx, ky = b.momentum(b.mode_index(1, 2))
-        assert kx == pytest.approx(2 * math.pi / 4)
-        assert ky == pytest.approx(4 * math.pi / 4)
-        grid = b.momenta()
-        assert grid.shape == (16, 2)
-        assert grid[5] == pytest.approx([2 * math.pi / 4, 2 * math.pi / 4])
-
-    def test_bounds_checked(self):
-        b = BasisIndex(2)
-        with pytest.raises(ValueError):
-            b.battery_mode(4)
-        with pytest.raises(ValueError):
-            b.mode_index(2, 0)
