@@ -87,16 +87,16 @@ def _cmd_run(args) -> int:
         results.append(summary)
         for path in files:
             print(path)
+    text = json.dumps({
+        "preset": args.preset,
+        "version": __version__,
+        "configs": [config_to_dict(cfg) for cfg in configs],
+        "results": results,
+        "files": [os.path.basename(p) for p in all_files],
+    }, indent=2, sort_keys=True, allow_nan=False)
     summary_file = os.path.join(args.out, "summary.json")
     with open(summary_file, "w") as fh:
-        json.dump({
-            "preset": args.preset,
-            "version": __version__,
-            "configs": [config_to_dict(cfg) for cfg in configs],
-            "results": results,
-            "files": [os.path.basename(p) for p in all_files],
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(summary_file)
     return 0
 
@@ -129,16 +129,10 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_list_presets(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"qbsim: config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"qbsim: config error: {exc}", file=sys.stderr)
-        return 1
-    except QbsimError as exc:
-        print(f"qbsim: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (QbsimError, ValueError, ArithmeticError) as exc:
         print(f"qbsim: numerical failure: {exc}", file=sys.stderr)
         return 2
 

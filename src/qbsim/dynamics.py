@@ -13,6 +13,8 @@ Two independent routes are provided and cross-validated:
 
 ``solve_volterra_pm`` integrates the decoupled symmetric/antisymmetric
 combinations available at zero detuning.
+
+Every route starts from the charger-excited state (u_c = 1, all else 0).
 """
 
 import math
@@ -23,10 +25,9 @@ import numpy as np
 from .environment import (LatticeEnvironment, memory_kernel_continuum,
                           memory_kernel_discrete)
 from .errors import ConvergenceError, MemoryCapError
-from .model import BasisIndex, ProtocolSchedule, SystemParams
+from .model import ProtocolSchedule, SystemParams
 
 __all__ = [
-    "ExcitationState",
     "EnergyTrace",
     "SegmentPropagators",
     "build_hamiltonian",
@@ -36,31 +37,6 @@ __all__ = [
     "solve_volterra",
     "solve_volterra_pm",
 ]
-
-
-@dataclass
-class ExcitationState:
-    """Amplitude vector over the single-excitation basis."""
-
-    amplitudes: np.ndarray
-    basis: BasisIndex
-
-    @classmethod
-    def charger_excited(cls, basis: BasisIndex) -> "ExcitationState":
-        amp = np.zeros(basis.dimension, dtype=complex)
-        amp[BasisIndex.CHARGER] = 1.0
-        return cls(amp, basis)
-
-    @property
-    def u_b(self) -> complex:
-        return complex(self.amplitudes[BasisIndex.BATTERY])
-
-    @property
-    def u_c(self) -> complex:
-        return complex(self.amplitudes[BasisIndex.CHARGER])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass
@@ -79,12 +55,13 @@ def build_hamiltonian(
 ) -> np.ndarray:
     """Dense single-excitation Hamiltonian for a frozen drive value.
 
-    Real symmetric: all couplings (kappa f, g/N) are real.  Basis layout
-    follows BasisIndex.
+    Real symmetric: all couplings (kappa f, g/N) are real.  The basis, of
+    dimension d = 2 + 2 N^2, is battery (0), charger (1), the battery-bath
+    modes (2 .. 1 + N^2) and the charger-bath modes (2 + N^2 .. 1 + 2 N^2),
+    each bath in the row-major momentum order of ``mode_frequencies``.
     """
-    basis = BasisIndex(env.n_side)
-    d = basis.dimension
-    nm = basis.n_modes
+    nm = env.n_modes
+    d = 2 + 2 * nm
     h = np.zeros((d, d))
     h[0, 0] = params.omega_b
     h[1, 1] = params.omega_c
@@ -164,45 +141,28 @@ def _build_grid(schedule: ProtocolSchedule, t_max: float, dt: float):
 class SegmentPropagators:
     """Cached eigendecompositions of H(f=1) and H(f=0).
 
-    Propagation applies V exp(-i w dt) V^T to state vectors; the phase
-    factors for repeated step widths are memoized.
+    Propagation applies V exp(-i w dt) V^T to state vectors.
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment,
                  memory_cap: float = 3e9):
-        basis = BasisIndex(env.n_side)
-        d = basis.dimension
+        d = 2 + 2 * env.n_modes
         estimate = 6 * d * d * 8  # two eigenbases plus LAPACK workspace
         if estimate > memory_cap:
             raise MemoryCapError(required=estimate, cap=int(memory_cap))
-        self.params = params
-        self.env = env
-        self.basis = basis
+        self.dimension = d
         self.evals = {}
         self.evecs = {}
         for f in (1.0, 0.0):
             w, v = np.linalg.eigh(build_hamiltonian(params, env, f))
             self.evals[f] = w
             self.evecs[f] = v
-        self._phases: dict = {}
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
-
-    def _phase(self, f: float, dt: float) -> np.ndarray:
-        key = (f, dt)
-        if key not in self._phases:
-            if len(self._phases) > 64:
-                self._phases.clear()
-            self._phases[key] = np.exp(-1j * self.evals[f] * dt)
-        return self._phases[key]
 
     def apply(self, state: np.ndarray, f: float, dt: float) -> np.ndarray:
         """exp(-i H_f dt) @ state."""
         f = 1.0 if f else 0.0
         v = self.evecs[f]
-        return v @ (self._phase(f, dt) * (v.T @ state))
+        return v @ (np.exp(-1j * self.evals[f] * dt) * (v.T @ state))
 
     def advance(self, state: np.ndarray, schedule: ProtocolSchedule,
                 t0: float, t1: float) -> np.ndarray:
@@ -215,7 +175,7 @@ class SegmentPropagators:
         """Dense unitary exp(-i H_f dt); intended for small lattices/tests."""
         f = 1.0 if f else 0.0
         v = self.evecs[f]
-        return (v * self._phase(f, dt)) @ v.T
+        return (v * np.exp(-1j * self.evals[f] * dt)) @ v.T
 
 
 def propagate_exact(
@@ -224,26 +184,22 @@ def propagate_exact(
     schedule: ProtocolSchedule,
     t_max: float,
     sample_dt: float | None = None,
-    initial: ExcitationState | None = None,
     props: SegmentPropagators | None = None,
-    memory_cap: float = 3e9,
 ) -> EnergyTrace:
     """Numerically exact lattice propagation, sampled on a uniform grid.
 
-    The sampling grid is snapped so that every drive switching time is a
-    grid point.  Returns an EnergyTrace carrying u_b and u_c at the samples.
+    Starts from the charger-excited state.  The sampling grid is snapped so
+    that every drive switching time is a grid point.  Returns an EnergyTrace
+    carrying u_b and u_c at the samples.
     """
     if sample_dt is None:
         sample_dt = min(s for s in (schedule.tau_c, schedule.tau_s,
                                     schedule.tau_d) if s > 0) / 8.0
     h, n_steps, f_step = _build_grid(schedule, t_max, sample_dt)
     if props is None:
-        props = SegmentPropagators(params, env, memory_cap=memory_cap)
-    if initial is None:
-        initial = ExcitationState.charger_excited(props.basis)
-    state = np.array(initial.amplitudes, dtype=complex)
-    if abs(np.linalg.norm(state) - 1.0) > 1e-9:
-        raise ValueError("initial state must be normalized")
+        props = SegmentPropagators(params, env)
+    state = np.zeros(props.dimension, dtype=complex)
+    state[1] = 1.0
 
     u_b = np.empty(n_steps + 1, dtype=complex)
     u_c = np.empty(n_steps + 1, dtype=complex)

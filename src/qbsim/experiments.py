@@ -277,12 +277,6 @@ def _resolved_meta(cfg: ExperimentConfig, schedule: ProtocolSchedule,
     return meta
 
 
-def _charger_start(dimension: int) -> np.ndarray:
-    psi0 = np.zeros(dimension, dtype=complex)
-    psi0[1] = 1.0
-    return psi0
-
-
 # ---------------------------------------------------------------------------
 # runners (one per experiment kind); each returns a summary fragment and
 # appends written file paths to ``files``
@@ -440,8 +434,7 @@ def _run_asymptotic(cfg, out_dir, files):
     trace = propagate_exact(params, env, schedule, t_max=t_max,
                             sample_dt=T / _SAMPLES_PER_PERIOD)
     spec, modes = _bound_state_modes(cfg, params, env, schedule)
-    psi0 = _charger_start(spec.dimension)
-    decomp = decompose_energy_terms(modes, psi0, trace.times)
+    decomp = decompose_energy_terms(modes, trace.times)
     m = len(modes)
     header = ["t", "energy_exact", "energy_asymptotic"]
     cols = [trace.times, trace.energies, decomp.total]
@@ -537,13 +530,15 @@ def _run_nonresonant(cfg, out_dir, files):
     schedule = resolve_schedule(cfg)
     T = schedule.period
     spec, modes = _bound_state_modes(cfg, params, env, schedule)
-    psi0 = _charger_start(spec.dimension)
     m = len(modes)
     stem = cfg.stem()
+    t_max = cfg.t_max if cfg.t_max is not None else 5.0 * T
+    ts = np.arange(0.0, t_max + 1e-12, T / _SAMPLES_PER_PERIOD)
+    decomp = decompose_energy_terms(modes, ts)
 
     battery_w = [float(abs(mode.phi0[0])**2) for mode in modes]
     charger_w = [float(abs(mode.phi0[1])**2) for mode in modes]
-    c_sq = [float(abs(np.vdot(mode.states[0], psi0))**2) for mode in modes]
+    c_sq = [float(abs(c)**2) for c in decomp.coefficients]
     files.append(write_csv(
         csv_path(out_dir, stem + "-modes"),
         ["index", "quasienergy", "weight_battery", "weight_charger",
@@ -557,9 +552,6 @@ def _run_nonresonant(cfg, out_dir, files):
     files.append(write_csv(csv_path(out_dir, stem + "-distribution"),
                            header, cols))
 
-    t_max = cfg.t_max if cfg.t_max is not None else 5.0 * T
-    ts = np.arange(0.0, t_max + 1e-12, T / _SAMPLES_PER_PERIOD)
-    decomp = decompose_energy_terms(modes, psi0, ts)
     header = ["t", "energy_asymptotic"]
     cols = [ts, decomp.total]
     for j in range(m):

@@ -20,7 +20,7 @@ from scipy import linalg as sla
 from .dynamics import SegmentPropagators, build_sector_hamiltonian
 from .environment import LatticeEnvironment
 from .errors import NotAnEigenpairError
-from .model import BasisIndex, ProtocolSchedule, SystemParams
+from .model import ProtocolSchedule, SystemParams
 
 __all__ = [
     "BandSupport",
@@ -240,7 +240,7 @@ class FloquetMode:
 
     @property
     def battery_amplitudes(self) -> np.ndarray:
-        return self.states[:, BasisIndex.BATTERY]
+        return self.states[:, 0]
 
     def offset_index(self, t) -> np.ndarray:
         """Grid index of t mod T on the sampled offsets (must align)."""
@@ -310,31 +310,34 @@ def fbs_floquet_modes(
     ]
 
 
-def _mode_battery_terms(modes, initial, ts):
-    """c_j and c_j e^{-i eps_j t} <battery|phi_j(t mod T)> for each mode."""
+def _mode_battery_terms(modes, ts):
+    """c_j and c_j e^{-i eps_j t} <battery|phi_j(t mod T)> for each mode.
+
+    c_j = <phi_j(0)|charger> is the overlap with the charger-excited start.
+    """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     amps = np.empty((len(modes), ts.size), dtype=complex)
     coeffs = np.empty(len(modes), dtype=complex)
     for j, mode in enumerate(modes):
-        c = np.vdot(mode.states[0], initial)
+        c = np.conj(mode.phi0[1])
         coeffs[j] = c
         idx = mode.offset_index(ts)
         amps[j] = c * np.exp(-1j * mode.epsilon * ts) * mode.battery_amplitudes[idx]
     return coeffs, amps
 
 
-def asymptotic_energy(modes: list[FloquetMode], initial: np.ndarray, ts):
+def asymptotic_energy(modes: list[FloquetMode], ts):
     """Long-time battery energy carried by the bound states.
 
     E(t) = omega_b * |sum_j c_j e^{-i eps_j t} <battery|phi_j(t)>|^2 with
-    c_j the initial-state overlaps; an empty mode list gives zero (complete
-    discharge into the band).
+    c_j the overlaps with the charger-excited start; an empty mode list
+    gives zero (complete discharge into the band).
     """
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if not modes:
         out = np.zeros(ts_arr.size)
         return float(out[0]) if np.ndim(ts) == 0 else out
-    _, amps = _mode_battery_terms(modes, initial, ts_arr)
+    _, amps = _mode_battery_terms(modes, ts_arr)
     e = modes[0].omega_b * np.abs(amps.sum(axis=0)) ** 2
     return float(e[0]) if np.ndim(ts) == 0 else e
 
@@ -356,7 +359,7 @@ class EnergyDecomposition:
     coefficients: np.ndarray   # (M,)
 
 
-def decompose_energy_terms(modes: list[FloquetMode], initial: np.ndarray, ts
+def decompose_energy_terms(modes: list[FloquetMode], ts
                            ) -> EnergyDecomposition:
     """Split the asymptotic energy into j=j' and j!=j' contributions."""
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -366,7 +369,7 @@ def decompose_energy_terms(modes: list[FloquetMode], initial: np.ndarray, ts
                                    interference=z, total=z.copy(),
                                    elements=np.zeros((0, ts_arr.size)),
                                    coefficients=np.zeros(0, dtype=complex))
-    coeffs, amps = _mode_battery_terms(modes, initial, ts_arr)
+    coeffs, amps = _mode_battery_terms(modes, ts_arr)
     omega_b = modes[0].omega_b
     diagonal = omega_b * np.abs(amps) ** 2
     total = omega_b * np.abs(amps.sum(axis=0)) ** 2

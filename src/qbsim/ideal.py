@@ -7,36 +7,17 @@ unaffected by it.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ProtocolSchedule, SystemParams
 
 __all__ = [
-    "TwoLevelAmplitudes",
     "ideal_propagator",
     "ideal_evolve",
     "ideal_energy",
     "ideal_peak_energy",
 ]
-
-_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TwoLevelAmplitudes:
-    """Single-excitation amplitudes on the battery (c_b) and charger (c_c)."""
-
-    c_b: complex
-    c_c: complex
-
-    def norm_sq(self) -> float:
-        return abs(self.c_b) ** 2 + abs(self.c_c) ** 2
-
-    @classmethod
-    def charger_excited(cls) -> "TwoLevelAmplitudes":
-        return cls(0.0 + 0.0j, 1.0 + 0.0j)
 
 
 def _coupled_propagator(params: SystemParams, dt: float) -> np.ndarray:
@@ -79,45 +60,34 @@ def ideal_evolve(
     params: SystemParams,
     schedule: ProtocolSchedule,
     t: float,
-    initial: TwoLevelAmplitudes | None = None,
     t0: float = 0.0,
-) -> TwoLevelAmplitudes:
-    """Evolve the pair amplitudes from t0 to t through the drive protocol."""
+) -> np.ndarray:
+    """Amplitudes (c_b, c_c) at t of the pair started charger-excited at t0.
+
+    They form the charger column of the propagator from t0 to t.
+    """
     if t < 0 or t0 < 0:
         raise ValueError("times must be nonnegative")
-    if initial is None:
-        initial = TwoLevelAmplitudes.charger_excited()
-    if abs(initial.norm_sq() - 1.0) > _NORM_TOL:
-        raise ValueError("initial amplitudes must be normalized")
-    u = ideal_propagator(params, schedule, t, t0)
-    vec = u @ np.array([initial.c_b, initial.c_c])
-    return TwoLevelAmplitudes(complex(vec[0]), complex(vec[1]))
+    return ideal_propagator(params, schedule, t, t0)[:, 1]
 
 
 def ideal_energy(
-    params: SystemParams,
-    schedule: ProtocolSchedule,
-    t,
-    initial: TwoLevelAmplitudes | None = None,
+    params: SystemParams, schedule: ProtocolSchedule, t
 ) -> float | np.ndarray:
-    """Battery energy omega_b * |c_b(t)|^2 (hbar = 1); t scalar or array."""
-    if np.ndim(t) == 0:
-        amp = ideal_evolve(params, schedule, float(t), initial)
-        return params.omega_b * abs(amp.c_b) ** 2
-    ts = np.asarray(t, dtype=float)
-    if ts.size and np.any(np.diff(ts) < 0):
-        order = np.argsort(ts, kind="stable")
-    else:
-        order = np.arange(ts.size)
+    """Battery energy omega_b * |c_b(t)|^2 (hbar = 1); t scalar or array.
+
+    The pair starts charger-excited at t = 0; an array of times is walked
+    in ascending order, one propagator per gap.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty(ts.size)
-    amp = initial if initial is not None else TwoLevelAmplitudes.charger_excited()
+    vec = np.array([0.0, 1.0], dtype=complex)
     prev = 0.0
-    cur = amp
-    for idx in order:
-        cur = ideal_evolve(params, schedule, float(ts[idx]), cur, t0=prev)
+    for idx in np.argsort(ts, kind="stable"):
+        vec = ideal_propagator(params, schedule, float(ts[idx]), prev) @ vec
         prev = float(ts[idx])
-        out[idx] = params.omega_b * abs(cur.c_b) ** 2
-    return out
+        out[idx] = params.omega_b * abs(vec[0]) ** 2
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def ideal_peak_energy(params: SystemParams) -> float:

@@ -1,4 +1,4 @@
-"""Core model definitions: two-level pair, cyclic drive protocol, basis layout.
+"""Core model definitions: two-level pair and cyclic drive protocol.
 
 Units: hbar = 1 throughout, so energies and angular frequencies coincide.
 """
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 __all__ = [
     "SystemParams",
     "ProtocolSchedule",
-    "BasisIndex",
     "optimal_schedule",
 ]
 
@@ -167,24 +166,3 @@ def optimal_schedule(
         tau_s = n2 * math.pi / abs(delta)
     return ProtocolSchedule(tau_c=tc, tau_s=float(tau_s), tau_d=td)
 
-
-class BasisIndex:
-    """Index layout of the single-excitation sector.
-
-    Ordering: battery (0), charger (1), battery-bath modes (2 .. 1 + N^2) in
-    row-major momentum order, charger-bath modes (2 + N^2 .. 1 + 2 N^2).
-    Momentum grid: k = (2 pi m_x / N, 2 pi m_y / N), m_x outer, m_y inner.
-    """
-
-    BATTERY = 0
-    CHARGER = 1
-
-    def __init__(self, n_side: int):
-        if n_side < 1:
-            raise ValueError("lattice side must be >= 1")
-        self.n_side = int(n_side)
-        self.n_modes = self.n_side**2
-
-    @property
-    def dimension(self) -> int:
-        return 2 + 2 * self.n_modes

@@ -40,12 +40,17 @@ def write_csv(path: str, header: list[str], columns: list) -> str:
 
 
 def write_metadata(path: str, payload: dict) -> str:
-    """JSON sidecar with a creation timestamp added on top of ``payload``."""
+    """JSON sidecar with a creation timestamp added on top of ``payload``.
+
+    A non-finite number raises ValueError before the file is opened, since
+    strict JSON cannot carry it.
+    """
     record = dict(payload)
     record.setdefault("created_at", datetime.now(timezone.utc).isoformat())
+    text = json.dumps(record, indent=2, sort_keys=True, default=_coerce,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=_coerce)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

@@ -100,10 +100,16 @@ class TestRun:
                        "--out", str(tmp_path)) == 1
 
     def test_runtime_failure_exit_code(self, tmp_path):
-        # validates fine but the van Hove point rejects rate evaluation
-        cfg = tmp_path / "m.cfg"
-        cfg.write_text("kind = markov\nomega_0 = 1.0\nkappa = 15.0\n")
-        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        # validates fine, but the van Hove point (1.0) rejects rate
+        # evaluation and the band edge (3.0) gives an infinite level shift
+        for omega_0 in (1.0, 3.0):
+            cfg = tmp_path / "m.cfg"
+            cfg.write_text(f"kind = markov\nomega_0 = {omega_0}\nkappa = 15.0\n")
+            out = tmp_path / f"out-{omega_0}"
+            assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+            for path in out.iterdir():
+                text = path.read_text()
+                assert "Infinity" not in text and "NaN" not in text
 
     def test_missing_subcommand(self):
         assert run_cli() == 1

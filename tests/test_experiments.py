@@ -178,9 +178,14 @@ class TestRunners:
         assert len(rows) == 62  # header + n_samples + 1
 
     def test_markov_runtime_error_at_band_center(self, tmp_path):
-        cfg = ExperimentConfig(kind="markov", label="bad", omega_0=1.0, kappa=15.0)
-        with pytest.raises(ValueError):
-            run_experiment(cfg, tmp_path)
+        # the band center rejects the rates; at the band edge the shift is
+        # infinite, which strict JSON cannot carry
+        for omega_0 in (1.0, 3.0):
+            cfg = ExperimentConfig(kind="markov", label="bad", omega_0=omega_0,
+                                   kappa=15.0)
+            with pytest.raises(ValueError):
+                run_experiment(cfg, tmp_path)
+        assert not (tmp_path / "bad.meta.json").exists()
 
     def test_dynamics_volterra(self, tmp_path):
         cfg = ExperimentConfig(kind="dynamics", label="dyn", kappa=3.0, n_side=3,
@@ -270,3 +275,7 @@ class TestOutputHelpers:
         assert data["n"] == 3
         assert data["arr"] == [1.0, 2.0]
         assert "created_at" in data
+        bad = tmp_path / "nan.meta.json"
+        with pytest.raises(ValueError):
+            write_metadata(bad, {"x": float("nan")})
+        assert not bad.exists()

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from qbsim import LatticeEnvironment, ProtocolSchedule, SystemParams
-from qbsim.dynamics import ExcitationState, SegmentPropagators, build_hamiltonian
+from qbsim.dynamics import build_hamiltonian
 from qbsim.errors import NotAnEigenpairError
 from qbsim.floquet import (
     BandSupport,
@@ -22,7 +22,6 @@ from qbsim.floquet import (
     quasienergy_spectrum,
     resonant_spectrum,
 )
-from qbsim.model import BasisIndex
 
 # cheap two-bound-state instance shared across the asymptotic tests
 ENV4 = LatticeEnvironment(n_side=4, varpi=1.0, q=0.5, g=0.5)
@@ -251,9 +250,8 @@ class TestAsymptoticEnergy:
             fbs_floquet_modes(PARAMS, ENV4, SCHEDULE, spec)
 
     def test_empty_modes_discharge(self):
-        init = ExcitationState.charger_excited(BasisIndex(4)).amplitudes
-        assert asymptotic_energy([], init, 3.7) == 0.0
-        out = asymptotic_energy([], init, np.array([0.0, 1.0]))
+        assert asymptotic_energy([], 3.7) == 0.0
+        out = asymptotic_energy([], np.array([0.0, 1.0]))
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_zone_shift_invariance(self, spectrum4, modes4):
@@ -264,22 +262,20 @@ class TestAsymptoticEnergy:
             PARAMS, ENV4, SCHEDULE, spectrum4.modes[:, j],
             spectrum4.quasienergies[j] + SCHEDULE.omega_T, n_samples=24,
         )
-        init = ExcitationState.charger_excited(BasisIndex(4)).amplitudes
         ts = np.arange(0, 24 * 8) * (SCHEDULE.period / 24)
         np.testing.assert_allclose(
-            asymptotic_energy([modes4[0]], init, ts),
-            asymptotic_energy([shifted], init, ts),
+            asymptotic_energy([modes4[0]], ts),
+            asymptotic_energy([shifted], ts),
             atol=1e-10,
         )
 
     def test_beat_period_set_by_splitting(self, spectrum4, modes4):
         # two bound states: the envelope oscillates at the quasienergy splitting
-        init = ExcitationState.charger_excited(BasisIndex(4)).amplitudes
         eps = spectrum4.quasienergies[spectrum4.fbs_indices]
         t_beat = 2 * np.pi / abs(eps[1] - eps[0])
         n_per = round(t_beat / SCHEDULE.period)
         ts = np.arange(0, 24 * (n_per + 1)) * (SCHEDULE.period / 24)
-        e = asymptotic_energy(modes4, init, ts)
+        e = asymptotic_energy(modes4, ts)
         # energy returns near its initial value after one beat
         k = 24 * n_per
         assert abs(e[k] - e[0]) < 0.05 * e.max()
@@ -293,9 +289,8 @@ class TestAsymptoticEnergy:
         t_max = 30 * SCHEDULE.period
         trace = propagate_exact(PARAMS, ENV4, SCHEDULE, t_max,
                                 sample_dt=SCHEDULE.period / 24)
-        init = ExcitationState.charger_excited(BasisIndex(4)).amplitudes
         sel = trace.times >= 20 * SCHEDULE.period
-        asym = asymptotic_energy(modes4, init, trace.times[sel])
+        asym = asymptotic_energy(modes4, trace.times[sel])
         err = np.mean(np.abs(asym - trace.energies[sel])) / PARAMS.omega_0
         assert err < 0.02
 
@@ -313,22 +308,20 @@ class TestAsymptoticEnergy:
         trace = propagate_exact(params, env, schedule, 40 * T, sample_dt=T / 24)
         spec = compute_spectrum(params, env, schedule)
         modes = fbs_floquet_modes(params, env, schedule, spec)
-        init = ExcitationState.charger_excited(BasisIndex(12)).amplitudes
         sel = trace.times >= 30 * T - 1e-9 * T
-        asym = asymptotic_energy(modes, init, trace.times[sel])
+        asym = asymptotic_energy(modes, trace.times[sel])
         assert np.mean(np.abs(asym - trace.energies[sel])) < 1e-3
 
 
 class TestDecomposition:
     def test_identity_and_elements(self, modes4):
-        init = ExcitationState.charger_excited(BasisIndex(4)).amplitudes
         ts = np.arange(0, 24 * 5) * (SCHEDULE.period / 24)
-        dec = decompose_energy_terms(modes4, init, ts)
+        dec = decompose_energy_terms(modes4, ts)
         np.testing.assert_allclose(
             dec.diagonal.sum(axis=0) + dec.interference, dec.total, atol=1e-12
         )
         np.testing.assert_allclose(
-            dec.total, asymptotic_energy(modes4, init, ts), atol=1e-12
+            dec.total, asymptotic_energy(modes4, ts), atol=1e-12
         )
         # diagonal terms are |c_j|^2-weighted periodic elements
         for j in range(2):
@@ -340,6 +333,6 @@ class TestDecomposition:
         assert np.sum(np.abs(dec.coefficients) ** 2) <= 1.0 + 1e-12
 
     def test_empty(self):
-        dec = decompose_energy_terms([], np.zeros(4), np.array([0.0, 1.0]))
+        dec = decompose_energy_terms([], np.array([0.0, 1.0]))
         assert dec.diagonal.shape == (0, 2)
         np.testing.assert_array_equal(dec.total, [0.0, 0.0])

@@ -101,7 +101,7 @@ class TestMarkovEnergy:
         ts = np.linspace(0.0, 3 * self.SCHEDULE.period, 97)
         ideal = np.array(
             [
-                params.omega_b * abs(ideal_evolve(params, self.SCHEDULE, t).c_b) ** 2
+                params.omega_b * abs(ideal_evolve(params, self.SCHEDULE, t)[0]) ** 2
                 for t in ts
             ]
         )

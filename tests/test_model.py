@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qbsim import (
-    BasisIndex,
     ProtocolSchedule,
     SystemParams,
     optimal_schedule,
@@ -114,10 +113,3 @@ class TestOptimalSchedule:
     def test_explicit_storage_overrides_winding(self):
         s = optimal_schedule(kappa=1.0, delta=0.5, tau_s=0.123)
         assert s.tau_s == 0.123
-
-
-class TestBasisIndex:
-    def test_layout(self):
-        b = BasisIndex(3)
-        assert b.dimension == 2 + 2 * 9
-        assert BasisIndex.BATTERY == 0 and BasisIndex.CHARGER == 1
