@@ -172,7 +172,11 @@ class SegmentPropagators:
         return state
 
     def materialize(self, f: float, dt: float) -> np.ndarray:
-        """Dense unitary exp(-i H_f dt); intended for small lattices/tests."""
+        """Dense d x d unitary exp(-i H_f dt).
+
+        ``one_period_operator`` builds U_T from these for every detuned
+        spectrum point, so it runs at full size (d = 1802 at N = 30).
+        """
         f = 1.0 if f else 0.0
         v = self.evecs[f]
         return (v * np.exp(-1j * self.evals[f] * dt)) @ v.T

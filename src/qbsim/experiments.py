@@ -1,7 +1,7 @@
 """Experiment configurations, presets, and runners behind the CLI.
 
 A run is described by a flat key=value configuration (strictly parsed), is
-fully deterministic, and emits CSV datasets with JSON metadata sidecars
+fully deterministic, and emits CSV datasets with one JSON metadata sidecar
 plus a machine-readable summary.
 """
 
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import propagate_exact, solve_volterra, solve_volterra_pm
+from .dynamics import (_build_grid, default_time_step, propagate_exact,
+                       solve_volterra, solve_volterra_pm)
 from .environment import LatticeEnvironment
 from .errors import ConfigError
 from .floquet import (
@@ -27,6 +28,7 @@ from .markovian import markov_energy, markov_rates
 from .model import ProtocolSchedule, SystemParams
 from .output import csv_path, meta_path, write_csv, write_metadata
 from .perturbation import (
+    _check_protocol,
     asymptotic_energy_closed_form,
     nonresonant_zeroth_order,
     phase_fourier_coeff,
@@ -42,6 +44,8 @@ KERNELS = ("discrete", "continuum")
 
 # samples per drive period used by the trace-producing kinds
 _SAMPLES_PER_PERIOD = 24
+_DEFAULT_PERIODS = {"ideal-cycle": 3.0, "markov": 3.0,  # t_max / T if unset
+                    "dynamics": 100.0, "asymptotic": 100.0, "nonresonant": 5.0}
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,6 @@ class ExperimentConfig:
     weight_threshold: float = 0.05
     gap_tolerance: float | None = None
     n_offsets: int = 96
-
-    def stem(self) -> str:
-        return self.label or self.kind
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -195,30 +196,43 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key n_offsets: must be >= 1")
     if cfg.gamma is not None and cfg.gamma < 0:
         raise ConfigError("config key gamma: must be nonnegative")
-    if cfg.kind == "markov" and cfg.delta != 0.0:
-        raise ConfigError("kind markov: the decay envelope holds only at "
+    if cfg.kind in ("markov", "perturbation") and cfg.delta != 0.0:
+        raise ConfigError(f"kind {cfg.kind}: its formulas hold only at "
                           "delta = 0")
+    if cfg.kind == "dynamics" and cfg.route == "volterra-pm" \
+            and cfg.delta != 0.0:
+        raise ConfigError("route volterra-pm: the +/- decomposition "
+                          "requires delta = 0")
     sweep_keys = (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step)
     if cfg.kind in ("kappa-sweep",) and any(v is None for v in sweep_keys):
         raise ConfigError("kappa-sweep requires kappa_min, kappa_max, kappa_step")
-    if any(v is not None for v in sweep_keys):
-        if cfg.kappa_step is not None and cfg.kappa_step <= 0:
-            raise ConfigError("config key kappa_step: must be positive")
-        if None not in sweep_keys and not sweep_grid_values(cfg).size:
-            raise ConfigError("empty sweep")
+    if cfg.kappa_step is not None and cfg.kappa_step <= 0:
+        raise ConfigError("config key kappa_step: must be positive")
+    if None not in sweep_keys and not sweep_grid_values(cfg).size:
+        raise ConfigError("empty sweep")
     if cfg.kind in ("asymptotic", "nonresonant") \
             and cfg.n_offsets % _SAMPLES_PER_PERIOD:
         raise ConfigError(
             f"config key n_offsets: must be a multiple of {_SAMPLES_PER_PERIOD}")
+    schedule = resolve_schedule(cfg)
+    try:  # the solvers' own protocol checks, before any work is done
+        if cfg.kind in ("dynamics", "asymptotic"):
+            _build_grid(schedule, schedule.period, _trace_step(
+                cfg, resolve_system(cfg), resolve_environment(cfg), schedule))
+        elif cfg.kind == "nonresonant":
+            _check_protocol(cfg.kappa, schedule)
+        elif cfg.kind == "perturbation":
+            for kappa in sweep_grid_values(_default_sweep(cfg)):
+                _check_protocol(float(kappa), resolve_schedule(cfg, kappa))
+    except ValueError as exc:
+        raise ConfigError(f"kind {cfg.kind}: {exc}") from None
 
 
 def sweep_grid_values(cfg: ExperimentConfig) -> np.ndarray:
     if None in (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step):
         raise ConfigError("sweep requires kappa_min, kappa_max, kappa_step")
     n = math.floor((cfg.kappa_max - cfg.kappa_min) / cfg.kappa_step + 1e-9) + 1
-    if n < 1:
-        return np.empty(0)
-    return cfg.kappa_min + cfg.kappa_step * np.arange(n)
+    return cfg.kappa_min + cfg.kappa_step * np.arange(max(n, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,103 +274,119 @@ def resolve_schedule(cfg: ExperimentConfig, kappa: float | None = None
     return ProtocolSchedule(tau_c=tau_c, tau_s=tau_s, tau_d=tau_d)
 
 
-def _resolved_meta(cfg: ExperimentConfig, schedule: ProtocolSchedule,
-                   **extra) -> dict:
-    meta = {
-        "config": config_to_dict(cfg),
-        "resolved": {
-            "tau_c": schedule.tau_c,
-            "tau_s": schedule.tau_s,
-            "tau_d": schedule.tau_d,
-            "period": schedule.period,
-            "omega_T": schedule.omega_T,
-        },
-        "version": __version__,
-    }
-    meta.update(extra)
-    return meta
+def _schedule_meta(schedule: ProtocolSchedule) -> dict:
+    return {**dataclasses.asdict(schedule), "period": schedule.period,
+            "omega_T": schedule.omega_T}
+
+
+def _default_sweep(cfg: ExperimentConfig) -> ExperimentConfig:
+    """A perturbation run without a full sweep grid covers kappa = 5..15."""
+    if None in (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step):
+        return dataclasses.replace(cfg, kappa_min=5.0, kappa_max=15.0,
+                                   kappa_step=0.5)
+    return cfg
+
+
+def _t_max(cfg: ExperimentConfig, schedule: ProtocolSchedule) -> float:
+    return cfg.t_max if cfg.t_max is not None \
+        else _DEFAULT_PERIODS[cfg.kind] * schedule.period
+
+
+def _trace_step(cfg, params, env, schedule) -> float:
+    """Trace step of the runners and of validation: T/24, t_max/n_samples
+    (``dynamics``), or ``dt`` or the default step (memory-kernel routes)."""
+    if cfg.kind == "dynamics" and cfg.route != "exact":
+        return cfg.dt if cfg.dt is not None \
+            else default_time_step(params, env, schedule)
+    if cfg.kind == "dynamics" and cfg.n_samples:
+        return _t_max(cfg, schedule) / cfg.n_samples
+    return schedule.period / _SAMPLES_PER_PERIOD
 
 
 # ---------------------------------------------------------------------------
-# runners (one per experiment kind); each returns a summary fragment and
-# appends written file paths to ``files``
+# runners, one per kind: each gets the config and the params, env and
+# schedule resolved at cfg.kappa, and returns (tables, sidecar entries,
+# summary fragment); a table is (stem suffix, header, columns).
+# run_experiment writes the tables in order as <stem><suffix>.csv, then one
+# <stem>.meta.json: config, resolved, version, the runner's entries (which
+# may replace the first two) and columns; the summary starts kind, label.
 
-def _run_ideal_cycle(cfg, out_dir, files):
-    params = resolve_system(cfg)
-    schedule = resolve_schedule(cfg)
-    t_max = cfg.t_max if cfg.t_max is not None else 3.0 * schedule.period
-    n = cfg.n_samples or 720
-    ts = np.linspace(0.0, t_max, n + 1)
-    energies = ideal_energy(params, schedule, ts)
-    stem = cfg.stem()
-    files.append(write_csv(csv_path(out_dir, stem), ["t", "energy"],
-                           [ts, energies]))
-    files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
-        cfg, schedule,
-        columns={"t": "time", "energy": "battery energy (hbar = 1)"})))
-    return {"kind": cfg.kind, "label": stem,
-            "peak_energy": ideal_peak_energy(params),
-            "period": schedule.period}
-
-
-def _run_markov(cfg, out_dir, files):
-    params = resolve_system(cfg)
-    schedule = resolve_schedule(cfg)
-    lamb_shift = None
-    if cfg.gamma is not None:
-        gamma = cfg.gamma
-    else:
-        rates = markov_rates(resolve_environment(cfg), params.omega_0)
-        gamma, lamb_shift = rates.gamma, rates.lamb_shift
-    t_max = cfg.t_max if cfg.t_max is not None else 3.0 * schedule.period
-    n = cfg.n_samples or 720
-    ts = np.linspace(0.0, t_max, n + 1)
-    energies = markov_energy(params, schedule, gamma, ts)
-    stem = cfg.stem()
-    files.append(write_csv(csv_path(out_dir, stem), ["t", "energy"],
-                           [ts, energies]))
-    files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
-        cfg, schedule, gamma=gamma, lamb_shift=lamb_shift,
-        columns={"t": "time", "energy": "decay-enveloped battery energy"})))
-    return {"kind": cfg.kind, "label": stem, "gamma": gamma,
-            "lamb_shift": lamb_shift}
+_SPECTRUM_HEADER = ["index", "quasienergy", "system_weight", "is_fbs"]
+_TRACE_COLUMNS = {"t": "time", "energy": "battery energy (hbar = 1)"}
+_SPECTRUM_COLUMNS = {"index": "mode index",
+                     "quasienergy": "folded quasienergy",
+                     "system_weight": "battery+charger weight",
+                     "is_fbs": "bound-state flag"}
+# the sidecar's "columns" entry of each kind
+_COLUMNS = {
+    "ideal-cycle": _TRACE_COLUMNS,
+    "markov": {"t": "time", "energy": "decay-enveloped battery energy"},
+    "dynamics": _TRACE_COLUMNS,
+    "kappa-sweep": {"kappa": "coupling", **_SPECTRUM_COLUMNS},
+    "spectrum": _SPECTRUM_COLUMNS,
+    "asymptotic": {
+        "t": "time", "energy_exact": "propagated battery energy",
+        "energy_asymptotic": "bound-state-only battery energy",
+        "diag_j": "battery population of bound state j (dimensionless)",
+        "interference": "cross term / omega_b (dimensionless)"},
+    "perturbation": {
+        "kappa": "coupling", "eps0": "shared zeroth-order quasienergy",
+        "eps2_plus/eps2_minus": "second-order corrections",
+        "splitting_*": "bound-state splitting by method",
+        "energy_closed_form":
+            "analytic beating energy at kappa_max (absolute)"},
+    "nonresonant": {
+        "index": "bound-state index",
+        "weight_battery/weight_charger": "|<b|phi>|^2, |<c|phi>|^2",
+        "c_initial_sq": "initial-state overlap |c_j|^2",
+        "p_j": "probability distribution of bound state j",
+        "diag_j": "battery population of bound state j",
+        "interference": "cross term / omega_b"},
+}
 
 
-def _run_dynamics(cfg, out_dir, files):
-    params = resolve_system(cfg)
-    env = resolve_environment(cfg)
-    schedule = resolve_schedule(cfg)
+def _run_ideal_cycle(cfg, params, env, schedule):
+    ts = np.linspace(0.0, _t_max(cfg, schedule), (cfg.n_samples or 720) + 1)
+    return ([("", ["t", "energy"], [ts, ideal_energy(params, schedule, ts)])],
+            {}, {"peak_energy": ideal_peak_energy(params),
+                 "period": schedule.period})
+
+
+def _run_markov(cfg, params, env, schedule):
+    found = {"gamma": cfg.gamma, "lamb_shift": None}
+    if cfg.gamma is None:
+        rates = markov_rates(env, params.omega_0)
+        found = {"gamma": rates.gamma, "lamb_shift": rates.lamb_shift}
+    ts = np.linspace(0.0, _t_max(cfg, schedule), (cfg.n_samples or 720) + 1)
+    energies = markov_energy(params, schedule, found["gamma"], ts)
+    return [("", ["t", "energy"], [ts, energies])], found, found
+
+
+def _run_dynamics(cfg, params, env, schedule):
     T = schedule.period
-    t_max = cfg.t_max if cfg.t_max is not None else 100.0 * T
+    t_max = _t_max(cfg, schedule)
+    step = _trace_step(cfg, params, env, schedule)
     if cfg.route == "exact":
-        sample_dt = (t_max / cfg.n_samples) if cfg.n_samples \
-            else T / _SAMPLES_PER_PERIOD
         trace = propagate_exact(params, env, schedule, t_max=t_max,
-                                sample_dt=sample_dt)
-    elif cfg.route == "volterra":
-        trace = solve_volterra(params, env, schedule, t_max=t_max,
-                               dt=cfg.dt, kernel=cfg.kernel)
+                                sample_dt=step)
     else:
-        trace = solve_volterra_pm(params, env, schedule, t_max=t_max,
-                                  dt=cfg.dt, kernel=cfg.kernel)
-    stem = cfg.stem()
-    files.append(write_csv(csv_path(out_dir, stem), ["t", "energy"],
-                           [trace.times, trace.energies]))
+        solve = solve_volterra if cfg.route == "volterra" \
+            else solve_volterra_pm
+        trace = solve(params, env, schedule, t_max=t_max, dt=step,
+                      kernel=cfg.kernel)
     solver = {k: v for k, v in trace.metadata.items()
               if isinstance(v, (int, float, str))}
-    files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
-        cfg, schedule, solver=solver,
-        columns={"t": "time", "energy": "battery energy (hbar = 1)"})))
     tail = trace.times >= t_max - T - 1e-9 * T
-    return {"kind": cfg.kind, "label": stem, "route": cfg.route,
-            "final_period_mean": float(np.mean(trace.energies[tail])),
-            "final_period_peak": float(np.max(trace.energies[tail]))}
+    return ([("", ["t", "energy"], [trace.times, trace.energies])],
+            {"solver": solver},
+            {"route": cfg.route,
+             "final_period_mean": float(np.mean(trace.energies[tail])),
+             "final_period_peak": float(np.max(trace.energies[tail]))})
 
 
-def _spectrum_rows(cfg: ExperimentConfig, kappa: float):
-    """One sweep point: quasienergies, weights and FBS flags at ``kappa``."""
+def _spectrum_rows(cfg, env, kappa):
+    """One sweep point: the spectrum columns and summary point at ``kappa``."""
     params = resolve_system(cfg, kappa)
-    env = resolve_environment(cfg)
     schedule = resolve_schedule(cfg, kappa)
     spec = compute_spectrum(params, env, schedule,
                             weight_threshold=cfg.weight_threshold,
@@ -370,218 +400,133 @@ def _spectrum_rows(cfg: ExperimentConfig, kappa: float):
         i, j = spec.fbs_indices
         point["delta_eps0"] = float(circular_distance(
             spec.quasienergies[i], spec.quasienergies[j], spec.omega_T))
-    return spec.quasienergies, spec.system_weights, flags, point
+    return [np.arange(spec.dimension), spec.quasienergies,
+            spec.system_weights, flags], point
 
 
-def _run_kappa_sweep(cfg, out_dir, files):
+def _run_kappa_sweep(cfg, params, env, schedule):
     grid = sweep_grid_values(cfg)
-    if not grid.size:
-        raise ConfigError("empty sweep")
-    kcol, icol, ecol, wcol, fcol, points = [], [], [], [], [], []
+    blocks, points = [], []
     for kappa in grid:
-        eps, weights, flags, point = _spectrum_rows(cfg, float(kappa))
-        d = eps.size
-        kcol.append(np.full(d, kappa))
-        icol.append(np.arange(d))
-        ecol.append(eps)
-        wcol.append(weights)
-        fcol.append(flags)
+        cols, point = _spectrum_rows(cfg, env, float(kappa))
+        blocks.append([np.full(cols[0].size, kappa)] + cols)
         points.append(point)
-    stem = cfg.stem()
-    files.append(write_csv(
-        csv_path(out_dir, stem),
-        ["kappa", "index", "quasienergy", "system_weight", "is_fbs"],
-        [np.concatenate(c) for c in (kcol, icol, ecol, wcol, fcol)]))
-    files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
-        cfg, resolve_schedule(cfg), sweep={"kappa": grid.tolist()},
-        columns={"kappa": "coupling", "index": "mode index",
-                 "quasienergy": "folded quasienergy",
-                 "system_weight": "battery+charger weight",
-                 "is_fbs": "bound-state flag"})))
-    return {"kind": cfg.kind, "label": stem, "points": points}
+    return ([("", ["kappa"] + _SPECTRUM_HEADER,
+              [np.concatenate(c) for c in zip(*blocks)])],
+            {"sweep": {"kappa": grid.tolist()}}, {"points": points})
 
 
-def _run_spectrum(cfg, out_dir, files):
-    eps, weights, flags, point = _spectrum_rows(cfg, cfg.kappa)
-    stem = cfg.stem()
-    files.append(write_csv(
-        csv_path(out_dir, stem),
-        ["index", "quasienergy", "system_weight", "is_fbs"],
-        [np.arange(eps.size), eps, weights, flags]))
-    files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
-        cfg, resolve_schedule(cfg),
-        columns={"index": "mode index", "quasienergy": "folded quasienergy",
-                 "system_weight": "battery+charger weight",
-                 "is_fbs": "bound-state flag"})))
-    return {"kind": cfg.kind, "label": stem, **point}
+def _run_spectrum(cfg, params, env, schedule):
+    cols, point = _spectrum_rows(cfg, env, cfg.kappa)
+    return [("", _SPECTRUM_HEADER, cols)], {}, point
 
 
-def _bound_state_modes(cfg, params, env, schedule):
+def _bound_state_energy(cfg, params, env, schedule, ts):
+    """Bound states, their energy terms over ``ts``, diag_j/interference."""
     spec = compute_spectrum(params, env, schedule,
                             weight_threshold=cfg.weight_threshold,
                             gap_tolerance=cfg.gap_tolerance)
     modes = fbs_floquet_modes(params, env, schedule, spec,
                               n_samples=cfg.n_offsets)
-    return spec, modes
+    decomp = decompose_energy_terms(modes, ts)
+    header = [f"diag_{j + 1}" for j in range(len(modes))] + ["interference"]
+    cols = list(decomp.elements) + [decomp.interference / params.omega_b]
+    return spec, modes, decomp, header, cols
 
 
-def _run_asymptotic(cfg, out_dir, files):
-    params = resolve_system(cfg)
-    env = resolve_environment(cfg)
-    schedule = resolve_schedule(cfg)
+def _run_asymptotic(cfg, params, env, schedule):
     T = schedule.period
-    t_max = cfg.t_max if cfg.t_max is not None else 100.0 * T
+    t_max = _t_max(cfg, schedule)
     trace = propagate_exact(params, env, schedule, t_max=t_max,
-                            sample_dt=T / _SAMPLES_PER_PERIOD)
-    spec, modes = _bound_state_modes(cfg, params, env, schedule)
-    decomp = decompose_energy_terms(modes, trace.times)
+                            sample_dt=_trace_step(cfg, params, env, schedule))
+    spec, modes, decomp, header, cols = _bound_state_energy(
+        cfg, params, env, schedule, trace.times)
     m = len(modes)
-    header = ["t", "energy_exact", "energy_asymptotic"]
-    cols = [trace.times, trace.energies, decomp.total]
-    for j in range(m):
-        header.append(f"diag_{j + 1}")
-        cols.append(decomp.elements[j])
-    header.append("interference")
-    cols.append(decomp.interference / params.omega_b)
-    stem = cfg.stem()
-    files.append(write_csv(csv_path(out_dir, stem), header, cols))
-    files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
-        cfg, schedule, m_fbs=m,
-        quasienergies=[mode.epsilon for mode in modes],
-        coefficients_sq=[float(abs(c)**2) for c in decomp.coefficients],
-        columns={"t": "time", "energy_exact": "propagated battery energy",
-                 "energy_asymptotic": "bound-state-only battery energy",
-                 "diag_j": "battery population of bound state j (dimensionless)",
-                 "interference": "cross term / omega_b (dimensionless)"})))
     tail = trace.times >= t_max - min(20.0 * T, t_max) - 1e-9 * T
     diff = np.abs(trace.energies[tail] - decomp.total[tail])
-    summary = {"kind": cfg.kind, "label": stem, "m_fbs": m,
-               "tail_mean_abs_diff_over_omega0":
-                   float(diff.mean() / params.omega_0)}
+    summary = {"m_fbs": m, "tail_mean_abs_diff_over_omega0":
+               float(diff.mean() / params.omega_0)}
     if m == 2:
         summary["delta_eps0"] = float(circular_distance(
             modes[0].epsilon, modes[1].epsilon, spec.omega_T))
-    return summary
+    return ([("", ["t", "energy_exact", "energy_asymptotic"] + header,
+              [trace.times, trace.energies, decomp.total] + cols)],
+            {"m_fbs": m,
+             "quasienergies": [mode.epsilon for mode in modes],
+             "coefficients_sq": [float(abs(c)**2)
+                                 for c in decomp.coefficients]},
+            summary)
 
 
-def _run_perturbation(cfg, out_dir, files):
-    env = resolve_environment(cfg)
-    if None in (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step):
-        cfg = dataclasses.replace(cfg, kappa_min=5.0, kappa_max=15.0,
-                                  kappa_step=0.5)
+def _run_perturbation(cfg, params, env, schedule):
+    cfg = _default_sweep(cfg)
     grid = sweep_grid_values(cfg)
-    if not grid.size:
-        raise ConfigError("empty sweep")
-    rows = {k: [] for k in ("kappa", "eps0", "eps2_plus", "eps2_minus",
-                            "splitting_perturbative", "splitting_exact",
-                            "splitting_main_sum", "splitting_large_kappa")}
-    points = []
+    header = ["kappa", "eps0", "eps2_plus", "eps2_minus",
+              "splitting_perturbative", "splitting_exact",
+              "splitting_main_sum", "splitting_large_kappa"]
+    rows, points = [], []
     for kappa in grid:
         kappa = float(kappa)
         params = resolve_system(cfg, kappa)
         schedule = resolve_schedule(cfg, kappa)
         res = second_order_corrections(params, env, schedule)
-        eps, weights, flags, point = _spectrum_rows(cfg, kappa)
+        _, point = _spectrum_rows(cfg, env, kappa)
         exact = point.get("delta_eps0", math.nan)
-        rows["kappa"].append(kappa)
-        rows["eps0"].append(res.eps0)
-        rows["eps2_plus"].append(res.eps2_plus)
-        rows["eps2_minus"].append(res.eps2_minus)
-        rows["splitting_perturbative"].append(res.splitting)
-        rows["splitting_exact"].append(exact)
-        rows["splitting_main_sum"].append(
-            splitting_main_sum(params, env, schedule))
-        rows["splitting_large_kappa"].append(
-            splitting_large_coupling(env, kappa))
+        rows.append((kappa, res.eps0, res.eps2_plus, res.eps2_minus,
+                     res.splitting, exact,
+                     splitting_main_sum(params, env, schedule),
+                     splitting_large_coupling(env, kappa)))
         entry = {"kappa": kappa, "m_fbs": point["m_fbs"],
                  "splitting_perturbative": res.splitting}
         if math.isfinite(exact):
             entry["relative_error"] = abs(res.splitting - exact) / exact
         points.append(entry)
-    stem = cfg.stem()
-    header = list(rows)
-    files.append(write_csv(csv_path(out_dir, stem), header,
-                           [np.asarray(rows[k]) for k in header]))
-    # closed-form beating curve at the stiffest grid point
-    k_top = float(grid[-1])
-    schedule = resolve_schedule(cfg, k_top)
-    T = schedule.period
-    res = second_order_corrections(resolve_system(cfg, k_top), env, schedule)
-    ts = np.linspace(0.0, 5.0 * T, 5 * cfg.n_offsets + 1)
+    # closed-form beating curve at the stiffest grid point, the last one
+    ts = np.linspace(0.0, 5.0 * schedule.period, 5 * cfg.n_offsets + 1)
     curve = cfg.omega_0 * asymptotic_energy_closed_form(
-        res.splitting, k_top, schedule, ts)
-    files.append(write_csv(csv_path(out_dir, stem + "-closed-form"),
-                           ["t", "energy_closed_form"], [ts, curve]))
-    files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
-        cfg, schedule, sweep={"kappa": grid.tolist()},
-        f0_sq=float(abs(phase_fourier_coeff(k_top, schedule, 0))**2),
-        columns={"kappa": "coupling",
-                 "eps0": "shared zeroth-order quasienergy",
-                 "eps2_plus/eps2_minus": "second-order corrections",
-                 "splitting_*": "bound-state splitting by method",
-                 "energy_closed_form": "analytic beating energy at "
-                                       "kappa_max (absolute)"})))
-    return {"kind": cfg.kind, "label": stem, "points": points}
+        res.splitting, kappa, schedule, ts)
+    return ([("", header, [np.asarray(c) for c in zip(*rows)]),
+             ("-closed-form", ["t", "energy_closed_form"], [ts, curve])],
+            {"config": config_to_dict(cfg),
+             "resolved": _schedule_meta(schedule),
+             "sweep": {"kappa": grid.tolist()},
+             "f0_sq": float(abs(phase_fourier_coeff(kappa, schedule, 0))**2)},
+            {"points": points})
 
 
-def _run_nonresonant(cfg, out_dir, files):
-    params = resolve_system(cfg)
-    env = resolve_environment(cfg)
-    schedule = resolve_schedule(cfg)
-    T = schedule.period
-    spec, modes = _bound_state_modes(cfg, params, env, schedule)
+def _run_nonresonant(cfg, params, env, schedule):
+    step = _trace_step(cfg, params, env, schedule)
+    ts = np.arange(0.0, _t_max(cfg, schedule) + 1e-12, step)
+    spec, modes, decomp, header, cols = _bound_state_energy(
+        cfg, params, env, schedule, ts)
     m = len(modes)
-    stem = cfg.stem()
-    t_max = cfg.t_max if cfg.t_max is not None else 5.0 * T
-    ts = np.arange(0.0, t_max + 1e-12, T / _SAMPLES_PER_PERIOD)
-    decomp = decompose_energy_terms(modes, ts)
-
-    battery_w = [float(abs(mode.phi0[0])**2) for mode in modes]
-    charger_w = [float(abs(mode.phi0[1])**2) for mode in modes]
-    c_sq = [float(abs(c)**2) for c in decomp.coefficients]
-    files.append(write_csv(
-        csv_path(out_dir, stem + "-modes"),
-        ["index", "quasienergy", "weight_battery", "weight_charger",
-         "c_initial_sq"],
-        [np.arange(m), [mode.epsilon for mode in modes],
-         battery_w, charger_w, c_sq]))
-
-    header = ["component"] + [f"p_{j + 1}" for j in range(m)]
-    cols = [np.arange(spec.dimension)]
-    cols += [np.abs(mode.phi0)**2 for mode in modes]
-    files.append(write_csv(csv_path(out_dir, stem + "-distribution"),
-                           header, cols))
-
-    header = ["t", "energy_asymptotic"]
-    cols = [ts, decomp.total]
-    for j in range(m):
-        header.append(f"diag_{j + 1}")
-        cols.append(decomp.elements[j])
-    header.append("interference")
-    cols.append(decomp.interference / params.omega_b)
-    files.append(write_csv(csv_path(out_dir, stem + "-energy"), header, cols))
-
     zeroth = nonresonant_zeroth_order(params, schedule)
-    files.append(write_metadata(meta_path(out_dir, stem), _resolved_meta(
-        cfg, schedule, m_fbs=m,
-        zeroth_order={"eps_battery": zeroth.eps_battery,
-                      "eps_charger": zeroth.eps_charger,
-                      "splitting": zeroth.splitting},
-        columns={"index": "bound-state index",
-                 "weight_battery/weight_charger": "|<b|phi>|^2, |<c|phi>|^2",
-                 "c_initial_sq": "initial-state overlap |c_j|^2",
-                 "p_j": "probability distribution of bound state j",
-                 "diag_j": "battery population of bound state j",
-                 "interference": "cross term / omega_b"})))
-    summary = {"kind": cfg.kind, "label": stem, "m_fbs": m,
-               "weight_battery": battery_w, "weight_charger": charger_w,
-               "c_initial_sq": c_sq}
+    weights = {
+        "weight_battery": [float(abs(mode.phi0[0])**2) for mode in modes],
+        "weight_charger": [float(abs(mode.phi0[1])**2) for mode in modes],
+        "c_initial_sq": [float(abs(c)**2) for c in decomp.coefficients]}
+    tables = [
+        ("-modes", ["index", "quasienergy"] + list(weights),
+         [np.arange(m), [mode.epsilon for mode in modes]]
+         + list(weights.values())),
+        ("-distribution", ["component"] + [f"p_{j + 1}" for j in range(m)],
+         [np.arange(spec.dimension)]
+         + [np.abs(mode.phi0)**2 for mode in modes]),
+        ("-energy", ["t", "energy_asymptotic"] + header,
+         [ts, decomp.total] + cols),
+    ]
+    summary = {"m_fbs": m, **weights}
     n_per = _SAMPLES_PER_PERIOD
     if decomp.total.size > n_per:
         e0, e1 = decomp.total[:-n_per], decomp.total[n_per:]
         summary["periodicity_defect"] = float(
             np.max(np.abs(e1 - e0)) / max(np.max(decomp.total), 1e-300))
-    return summary
+    return (tables,
+            {"m_fbs": m,
+             "zeroth_order": {"eps_battery": zeroth.eps_battery,
+                              "eps_charger": zeroth.eps_charger,
+                              "splitting": zeroth.splitting}},
+            summary)
 
 
 _RUNNERS = {
@@ -606,9 +551,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
         raise ConfigError(f"jobs must be 1, got {jobs!r}")
     validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    files: list[str] = []
-    summary = _RUNNERS[cfg.kind](cfg, out_dir, files)
-    return files, summary
+    schedule = resolve_schedule(cfg)
+    tables, entries, fragment = _RUNNERS[cfg.kind](
+        cfg, resolve_system(cfg), resolve_environment(cfg), schedule)
+    stem = cfg.label or cfg.kind
+    files = [write_csv(csv_path(out_dir, stem + suffix), header, columns)
+             for suffix, header, columns in tables]
+    meta = {"config": config_to_dict(cfg), "resolved": _schedule_meta(schedule),
+            "version": __version__, **entries, "columns": _COLUMNS[cfg.kind]}
+    files.append(write_metadata(meta_path(out_dir, stem), meta))
+    return files, {"kind": cfg.kind, "label": stem, **fragment}
 
 
 # ---------------------------------------------------------------------------

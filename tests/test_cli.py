@@ -39,6 +39,17 @@ class TestValidate:
         )
         assert run_cli("validate", str(cfg)) == 1
 
+    def test_unrunnable_protocol(self, tmp_path, capsys):
+        # T/24 sampling cannot resolve tau_s = 0.5 next to the half-swap
+        # segments: a config error up front, not a numerical failure later
+        cfg = tmp_path / "asy.cfg"
+        cfg.write_text("kind = asymptotic\nn_side = 4\ntau_s = 0.5\n")
+        assert run_cli("validate", str(cfg)) == 1
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert "aligned" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert run_cli("validate", str(tmp_path / "nope.cfg")) == 1
 

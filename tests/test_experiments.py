@@ -1,6 +1,7 @@
 """Experiment configuration, runners, and tabular output helpers."""
 
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="markov"):
             validate_config(ExperimentConfig(kind="markov", delta=0.5))
 
+    @pytest.mark.parametrize("keys", [
+        # T/24 sampling, or the default march step, cannot resolve
+        # unequal segments
+        dict(kind="asymptotic", tau_s=0.5),
+        dict(kind="dynamics", tau_s=0.5),
+        dict(kind="dynamics", tau_s=0.5, route="volterra"),
+        # the perturbative formulas need equal segments and resonance
+        dict(kind="perturbation", tau_s=0.3),
+        dict(kind="nonresonant", delta=0.5, kappa=8.0, tau_s=0.5),
+        dict(kind="perturbation", delta=0.5),
+        dict(kind="dynamics", route="volterra-pm", delta=0.5),
+    ], ids=["asymptotic", "dynamics-exact", "dynamics-volterra",
+            "perturbation", "nonresonant", "perturbation-detuned",
+            "volterra-pm-detuned"])
+    def test_solver_protocol(self, keys):
+        # each of these used to validate and then fail the run
+        with pytest.raises(ConfigError, match="aligned|equal|delta = 0"):
+            validate_config(ExperimentConfig(n_side=4, **keys))
+
+    def test_unequal_spectrum_accepted(self):
+        validate_config(ExperimentConfig(kind="spectrum", n_side=4, tau_s=0.3))
+
     def test_offset_granularity(self):
         with pytest.raises(ConfigError, match="n_offsets"):
             validate_config(ExperimentConfig(kind="asymptotic", n_offsets=50))
@@ -157,13 +180,21 @@ class TestScheduleResolution:
         assert resolve_schedule(cfg).tau_s == pytest.approx(np.pi / 10)
 
 
+def _check_outputs(out_dir, files, names):
+    """``files`` lists exactly ``names`` in order; the last is the one sidecar."""
+    assert [os.path.relpath(f, out_dir) for f in files] == names
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+    meta = json.loads((out_dir / names[-1]).read_text())
+    assert {"config", "resolved", "version", "columns",
+            "created_at"} <= set(meta)
+
+
 class TestRunners:
     def test_ideal_cycle(self, tmp_path):
         cfg = ExperimentConfig(kind="ideal-cycle", label="pair", omega_0=11.0,
                                delta=10.0, kappa=15.0, n_samples=120)
         files, summary = run_experiment(cfg, tmp_path)
-        assert (tmp_path / "pair.csv").exists()
-        assert (tmp_path / "pair.meta.json").exists()
+        _check_outputs(tmp_path, files, ["pair.csv", "pair.meta.json"])
         assert summary["peak_energy"] == pytest.approx(1.0 * 225 / 325, rel=1e-12)
         header = (tmp_path / "pair.csv").read_text().splitlines()[0]
         assert header == "t,energy"
@@ -172,6 +203,7 @@ class TestRunners:
         cfg = ExperimentConfig(kind="markov", label="mk", omega_0=1.0, kappa=15.0,
                                gamma=0.5, n_samples=60)
         files, summary = run_experiment(cfg, tmp_path)
+        _check_outputs(tmp_path, files, ["mk.csv", "mk.meta.json"])
         assert summary["gamma"] == 0.5
         assert summary["lamb_shift"] is None
         rows = (tmp_path / "mk.csv").read_text().splitlines()
@@ -185,12 +217,14 @@ class TestRunners:
                                    kappa=15.0)
             with pytest.raises(ValueError):
                 run_experiment(cfg, tmp_path)
+        assert (tmp_path / "bad.csv").exists()
         assert not (tmp_path / "bad.meta.json").exists()
 
     def test_dynamics_volterra(self, tmp_path):
         cfg = ExperimentConfig(kind="dynamics", label="dyn", kappa=3.0, n_side=3,
                                route="volterra", t_max=2 * np.pi / 2)
         files, summary = run_experiment(cfg, tmp_path)
+        _check_outputs(tmp_path, files, ["dyn.csv", "dyn.meta.json"])
         assert summary["route"] == "volterra"
         assert 0.0 <= summary["final_period_mean"] <= 2.0
         meta = json.loads((tmp_path / "dyn.meta.json").read_text())
@@ -201,15 +235,28 @@ class TestRunners:
         cfg = ExperimentConfig(kind="kappa-sweep", label="sw", n_side=3,
                                kappa_min=7.5, kappa_max=8.5, kappa_step=0.5)
         files, summary = run_experiment(cfg, tmp_path)
+        _check_outputs(tmp_path, files, ["sw.csv", "sw.meta.json"])
         assert [p["kappa"] for p in summary["points"]] == [7.5, 8.0, 8.5]
         header = (tmp_path / "sw.csv").read_text().splitlines()[0]
         assert header == "kappa,index,quasienergy,system_weight,is_fbs"
+
+    def test_spectrum(self, tmp_path):
+        cfg = ExperimentConfig(kind="spectrum", label="sp", n_side=3,
+                               kappa=8.0)
+        files, summary = run_experiment(cfg, tmp_path)
+        _check_outputs(tmp_path, files, ["sp.csv", "sp.meta.json"])
+        assert summary["kind"] == "spectrum" and summary["label"] == "sp"
+        assert summary["kappa"] == 8.0
+        rows = (tmp_path / "sp.csv").read_text().splitlines()
+        assert rows[0] == "index,quasienergy,system_weight,is_fbs"
+        assert len(rows) == 1 + 2 + 2 * 3**2
 
     def test_asymptotic(self, tmp_path):
         t_per = 3 * 0.5 * np.pi / 8.0
         cfg = ExperimentConfig(kind="asymptotic", label="asy", kappa=8.0,
                                n_side=4, t_max=20 * t_per)
         files, summary = run_experiment(cfg, tmp_path)
+        _check_outputs(tmp_path, files, ["asy.csv", "asy.meta.json"])
         assert summary["m_fbs"] == 2
         assert summary["tail_mean_abs_diff_over_omega0"] < 0.01
         header = (tmp_path / "asy.csv").read_text().splitlines()[0]
@@ -220,9 +267,9 @@ class TestRunners:
         cfg = ExperimentConfig(kind="nonresonant", label="nr", kappa=8.0,
                                delta=0.5, n_side=4, t_max=10 * t_per)
         files, summary = run_experiment(cfg, tmp_path)
-        names = {f.name for f in tmp_path.iterdir()}
-        assert {"nr-modes.csv", "nr-distribution.csv", "nr-energy.csv",
-                "nr.meta.json"} <= names
+        _check_outputs(tmp_path, files, [
+            "nr-modes.csv", "nr-distribution.csv", "nr-energy.csv",
+            "nr.meta.json"])
         # one mode per system site, localized accordingly
         assert summary["weight_battery"][1] > 0.9
         assert summary["weight_charger"][0] > 0.9
@@ -232,11 +279,12 @@ class TestRunners:
         cfg = ExperimentConfig(kind="perturbation", label="pt", n_side=4,
                                kappa_min=8.0, kappa_max=8.5, kappa_step=0.5)
         files, summary = run_experiment(cfg, tmp_path)
+        _check_outputs(tmp_path, files,
+                       ["pt.csv", "pt-closed-form.csv", "pt.meta.json"])
         assert len(summary["points"]) == 2
         assert summary["points"][0]["relative_error"] < 0.05
         header = (tmp_path / "pt.csv").read_text().splitlines()[0]
         assert header.startswith("kappa,eps0,eps2_plus,eps2_minus")
-        assert (tmp_path / "pt-closed-form.csv").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = ExperimentConfig(kind="ideal-cycle", label="rep", omega_0=1.0,
