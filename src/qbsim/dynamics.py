@@ -3,8 +3,9 @@
 Two independent routes are provided and cross-validated:
 
 * ``propagate_exact`` diagonalizes the full (2 + 2N^2)-dimensional
-  Hamiltonian once per drive value and applies cached spectral
-  propagators step by step (numerically exact for the finite lattice).
+  Hamiltonian once per drive value and steps the state in the eigenbasis
+  of the current drive segment: phases per step, one real basis overlap
+  per drive switch (numerically exact for the finite lattice).
 * ``solve_volterra`` integrates the reduced pair of amplitude equations
 
       du_l/dt + i omega_l u_l + i kappa f(t) u_l' + int_0^t nu(t-s) u_l(s) ds = 0
@@ -17,6 +18,7 @@ combinations available at zero detuning.
 Every route starts from the charger-excited state (u_c = 1, all else 0).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -127,10 +129,9 @@ def _build_grid(schedule: ProtocolSchedule, t_max: float, dt: float):
     h = schedule.period / total
     for (s, _), n in zip(segs, counts):
         if abs(n * h - s) > 1e-9 * schedule.period:
-            raise ValueError(
-                "dt cannot be aligned with the protocol segments; "
-                "pass a dt that divides tau_c, tau_s and tau_d"
-            )
+            durations = ", ".join(f"{dur:.6g}" for dur, _ in segs)
+            raise ValueError(f"the step {dt:.6g} cannot be aligned with the "
+                             f"drive segments ({durations})")
     n_steps = max(1, round(t_max / h))
     f_cycle = np.concatenate([np.full(n, f) for n, (_, f) in zip(counts, segs)])
     reps = -(-n_steps // total)  # ceil
@@ -138,10 +139,24 @@ def _build_grid(schedule: ProtocolSchedule, t_max: float, dt: float):
     return h, n_steps, f_step
 
 
-class SegmentPropagators:
-    """Cached eigendecompositions of H(f=1) and H(f=0).
+def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for a real matrix m and a complex vector or matrix z.
 
-    Propagation applies V exp(-i w dt) V^T to state vectors.
+    One real product on the interleaved real and imaginary parts; numpy
+    would otherwise promote m to complex on every call.
+    """
+    z = np.ascontiguousarray(z, dtype=complex)
+    out = m @ z.view(float).reshape(z.shape[0], -1)
+    return out.view(complex).reshape(m.shape[0], *z.shape[1:])
+
+
+class SegmentPropagators:
+    """Cached eigendecompositions H_f = V_f diag(w_f) V_f^T, f = 1 and 0.
+
+    ``evolve`` steps a state in the eigenbasis of the current segment:
+    phases exp(-i w_f dt) per step and the real overlap V_0^T V_1 (or its
+    transpose) when the drive switches.  ``apply`` is the site-basis step
+    V exp(-i w dt) V^T, kept as the reference for that path.
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment,
@@ -157,6 +172,7 @@ class SegmentPropagators:
             w, v = np.linalg.eigh(build_hamiltonian(params, env, f))
             self.evals[f] = w
             self.evecs[f] = v
+        self._overlap = None
 
     def apply(self, state: np.ndarray, f: float, dt: float) -> np.ndarray:
         """exp(-i H_f dt) @ state."""
@@ -164,12 +180,47 @@ class SegmentPropagators:
         v = self.evecs[f]
         return v @ (np.exp(-1j * self.evals[f] * dt) * (v.T @ state))
 
+    def evolve(self, state: np.ndarray, pieces):
+        """Step a site-basis state through (duration, f) pieces.
+
+        Yields (f, c) after each piece, with the state equal to V_f c.  The
+        state is mapped into the first segment's eigenbasis once; a step
+        costs O(d), and a drive switch one real O(d^2) product on the real
+        and imaginary parts.
+        """
+        phases = {}
+        f_now, c = None, None
+        for dur, f in pieces:
+            f = 1.0 if f else 0.0
+            if c is None:
+                c = _real_matmul(self.evecs[f].T, state)
+            elif f != f_now:
+                if self._overlap is None:
+                    # V_0^T V_1 takes f = 1 coefficients to f = 0 ones.  It
+                    # is built after the eigh workspace is freed: with the
+                    # two eigenbases it holds 3 d^2 floats, inside the 6 d^2
+                    # of the memory-cap estimate in __init__.
+                    self._overlap = self.evecs[0.0].T @ self.evecs[1.0]
+                ovl = self._overlap
+                c = _real_matmul(ovl if f == 0.0 else ovl.T, c)
+            f_now = f
+            ph = phases.get((f, dur))
+            if ph is None:
+                ph = phases[(f, dur)] = np.exp(-1j * self.evals[f] * dur)
+            c = ph * c
+            yield f, c
+
+    def to_site(self, f: float, c: np.ndarray) -> np.ndarray:
+        """V_f c: eigen-coefficients (a vector, or one per column) to sites."""
+        return _real_matmul(self.evecs[1.0 if f else 0.0], c)
+
     def advance(self, state: np.ndarray, schedule: ProtocolSchedule,
                 t0: float, t1: float) -> np.ndarray:
         """Propagate through the drive protocol from t0 to t1."""
-        for dur, f in schedule.pieces(t0, t1):
-            state = self.apply(state, f, dur)
-        return state
+        last = None
+        for last in self.evolve(state, schedule.pieces(t0, t1)):
+            pass
+        return state if last is None else self.to_site(*last)
 
     def materialize(self, f: float, dt: float) -> np.ndarray:
         """Dense d x d unitary exp(-i H_f dt).
@@ -194,7 +245,8 @@ def propagate_exact(
 
     Starts from the charger-excited state.  The sampling grid is snapped so
     that every drive switching time is a grid point.  Returns an EnergyTrace
-    carrying u_b and u_c at the samples.
+    carrying u_b and u_c at the samples, read from rows 0 and 1 of the
+    segment eigenbasis (O(d) per sample).
     """
     if sample_dt is None:
         sample_dt = min(s for s in (schedule.tau_c, schedule.tau_s,
@@ -205,12 +257,14 @@ def propagate_exact(
     state = np.zeros(props.dimension, dtype=complex)
     state[1] = 1.0
 
-    u_b = np.empty(n_steps + 1, dtype=complex)
-    u_c = np.empty(n_steps + 1, dtype=complex)
-    u_b[0], u_c[0] = state[0], state[1]
-    for j in range(n_steps):
-        state = props.apply(state, f_step[j], h)
-        u_b[j + 1], u_c[j + 1] = state[0], state[1]
+    pair = np.empty((2, n_steps + 1), dtype=complex)
+    pair[:, 0] = state[:2]
+    rows = {f: props.evecs[f][:2].astype(complex) for f in (1.0, 0.0)}
+    steps = props.evolve(state, zip(itertools.repeat(h), f_step))
+    for j, (f, c) in enumerate(steps, 1):
+        pair[:, j] = rows[f] @ c
+    state = props.to_site(f, c)
+    u_b, u_c = pair
     times = np.arange(n_steps + 1) * h
     energies = params.omega_b * np.abs(u_b) ** 2
     meta = {

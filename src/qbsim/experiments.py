@@ -215,8 +215,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"config key n_offsets: must be a multiple of {_SAMPLES_PER_PERIOD}")
     schedule = resolve_schedule(cfg)
+    advice = ""
     try:  # the solvers' own protocol checks, before any work is done
         if cfg.kind in ("dynamics", "asymptotic"):
+            advice = "; " + _step_advice(cfg)
             _build_grid(schedule, schedule.period, _trace_step(
                 cfg, resolve_system(cfg), resolve_environment(cfg), schedule))
         elif cfg.kind == "nonresonant":
@@ -225,7 +227,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             for kappa in sweep_grid_values(_default_sweep(cfg)):
                 _check_protocol(float(kappa), resolve_schedule(cfg, kappa))
     except ValueError as exc:
-        raise ConfigError(f"kind {cfg.kind}: {exc}") from None
+        raise ConfigError(f"kind {cfg.kind}: {exc}{advice}") from None
 
 
 def sweep_grid_values(cfg: ExperimentConfig) -> np.ndarray:
@@ -290,6 +292,16 @@ def _default_sweep(cfg: ExperimentConfig) -> ExperimentConfig:
 def _t_max(cfg: ExperimentConfig, schedule: ProtocolSchedule) -> float:
     return cfg.t_max if cfg.t_max is not None \
         else _DEFAULT_PERIODS[cfg.kind] * schedule.period
+
+
+def _step_advice(cfg) -> str:
+    """What sets the trace step of ``_trace_step``, for alignment errors."""
+    if cfg.kind == "dynamics" and cfg.route != "exact":
+        return "set dt to a step that divides every segment"
+    if cfg.kind == "dynamics":
+        return ("set t_max and n_samples so that t_max/n_samples divides "
+                "every segment")
+    return f"segments must be multiples of T/{_SAMPLES_PER_PERIOD}"
 
 
 def _trace_step(cfg, params, env, schedule) -> float:

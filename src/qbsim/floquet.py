@@ -264,25 +264,38 @@ def floquet_mode(
     props: SegmentPropagators | None = None,
     residual_tol: float = 1e-6,
 ) -> FloquetMode:
-    """Sample the periodic Floquet mode built on an eigenvector of U_T."""
+    """Sample the periodic Floquet mode built on an eigenvector of U_T.
+
+    One pass over the period in the segment eigenbasis gives the samples
+    and phi(T); both are mapped back to the site basis, the samples one
+    segment at a time.
+    """
     if props is None:
         props = SegmentPropagators(params, env)
     T = schedule.period
     phi0 = np.asarray(phi0, dtype=complex)
     lam = np.exp(-1j * epsilon * T)
-    end = props.advance(phi0.copy(), schedule, 0.0, T)
+    offsets = np.arange(n_samples) * (T / n_samples)
+    pieces, sample_at = [], {}
+    for j, (t0, t1) in enumerate(zip(offsets, [*offsets[1:], T]), 1):
+        pieces += schedule.pieces(t0, t1)
+        sample_at[len(pieces)] = j  # time offsets[j] (T at j = n_samples)
+    taken = {1.0: ([], []), 0.0: ([], [])}  # f -> (sample indices, coeffs)
+    for k, (f, c) in enumerate(props.evolve(phi0, pieces), 1):
+        j = sample_at.get(k, n_samples)
+        if j < n_samples:
+            taken[f][0].append(j)
+            taken[f][1].append(c)
+    end = props.to_site(f, c)
     residual = float(np.linalg.norm(end - lam * phi0))
     if residual > residual_tol:
         raise NotAnEigenpairError(residual=residual, tol=residual_tol)
-    offsets = np.arange(n_samples) * (T / n_samples)
     states = np.empty((n_samples, phi0.size), dtype=complex)
-    raw = phi0.copy()
-    prev = 0.0
-    for j, s in enumerate(offsets):
-        if s > prev:
-            raw = props.advance(raw, schedule, prev, s)
-            prev = s
-        states[j] = np.exp(1j * epsilon * s) * raw
+    states[0] = phi0
+    for f, (idx, cs) in taken.items():
+        if idx:
+            states[idx] = props.to_site(f, np.stack(cs, axis=1)).T
+    states *= np.exp(1j * epsilon * offsets)[:, None]
     # ||phi(T) - phi(0)|| coincides with the eigenpair residual
     return FloquetMode(epsilon=float(epsilon), phi0=phi0, offsets=offsets,
                        states=states, period=T, omega_b=params.omega_b,

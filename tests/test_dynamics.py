@@ -161,6 +161,43 @@ class TestExactPropagation:
                                    PARAMS.omega_b * np.abs(trace.u_b) ** 2, atol=0)
 
 
+class TestEigenbasisStepping:
+    """``propagate_exact`` against the site-basis ``apply`` loop it replaced."""
+
+    @pytest.mark.parametrize("n_side, delta, taus", [
+        (12, 0.0, None),
+        (12, 0.5, None),
+        (8, 0.5, (0.3, 0.45, 0.15)),
+        (8, 0.0, (0.3, 0.0, 0.45)),  # tau_s = 0: the drive never switches
+    ], ids=["equal-resonant", "equal-detuned", "unequal", "no-switch"])
+    def test_trace_matches_apply_loop(self, n_side, delta, taus):
+        env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
+        if taus is None:
+            tau = 0.5 * np.pi / 4.8
+            schedule = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+            sample_dt = schedule.period / 24
+        else:
+            schedule = ProtocolSchedule(*taus)
+            sample_dt = 0.05
+        props = SegmentPropagators(params, env)
+        trace = propagate_exact(params, env, schedule,
+                                t_max=20 * schedule.period,
+                                sample_dt=sample_dt, props=props)
+        h = trace.metadata["dt"]
+        state = np.zeros(props.dimension, dtype=complex)
+        state[1] = 1.0
+        u_b, u_c = [state[0]], [state[1]]
+        for t in trace.times[1:]:
+            state = props.apply(state, schedule.evaluate(t - 0.5 * h), h)
+            u_b.append(state[0])
+            u_c.append(state[1])
+        np.testing.assert_allclose(trace.u_b, u_b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.u_c, u_c, rtol=0, atol=1e-12)
+        assert trace.metadata["final_norm"] == pytest.approx(
+            np.linalg.norm(state), abs=1e-12)
+
+
 class TestVolterraRoute:
     @pytest.mark.parametrize("delta", [0.0, 0.3])
     def test_decoupled_matches_two_level(self, delta):

@@ -120,6 +120,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="aligned|equal|delta = 0"):
             validate_config(ExperimentConfig(n_side=4, **keys))
 
+    @pytest.mark.parametrize("keys, advice", [
+        (dict(kind="asymptotic"), "multiples of T/24"),
+        (dict(kind="dynamics"), "t_max/n_samples"),
+        (dict(kind="dynamics", n_samples=100), "t_max/n_samples"),
+        (dict(kind="dynamics", route="volterra"), "set dt"),
+    ], ids=["asymptotic", "dynamics-exact", "dynamics-exact-samples",
+            "dynamics-volterra"])
+    def test_alignment_names_step_source(self, keys, advice):
+        # the message names what sets the step of that kind; asymptotic
+        # and exact runs have no dt to pass
+        with pytest.raises(ConfigError) as err:
+            validate_config(ExperimentConfig(n_side=4, tau_s=0.5, **keys))
+        assert "aligned" in str(err.value)
+        assert advice in str(err.value)
+        if keys.get("route", "exact") == "exact":
+            assert "dt" not in str(err.value).split(";")[-1]
+
     def test_unequal_spectrum_accepted(self):
         validate_config(ExperimentConfig(kind="spectrum", n_side=4, tau_s=0.3))
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from qbsim import LatticeEnvironment, ProtocolSchedule, SystemParams
-from qbsim.dynamics import build_hamiltonian
+from qbsim.dynamics import SegmentPropagators, build_hamiltonian
 from qbsim.errors import NotAnEigenpairError
 from qbsim.floquet import (
     BandSupport,
@@ -223,6 +223,41 @@ class TestFloquetMode:
         v /= np.linalg.norm(v)
         with pytest.raises(NotAnEigenpairError):
             floquet_mode(PARAMS, ENV4, SCHEDULE, v, 0.1)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_samples_match_apply_path(self, delta):
+        # seven offsets of T = 0.9 fall inside the unequal segments
+        env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
+        par = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
+        sch = ProtocolSchedule(tau_c=0.3, tau_s=0.45, tau_d=0.15)
+        spec = compute_spectrum(par, env, sch)
+        j = int(np.argmax(spec.system_weights))
+        props = SegmentPropagators(par, env)
+        mode = floquet_mode(par, env, sch, spec.modes[:, j],
+                            spec.quasienergies[j], n_samples=7, props=props)
+        raw, prev = mode.phi0, 0.0
+        for k, s in enumerate(mode.offsets):
+            for dur, f in sch.pieces(prev, s):
+                raw = props.apply(raw, f, dur)
+            prev = s
+            np.testing.assert_allclose(
+                mode.states[k], np.exp(1j * mode.epsilon * s) * raw,
+                rtol=0, atol=1e-12)
+        for dur, f in sch.pieces(prev, sch.period):
+            raw = props.apply(raw, f, dur)
+        lam = np.exp(-1j * mode.epsilon * sch.period)
+        assert mode.closure_error == pytest.approx(
+            np.linalg.norm(raw - lam * mode.phi0), abs=1e-12)
+        assert mode.closure_error < 1e-10
+
+    def test_rejects_perturbed_eigenvector(self, spectrum4):
+        j = spectrum4.fbs_indices[0]
+        phi0 = spectrum4.modes[:, j].copy()
+        phi0[2] += 1e-3
+        phi0 /= np.linalg.norm(phi0)
+        with pytest.raises(NotAnEigenpairError):
+            floquet_mode(PARAMS, ENV4, SCHEDULE, phi0,
+                         spectrum4.quasienergies[j])
 
     def test_offset_index(self, modes4):
         mode = modes4[0]
