@@ -29,6 +29,9 @@ from .environment import (LatticeEnvironment, memory_kernel_continuum,
 from .errors import ConvergenceError, MemoryCapError
 from .model import ProtocolSchedule, SystemParams
 
+# bytes; the largest dense allocation a lattice solver may request
+MEMORY_CAP = 3e9
+
 __all__ = [
     "EnergyTrace",
     "SegmentPropagators",
@@ -52,6 +55,54 @@ class EnergyTrace:
     u_c: np.ndarray | None = None
 
 
+def _bath_arrays(env: LatticeEnvironment, shells=None):
+    """Bath frequencies and their couplings to the emitter.
+
+    One entry per momentum mode (coupling g/N), or, given ``env.shells()``,
+    one per frequency shell: the shell's uniform superposition, the only
+    member combination that couples, with coupling (g/N) sqrt(m_s).
+    """
+    if shells is not None:
+        return (shells.frequencies,
+                env.coupling_per_mode * np.sqrt(shells.multiplicities))
+    w = env.mode_frequencies()
+    return w, np.full(w.size, env.coupling_per_mode)
+
+
+def _pair_hamiltonian(params: SystemParams, bath, f_value: float) -> np.ndarray:
+    """Pair plus two baths given as (frequencies, couplings)."""
+    w, gk = bath
+    nb = w.size
+    d = 2 + 2 * nb
+    h = np.zeros((d, d))
+    h[0, 0] = params.omega_b
+    h[1, 1] = params.omega_c
+    h[0, 1] = h[1, 0] = params.kappa * f_value
+    idx_b = 2 + np.arange(nb)
+    idx_c = 2 + nb + np.arange(nb)
+    h[idx_b, idx_b] = w
+    h[idx_c, idx_c] = w
+    h[0, idx_b] = h[idx_b, 0] = gk
+    h[1, idx_c] = h[idx_c, 1] = gk
+    return h
+
+
+def _sector_hamiltonian(params: SystemParams, bath, f_value: float,
+                        sector: int) -> np.ndarray:
+    """One +/- sector of the resonant pair plus a bath (frequencies, couplings)."""
+    if params.delta != 0.0:
+        raise ValueError("sector decomposition requires zero detuning")
+    if sector not in (+1, -1):
+        raise ValueError("sector must be +1 or -1")
+    w, gk = bath
+    idx = 1 + np.arange(w.size)
+    h = np.zeros((1 + w.size, 1 + w.size))
+    h[0, 0] = params.omega_0 + sector * params.kappa * f_value
+    h[idx, idx] = w
+    h[0, idx] = h[idx, 0] = gk
+    return h
+
+
 def build_hamiltonian(
     params: SystemParams, env: LatticeEnvironment, f_value: float
 ) -> np.ndarray:
@@ -62,21 +113,7 @@ def build_hamiltonian(
     modes (2 .. 1 + N^2) and the charger-bath modes (2 + N^2 .. 1 + 2 N^2),
     each bath in the row-major momentum order of ``mode_frequencies``.
     """
-    nm = env.n_modes
-    d = 2 + 2 * nm
-    h = np.zeros((d, d))
-    h[0, 0] = params.omega_b
-    h[1, 1] = params.omega_c
-    h[0, 1] = h[1, 0] = params.kappa * f_value
-    w = env.mode_frequencies()
-    gk = env.coupling_per_mode
-    idx_b = 2 + np.arange(nm)
-    idx_c = 2 + nm + np.arange(nm)
-    h[idx_b, idx_b] = w
-    h[idx_c, idx_c] = w
-    h[0, idx_b] = h[idx_b, 0] = gk
-    h[1, idx_c] = h[idx_c, 1] = gk
-    return h
+    return _pair_hamiltonian(params, _bath_arrays(env), f_value)
 
 
 def build_sector_hamiltonian(
@@ -88,18 +125,7 @@ def build_sector_hamiltonian(
     battery/charger and of the two baths decouple; the system level sits at
     omega_0 + sector * kappa * f.
     """
-    if params.delta != 0.0:
-        raise ValueError("sector decomposition requires zero detuning")
-    if sector not in (+1, -1):
-        raise ValueError("sector must be +1 or -1")
-    nm = env.n_modes
-    h = np.zeros((1 + nm, 1 + nm))
-    h[0, 0] = params.omega_0 + sector * params.kappa * f_value
-    w = env.mode_frequencies()
-    idx = 1 + np.arange(nm)
-    h[idx, idx] = w
-    h[0, idx] = h[idx, 0] = env.coupling_per_mode
-    return h
+    return _sector_hamiltonian(params, _bath_arrays(env), f_value, sector)
 
 
 def default_time_step(
@@ -160,7 +186,7 @@ class SegmentPropagators:
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment,
-                 memory_cap: float = 3e9):
+                 memory_cap: float = MEMORY_CAP):
         d = 2 + 2 * env.n_modes
         estimate = 6 * d * d * 8  # two eigenbases plus LAPACK workspace
         if estimate > memory_cap:
@@ -214,19 +240,12 @@ class SegmentPropagators:
         """V_f c: eigen-coefficients (a vector, or one per column) to sites."""
         return _real_matmul(self.evecs[1.0 if f else 0.0], c)
 
-    def advance(self, state: np.ndarray, schedule: ProtocolSchedule,
-                t0: float, t1: float) -> np.ndarray:
-        """Propagate through the drive protocol from t0 to t1."""
-        last = None
-        for last in self.evolve(state, schedule.pieces(t0, t1)):
-            pass
-        return state if last is None else self.to_site(*last)
-
     def materialize(self, f: float, dt: float) -> np.ndarray:
         """Dense d x d unitary exp(-i H_f dt).
 
-        ``one_period_operator`` builds U_T from these for every detuned
-        spectrum point, so it runs at full size (d = 1802 at N = 30).
+        ``one_period_operator`` builds the full-basis U_T from these; the
+        spectrum path (``compute_spectrum``) does not use it, and builds
+        U_T on the frequency shells instead.
         """
         f = 1.0 if f else 0.0
         v = self.evecs[f]

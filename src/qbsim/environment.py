@@ -8,9 +8,14 @@ momentum modes of its own 2D tight-binding bath,
 which in the continuum limit produces a spectral density supported on
 |omega - varpi| <= 4q with a logarithmic van Hove singularity at the band
 center and a complete elliptic integral profile.
+
+Because the coupling is the same for every mode, only the uniform
+superposition of each set of degenerate modes (a frequency shell) couples
+to the emitter; ``LatticeEnvironment.shells`` groups the modes.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -21,6 +26,18 @@ __all__ = [
     "memory_kernel_discrete",
     "memory_kernel_continuum",
 ]
+
+
+# shell grouping tolerance, relative to |varpi| + 4q (the bound on |omega_k|)
+SHELL_TOLERANCE = 1e-12
+
+
+class Shells(NamedTuple):
+    """Degenerate sets of bath modes, in increasing frequency."""
+
+    frequencies: np.ndarray     # (S,) mean omega_k of each shell
+    multiplicities: np.ndarray  # (S,) member count m_s
+    index: np.ndarray           # (N^2,) shell of each mode, row-major order
 
 
 @dataclass(frozen=True)
@@ -57,6 +74,24 @@ class LatticeEnvironment:
         m = np.arange(self.n_side)
         ck = np.cos(2.0 * np.pi * m / self.n_side)
         return (self.varpi - 2.0 * self.q * (ck[:, None] + ck[None, :])).ravel()
+
+    def shells(self) -> Shells:
+        """Group the modes into shells of equal frequency.
+
+        Sorted frequencies start a new shell where they step by more than
+        SHELL_TOLERANCE * (|varpi| + 4q); degenerate modes differ only by
+        rounding (about 1e-15).  There are 19, 61, 111 and 1301 shells at
+        n_side = 10, 20, 30 and 100, at every tolerance from 1e-13 to 1e-10.
+        """
+        w = self.mode_frequencies()
+        order = np.argsort(w, kind="stable")
+        tol = SHELL_TOLERANCE * (abs(self.varpi) + 4.0 * self.q)
+        starts = np.flatnonzero(np.diff(w[order], prepend=-np.inf) > tol)
+        mult = np.diff(starts, append=w.size)
+        index = np.empty(w.size, dtype=int)
+        index[order] = np.repeat(np.arange(starts.size), mult)
+        freqs = np.add.reduceat(w[order], starts) / mult
+        return Shells(frequencies=freqs, multiplicities=mult, index=index)
 
 
 def spectral_density(env: LatticeEnvironment, omega):

@@ -6,9 +6,21 @@ eigendecomposition with rigorously orthonormal vectors, also inside
 quasi-degenerate clusters of the folded bath band).  Quasienergies are
 folded into the zone (-omega_T/2, omega_T/2].
 
-At zero detuning the symmetric/antisymmetric sectors decouple and
-``resonant_spectrum`` assembles the same spectrum from two blocks of half
-the dimension, which is considerably faster for parameter sweeps.
+``compute_spectrum`` never forms the full-basis U_T.  Every bath mode
+couples with the same g/N, so within a frequency shell (a set of
+degenerate modes, ``LatticeEnvironment.shells``) only the uniform
+superposition couples to the pair: U_T is diagonalized on these bright
+shell modes, 2 + 2S dimensions for S shells (124 instead of 802 at
+N = 20), and the full-basis spectrum is rebuilt from it.  A bright
+amplitude spreads over its shell as a_s / sqrt(m_s); the m_s - 1 dark
+combinations of each shell and bath are uncoupled, with quasienergy
+fold(omega_s) and system weight 0.  At zero detuning ``resonant_spectrum``
+also splits the symmetric/antisymmetric sectors (blocks of 1 + S), so
+every bound state is exactly sector-pure, even when the two bound-state
+quasienergies are degenerate.
+
+``one_period_operator`` and ``quasienergy_spectrum`` work in the full
+basis; they are the reference the shell path is checked against.
 """
 
 import math
@@ -17,9 +29,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 
-from .dynamics import SegmentPropagators, build_sector_hamiltonian
-from .environment import LatticeEnvironment
-from .errors import NotAnEigenpairError
+from .dynamics import (MEMORY_CAP, SegmentPropagators, _bath_arrays,
+                       _pair_hamiltonian, _sector_hamiltonian)
+from .environment import LatticeEnvironment, Shells
+from .errors import MemoryCapError, NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
 
 __all__ = [
@@ -123,19 +136,10 @@ def _folded_schur(u, schedule):
     return eps, q_mat
 
 
-def _assemble_spectrum(eps, vecs, schedule, env):
-    """Sort modes by quasienergy and attach system weights and folded band."""
-    order = np.argsort(eps, kind="stable")
-    eps = eps[order]
-    vecs = vecs[:, order]
-    weights = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
+def _folded_band(env, schedule):
     lo, hi = env.band_edges
-    band = BandSupport(lo=fold_quasienergy(lo, schedule.omega_T),
-                       hi=fold_quasienergy(lo, schedule.omega_T) + (hi - lo),
-                       omega_T=schedule.omega_T)
-    return QuasienergySpectrum(quasienergies=eps, modes=vecs,
-                               system_weights=weights,
-                               omega_T=schedule.omega_T, band=band)
+    lo_f = fold_quasienergy(lo, schedule.omega_T)
+    return BandSupport(lo=lo_f, hi=lo_f + (hi - lo), omega_T=schedule.omega_T)
 
 
 def quasienergy_spectrum(
@@ -143,7 +147,92 @@ def quasienergy_spectrum(
 ) -> QuasienergySpectrum:
     """Eigendecompose a one-period operator (any detuning)."""
     eps, vecs = _folded_schur(u_t, schedule)
-    return _assemble_spectrum(eps, vecs, schedule, env)
+    order = np.argsort(eps, kind="stable")
+    vecs = vecs[:, order]
+    weights = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
+    return QuasienergySpectrum(quasienergies=eps[order], modes=vecs,
+                               system_weights=weights,
+                               omega_T=schedule.omega_T,
+                               band=_folded_band(env, schedule))
+
+
+def _check_modes_memory(env):
+    """Refuse a spectrum whose dense full-basis modes exceed MEMORY_CAP."""
+    d = 2 + 2 * env.n_modes
+    required = 16 * d * d
+    if required > MEMORY_CAP:
+        raise MemoryCapError(required=required, cap=int(MEMORY_CAP))
+
+
+def _small_period_operator(hamiltonian, schedule):
+    """U_T from the eigendecompositions of hamiltonian(f), f = 1 and 0."""
+    mats = {f: np.linalg.eigh(hamiltonian(f)) for f in (1.0, 0.0)}
+    u = None
+    for dur, f in schedule.segments():
+        w, v = mats[f]
+        step = (v * np.exp(-1j * w * dur)) @ v.T
+        u = step if u is None else step @ u
+    return u
+
+
+def _dark_modes(shells: Shells) -> np.ndarray:
+    """(N^2, N^2 - S) real orthonormal columns orthogonal to every shell's
+    uniform vector: the last m_s - 1 columns of the Householder reflection
+    that takes a shell's first member to its uniform vector."""
+    mult = shells.multiplicities
+    members = np.split(np.argsort(shells.index, kind="stable"),
+                       np.cumsum(mult)[:-1])
+    dark = np.zeros((shells.index.size, shells.index.size - mult.size))
+    col = 0
+    for k in members:
+        m = k.size
+        if m == 1:
+            continue
+        v = np.full(m, 1.0 / math.sqrt(m))
+        v[0] -= 1.0
+        dark[k, col:col + m - 1] = -2.0 * np.outer(v, v[1:]) / (v @ v)
+        dark[k[1:], np.arange(col, col + m - 1)] += 1.0
+        col += m - 1
+    return dark
+
+
+def _full_basis_spectrum(eps, vecs, shells, schedule, env):
+    """Full-basis spectrum from the bright-shell eigenpairs.
+
+    ``vecs`` holds eigenvectors in the shell basis (battery, charger, the
+    S battery-bath shells, the S charger-bath shells).  Each bright
+    amplitude spreads over its shell as a_s / sqrt(m_s); each bath adds
+    its dark columns at fold(omega_s) with weight 0.  Columns come out
+    sorted by quasienergy, as in ``quasienergy_spectrum``.
+    """
+    nm = env.n_modes
+    n_sh = shells.frequencies.size
+    d = 2 + 2 * nm
+    dark_eps = fold_quasienergy(
+        np.repeat(shells.frequencies, shells.multiplicities - 1),
+        schedule.omega_T)
+    all_eps = np.concatenate([eps, dark_eps, dark_eps])
+    order = np.argsort(all_eps, kind="stable")
+    col = np.empty(d, dtype=int)
+    col[order] = np.arange(d)
+    nb, nd = eps.size, dark_eps.size
+    bright, dark_b, dark_c = col[:nb], col[nb:nb + nd], col[nb + nd:]
+    root_m = np.sqrt(shells.multiplicities)[shells.index, None]
+    rows_b = 2 + np.arange(nm)
+    rows_c = rows_b + nm
+    dark = _dark_modes(shells)
+    modes = np.zeros((d, d), dtype=complex)
+    modes[:2, bright] = vecs[:2]
+    modes[np.ix_(rows_b, bright)] = vecs[2 + shells.index] / root_m
+    modes[np.ix_(rows_c, bright)] = vecs[2 + n_sh + shells.index] / root_m
+    modes[np.ix_(rows_b, dark_b)] = dark
+    modes[np.ix_(rows_c, dark_c)] = dark
+    weights = np.zeros(d)
+    weights[bright] = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
+    return QuasienergySpectrum(quasienergies=all_eps[order], modes=modes,
+                               system_weights=weights,
+                               omega_T=schedule.omega_T,
+                               band=_folded_band(env, schedule))
 
 
 def resonant_spectrum(
@@ -151,34 +240,40 @@ def resonant_spectrum(
     env: LatticeEnvironment,
     schedule: ProtocolSchedule,
 ) -> QuasienergySpectrum:
-    """Spectrum assembled from the two decoupled sectors at zero detuning."""
+    """Spectrum from the two decoupled sectors at zero detuning.
+
+    Each sector's U_T is diagonalized on the bright shells (1 + S
+    dimensions); a sector-s eigenvector (a_0, a_shells) is the pair state
+    (a_0, s a_0) / sqrt 2 with baths (a_shells, s a_shells) / sqrt 2.
+    """
     if params.delta != 0.0:
         raise ValueError("resonant_spectrum requires zero detuning")
-    nm = env.n_modes
-    d = 2 + 2 * nm
-    eps_all = []
-    vec_blocks = []
+    _check_modes_memory(env)
+    shells = env.shells()
+    bath = _bath_arrays(env, shells)
+    eps_all, vec_blocks = [], []
+    s = 1.0 / math.sqrt(2.0)
     for sector in (+1, -1):
-        mats = {}
-        for f in (1.0, 0.0):
-            w, v = np.linalg.eigh(build_sector_hamiltonian(params, env, f, sector))
-            mats[f] = (w, v)
-        u = None
-        for dur, f in schedule.segments():
-            w, v = mats[f]
-            step = (v * np.exp(-1j * w * dur)) @ v.T
-            u = step if u is None else step @ u
+        u = _small_period_operator(
+            lambda f: _sector_hamiltonian(params, bath, f, sector), schedule)
         eps, q_mat = _folded_schur(u, schedule)
-        s = 1.0 / math.sqrt(2.0)
-        full = np.zeros((d, q_mat.shape[1]), dtype=complex)
-        full[0] = s * q_mat[0]
-        full[1] = sector * s * q_mat[0]
-        full[2:2 + nm] = s * q_mat[1:]
-        full[2 + nm:] = sector * s * q_mat[1:]
         eps_all.append(eps)
-        vec_blocks.append(full)
-    return _assemble_spectrum(np.concatenate(eps_all),
-                              np.concatenate(vec_blocks, axis=1), schedule, env)
+        vec_blocks.append(np.concatenate([s * q_mat[:1], sector * s * q_mat[:1],
+                                          s * q_mat[1:], sector * s * q_mat[1:]]))
+    return _full_basis_spectrum(np.concatenate(eps_all),
+                                np.concatenate(vec_blocks, axis=1),
+                                shells, schedule, env)
+
+
+def _detuned_spectrum(params, env, schedule):
+    """Spectrum at any detuning from U_T on the bright shells (2 + 2S)."""
+    _check_modes_memory(env)
+    shells = env.shells()
+    bath = _bath_arrays(env, shells)
+    u = _small_period_operator(
+        lambda f: _pair_hamiltonian(params, bath, f), schedule)
+    eps, q_mat = _folded_schur(u, schedule)
+    return _full_basis_spectrum(eps, q_mat, shells, schedule, env)
 
 
 def compute_spectrum(
@@ -188,12 +283,15 @@ def compute_spectrum(
     weight_threshold: float = 0.05,
     gap_tolerance: float | None = None,
 ) -> QuasienergySpectrum:
-    """Spectrum with FBS classification, taking the fast path when resonant."""
+    """Full-basis spectrum with FBS classification, built on the shells.
+
+    Raises MemoryCapError, before any work, when the dense d x d modes
+    (16 d^2 bytes) would exceed the memory cap.
+    """
     if params.delta == 0.0:
         spec = resonant_spectrum(params, env, schedule)
     else:
-        u_t = one_period_operator(params, env, schedule)
-        spec = quasienergy_spectrum(u_t, schedule, env)
+        spec = _detuned_spectrum(params, env, schedule)
     idx = identify_fbs(spec, weight_threshold=weight_threshold,
                        gap_tolerance=gap_tolerance)
     return replace(spec, fbs_indices=idx)

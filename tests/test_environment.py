@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from qbsim import LatticeEnvironment
+from qbsim import LatticeEnvironment, SystemParams
+from qbsim.dynamics import _bath_arrays, _pair_hamiltonian, build_hamiltonian
 from qbsim.environment import (
+    SHELL_TOLERANCE,
     memory_kernel_continuum,
     memory_kernel_discrete,
     spectral_density,
@@ -43,6 +45,38 @@ class TestLatticeEnvironment:
             LatticeEnvironment(n_side=4, varpi=1.0, q=0.0, g=0.5)
         with pytest.raises(ValueError):
             LatticeEnvironment(n_side=4, varpi=1.0, q=0.5, g=-0.1)
+
+
+class TestShells:
+    @pytest.mark.parametrize("n_side, count", [(10, 19), (12, 21), (20, 61),
+                                               (30, 111), (100, 1301)])
+    def test_counts_and_members(self, n_side, count):
+        env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+        shells = env.shells()
+        assert shells.frequencies.size == shells.multiplicities.size == count
+        assert shells.multiplicities.sum() == n_side**2
+        np.testing.assert_array_equal(
+            np.bincount(shells.index), shells.multiplicities)
+        assert np.all(np.diff(shells.frequencies) > 0)
+        tol = SHELL_TOLERANCE * (abs(env.varpi) + 4.0 * env.q)
+        w = env.mode_frequencies()
+        assert np.abs(w - shells.frequencies[shells.index]).max() <= tol
+
+    @pytest.mark.parametrize("n_side", [4, 7, 12])
+    def test_bright_and_dark_reproduce_full_spectrum(self, n_side):
+        # bright shells carry (g/N) sqrt(m_s); each shell leaves m_s - 1
+        # uncoupled modes at omega_s in either bath
+        env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=0.3, kappa=4.8)
+        shells = env.shells()
+        dark = np.repeat(shells.frequencies, shells.multiplicities - 1)
+        for f in (1.0, 0.0):
+            bright = np.linalg.eigvalsh(
+                _pair_hamiltonian(params, _bath_arrays(env, shells), f))
+            np.testing.assert_allclose(
+                np.sort(np.concatenate([bright, dark, dark])),
+                np.linalg.eigvalsh(build_hamiltonian(params, env, f)),
+                rtol=0, atol=1e-12)
 
 
 class TestSpectralDensity:

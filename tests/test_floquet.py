@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from qbsim import LatticeEnvironment, ProtocolSchedule, SystemParams
 from qbsim.dynamics import SegmentPropagators, build_hamiltonian
-from qbsim.errors import NotAnEigenpairError
+from qbsim.errors import MemoryCapError, NotAnEigenpairError
 from qbsim.floquet import (
     BandSupport,
     QuasienergySpectrum,
@@ -166,6 +166,51 @@ class TestSpectrum:
         assert circular_distance(eps[0], eps[1], SCHEDULE.omega_T) == pytest.approx(
             0.0893, abs=0.002
         )
+
+
+class TestShellSpectrum:
+    """The shell path against the full-basis U_T and its Schur vectors."""
+
+    @pytest.mark.parametrize("n_side", [4, 7, 12])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("kappa, taus", [
+        (15.0, None), (6.0, (0.3, 0.45, 0.15))], ids=["equal", "unequal"])
+    def test_matches_full_basis(self, n_side, delta, kappa, taus):
+        env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=kappa)
+        tau = 0.5 * np.pi / params.rabi
+        sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
+        spec = compute_spectrum(params, env, sch)
+        u = one_period_operator(params, env, sch)
+        ref = quasienergy_spectrum(u, sch, env)
+        ref_idx = identify_fbs(ref)
+        assert spec.dimension == ref.dimension == 2 + 2 * n_side**2
+        np.testing.assert_allclose(spec.quasienergies, ref.quasienergies,
+                                   rtol=0, atol=1e-10)
+        assert len(ref_idx) >= 1
+        np.testing.assert_array_equal(spec.fbs_indices, ref_idx)
+        np.testing.assert_allclose(spec.system_weights[spec.fbs_indices],
+                                   ref.system_weights[ref_idx], rtol=0, atol=1e-9)
+        v = spec.modes
+        assert np.abs(v.conj().T @ v - np.eye(spec.dimension)).max() < 1e-10
+        lam = np.exp(-1j * spec.quasienergies * sch.period)
+        assert np.abs(u @ v - lam * v).max() < 1e-10
+        if delta == 0.0:
+            # every bound state lies in one sector: charger side = s * battery side
+            nm = env.n_modes
+            for j in spec.fbs_indices:
+                phi_b = np.concatenate([v[:1, j], v[2:2 + nm, j]])
+                phi_c = np.concatenate([v[1:2, j], v[2 + nm:, j]])
+                s = np.sign(np.real(phi_c[0] / phi_b[0]))
+                assert np.abs(phi_c - s * phi_b).max() < 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_memory_cap_before_any_work(self, delta):
+        # 16 d^2 bytes of modes at d = 20002 exceed the 3 GB cap
+        env = LatticeEnvironment(n_side=100, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=15.0)
+        with pytest.raises(MemoryCapError):
+            compute_spectrum(params, env, SCHEDULE)
 
 
 class TestIdentifyFbs:
