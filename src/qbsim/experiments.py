@@ -196,6 +196,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key n_offsets: must be >= 1")
     if cfg.gamma is not None and cfg.gamma < 0:
         raise ConfigError("config key gamma: must be nonnegative")
+    if not 0 < cfg.weight_threshold <= 1:
+        raise ConfigError("config key weight_threshold: must lie in (0, 1]")
+    if cfg.gap_tolerance is not None and cfg.gap_tolerance < 0:
+        raise ConfigError("config key gap_tolerance: must be nonnegative")
     if cfg.kind in ("markov", "perturbation") and cfg.delta != 0.0:
         raise ConfigError(f"kind {cfg.kind}: its formulas hold only at "
                           "delta = 0")

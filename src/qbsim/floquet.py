@@ -11,10 +11,12 @@ couples with the same g/N, so within a frequency shell (a set of
 degenerate modes, ``LatticeEnvironment.shells``) only the uniform
 superposition couples to the pair: U_T is diagonalized on these bright
 shell modes, 2 + 2S dimensions for S shells (124 instead of 802 at
-N = 20), and the full-basis spectrum is rebuilt from it.  A bright
-amplitude spreads over its shell as a_s / sqrt(m_s); the m_s - 1 dark
-combinations of each shell and bath are uncoupled, with quasienergy
-fold(omega_s) and system weight 0.  At zero detuning ``resonant_spectrum``
+N = 20).  The spectrum keeps these coupled eigenvectors on the shells and
+lists all d quasienergies: the m_s - 1 dark combinations of each shell
+and bath are uncoupled, with quasienergy fold(omega_s) and system weight
+0, and no vector is stored for them.  ``QuasienergySpectrum.mode`` expands
+a coupled mode to the full basis, spreading a bright amplitude over its
+shell as a_s / sqrt(m_s).  At zero detuning ``resonant_spectrum``
 also splits the symmetric/antisymmetric sectors (blocks of 1 + S), so
 every bound state is exactly sector-pure, even when the two bound-state
 quasienergies are degenerate.
@@ -29,10 +31,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 
-from .dynamics import (MEMORY_CAP, SegmentPropagators, _bath_arrays,
-                       _pair_hamiltonian, _sector_hamiltonian)
+from .dynamics import (SegmentPropagators, _bath_arrays, _pair_hamiltonian,
+                       _sector_hamiltonian)
 from .environment import LatticeEnvironment, Shells
-from .errors import MemoryCapError, NotAnEigenpairError
+from .errors import NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
 
 __all__ = [
@@ -52,6 +54,9 @@ __all__ = [
     "asymptotic_energy",
     "decompose_energy_terms",
 ]
+
+# largest ||phi(T) - e^{-i eps T} phi(0)|| accepted from an eigenpair of U_T
+_CLOSURE_TOL = 1e-6
 
 
 def fold_quasienergy(eps, omega_T: float):
@@ -97,18 +102,41 @@ class BandSupport:
 
 @dataclass
 class QuasienergySpectrum:
-    """Full eigensystem of one drive period, sorted by quasienergy."""
+    """Eigensystem of one drive period, sorted by quasienergy.
+
+    ``vectors`` holds the eigenvectors in the basis they were computed in:
+    the shell basis (battery, charger, the S battery-bath shells, the S
+    charger-bath shells) when ``shells`` is set, the full basis otherwise.
+    ``columns[j]`` is the column of sorted mode j, or -1 for a dark mode,
+    which has no stored vector.
+    """
 
     quasienergies: np.ndarray  # (d,)
-    modes: np.ndarray          # (d, d), column j belongs to quasienergies[j]
     system_weights: np.ndarray
     omega_T: float
     band: BandSupport
+    vectors: np.ndarray        # (n, n_coupled)
+    columns: np.ndarray        # (d,) column of each mode in vectors, or -1
+    shells: Shells | None = None
     fbs_indices: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
         return self.quasienergies.size
+
+    def mode(self, j: int) -> np.ndarray:
+        """Full-basis eigenvector of the coupled mode j."""
+        col = self.columns[j]
+        if col < 0:
+            raise ValueError(f"mode {j} is dark: it has no stored vector")
+        v = self.vectors[:, col]
+        if self.shells is None:
+            return v
+        index = self.shells.index
+        root_m = np.sqrt(self.shells.multiplicities)[index]
+        n_sh = self.shells.frequencies.size
+        return np.concatenate([v[:2], v[2 + index] / root_m,
+                               v[2 + n_sh + index] / root_m])
 
 
 def one_period_operator(
@@ -150,18 +178,11 @@ def quasienergy_spectrum(
     order = np.argsort(eps, kind="stable")
     vecs = vecs[:, order]
     weights = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
-    return QuasienergySpectrum(quasienergies=eps[order], modes=vecs,
+    return QuasienergySpectrum(quasienergies=eps[order],
                                system_weights=weights,
                                omega_T=schedule.omega_T,
-                               band=_folded_band(env, schedule))
-
-
-def _check_modes_memory(env):
-    """Refuse a spectrum whose dense full-basis modes exceed MEMORY_CAP."""
-    d = 2 + 2 * env.n_modes
-    required = 16 * d * d
-    if required > MEMORY_CAP:
-        raise MemoryCapError(required=required, cap=int(MEMORY_CAP))
+                               band=_folded_band(env, schedule),
+                               vectors=vecs, columns=np.arange(eps.size))
 
 
 def _small_period_operator(hamiltonian, schedule):
@@ -175,64 +196,29 @@ def _small_period_operator(hamiltonian, schedule):
     return u
 
 
-def _dark_modes(shells: Shells) -> np.ndarray:
-    """(N^2, N^2 - S) real orthonormal columns orthogonal to every shell's
-    uniform vector: the last m_s - 1 columns of the Householder reflection
-    that takes a shell's first member to its uniform vector."""
-    mult = shells.multiplicities
-    members = np.split(np.argsort(shells.index, kind="stable"),
-                       np.cumsum(mult)[:-1])
-    dark = np.zeros((shells.index.size, shells.index.size - mult.size))
-    col = 0
-    for k in members:
-        m = k.size
-        if m == 1:
-            continue
-        v = np.full(m, 1.0 / math.sqrt(m))
-        v[0] -= 1.0
-        dark[k, col:col + m - 1] = -2.0 * np.outer(v, v[1:]) / (v @ v)
-        dark[k[1:], np.arange(col, col + m - 1)] += 1.0
-        col += m - 1
-    return dark
-
-
 def _full_basis_spectrum(eps, vecs, shells, schedule, env):
     """Full-basis spectrum from the bright-shell eigenpairs.
 
     ``vecs`` holds eigenvectors in the shell basis (battery, charger, the
-    S battery-bath shells, the S charger-bath shells).  Each bright
-    amplitude spreads over its shell as a_s / sqrt(m_s); each bath adds
-    its dark columns at fold(omega_s) with weight 0.  Columns come out
-    sorted by quasienergy, as in ``quasienergy_spectrum``.
+    S battery-bath shells, the S charger-bath shells) and stays there.
+    Each bath adds m_s - 1 dark modes per shell at fold(omega_s) with
+    weight 0.  Modes come out sorted by quasienergy, as in
+    ``quasienergy_spectrum``.
     """
-    nm = env.n_modes
-    n_sh = shells.frequencies.size
-    d = 2 + 2 * nm
     dark_eps = fold_quasienergy(
         np.repeat(shells.frequencies, shells.multiplicities - 1),
         schedule.omega_T)
     all_eps = np.concatenate([eps, dark_eps, dark_eps])
     order = np.argsort(all_eps, kind="stable")
-    col = np.empty(d, dtype=int)
-    col[order] = np.arange(d)
-    nb, nd = eps.size, dark_eps.size
-    bright, dark_b, dark_c = col[:nb], col[nb:nb + nd], col[nb + nd:]
-    root_m = np.sqrt(shells.multiplicities)[shells.index, None]
-    rows_b = 2 + np.arange(nm)
-    rows_c = rows_b + nm
-    dark = _dark_modes(shells)
-    modes = np.zeros((d, d), dtype=complex)
-    modes[:2, bright] = vecs[:2]
-    modes[np.ix_(rows_b, bright)] = vecs[2 + shells.index] / root_m
-    modes[np.ix_(rows_c, bright)] = vecs[2 + n_sh + shells.index] / root_m
-    modes[np.ix_(rows_b, dark_b)] = dark
-    modes[np.ix_(rows_c, dark_c)] = dark
-    weights = np.zeros(d)
-    weights[bright] = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
-    return QuasienergySpectrum(quasienergies=all_eps[order], modes=modes,
-                               system_weights=weights,
+    weights = np.zeros(all_eps.size)
+    weights[:eps.size] = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
+    return QuasienergySpectrum(quasienergies=all_eps[order],
+                               system_weights=weights[order],
                                omega_T=schedule.omega_T,
-                               band=_folded_band(env, schedule))
+                               band=_folded_band(env, schedule),
+                               vectors=vecs,
+                               columns=np.where(order < eps.size, order, -1),
+                               shells=shells)
 
 
 def resonant_spectrum(
@@ -248,7 +234,6 @@ def resonant_spectrum(
     """
     if params.delta != 0.0:
         raise ValueError("resonant_spectrum requires zero detuning")
-    _check_modes_memory(env)
     shells = env.shells()
     bath = _bath_arrays(env, shells)
     eps_all, vec_blocks = [], []
@@ -267,7 +252,6 @@ def resonant_spectrum(
 
 def _detuned_spectrum(params, env, schedule):
     """Spectrum at any detuning from U_T on the bright shells (2 + 2S)."""
-    _check_modes_memory(env)
     shells = env.shells()
     bath = _bath_arrays(env, shells)
     u = _small_period_operator(
@@ -283,11 +267,7 @@ def compute_spectrum(
     weight_threshold: float = 0.05,
     gap_tolerance: float | None = None,
 ) -> QuasienergySpectrum:
-    """Full-basis spectrum with FBS classification, built on the shells.
-
-    Raises MemoryCapError, before any work, when the dense d x d modes
-    (16 d^2 bytes) would exceed the memory cap.
-    """
+    """Full-basis spectrum with FBS classification, built on the shells."""
     if params.delta == 0.0:
         spec = resonant_spectrum(params, env, schedule)
     else:
@@ -307,7 +287,14 @@ def identify_fbs(
     A mode qualifies when its system weight reaches ``weight_threshold``
     and its quasienergy is separated from the folded bath band by more
     than ``gap_tolerance`` (default: three mean folded-band level spacings).
+    A threshold outside (0, 1] or a negative tolerance would flag uncoupled
+    or in-band modes and raises ValueError.
     """
+    if not 0.0 < weight_threshold <= 1.0:
+        raise ValueError(f"weight_threshold must lie in (0, 1], "
+                         f"got {weight_threshold}")
+    if gap_tolerance is not None and not gap_tolerance >= 0.0:
+        raise ValueError(f"gap_tolerance must be >= 0, got {gap_tolerance}")
     band = spectrum.band
     if gap_tolerance is None:
         n_bath = max(spectrum.dimension - 2, 1)
@@ -360,7 +347,6 @@ def floquet_mode(
     epsilon: float,
     n_samples: int = 96,
     props: SegmentPropagators | None = None,
-    residual_tol: float = 1e-6,
 ) -> FloquetMode:
     """Sample the periodic Floquet mode built on an eigenvector of U_T.
 
@@ -386,8 +372,8 @@ def floquet_mode(
             taken[f][1].append(c)
     end = props.to_site(f, c)
     residual = float(np.linalg.norm(end - lam * phi0))
-    if residual > residual_tol:
-        raise NotAnEigenpairError(residual=residual, tol=residual_tol)
+    if residual > _CLOSURE_TOL:
+        raise NotAnEigenpairError(residual=residual, tol=_CLOSURE_TOL)
     states = np.empty((n_samples, phi0.size), dtype=complex)
     states[0] = phi0
     for f, (idx, cs) in taken.items():
@@ -415,7 +401,7 @@ def fbs_floquet_modes(
     if props is None:
         props = SegmentPropagators(params, env)
     return [
-        floquet_mode(params, env, schedule, spectrum.modes[:, j],
+        floquet_mode(params, env, schedule, spectrum.mode(j),
                      spectrum.quasienergies[j], n_samples=n_samples, props=props)
         for j in spectrum.fbs_indices
     ]

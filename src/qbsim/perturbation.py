@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _THETA = 0.5 * math.pi  # kappa * T/3 enforced by the protocol
+_TAIL_TOL = 1e-8  # bound on the truncated harmonic tail of eps2
+_N_CAP = 200  # largest n_max the harmonic range may grow to
 
 
 def _check_protocol(kappa: float, schedule: ProtocolSchedule):
@@ -112,16 +114,14 @@ def second_order_corrections(
     params: SystemParams,
     env: LatticeEnvironment,
     schedule: ProtocolSchedule,
-    tail_tol: float = 1e-8,
-    n_cap: int = 200,
 ) -> SecondOrderResult:
     """Degenerate-pair corrections summed over bath modes and harmonics.
 
     eps2_(+/-) = sum_{k,n} g_k^2 |f_n|^2 / (omega_0 - omega_k -/+ (n - 1/2) omega_T).
 
     The harmonic range grows until the Parseval remainder divided by the
-    smallest out-of-range denominator bounds the tail below ``tail_tol``;
-    exceeding ``n_cap`` raises ConvergenceError.
+    smallest out-of-range denominator bounds the tail below ``_TAIL_TOL``;
+    exceeding ``_N_CAP`` raises ConvergenceError.
     """
     if params.delta != 0.0:
         raise ValueError("second-order corrections assume zero detuning")
@@ -137,9 +137,9 @@ def second_order_corrections(
         remainder = max(0.0, 1.0 - fn2.sum())
         margin = (n_max + 0.5) * w_t - detune_max
         tail = math.inf if margin <= 0 else env.g**2 * remainder / margin
-        if tail < tail_tol:
+        if tail < _TAIL_TOL:
             break
-        if 2 * n_max > n_cap:
+        if 2 * n_max > _N_CAP:
             raise ConvergenceError(
                 "harmonic sum not converged within the n_max cap",
                 estimate=tail)

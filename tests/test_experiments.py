@@ -96,6 +96,21 @@ class TestValidation:
             validate_config(ExperimentConfig(kind="spectrum",
                                              kappa=float("nan")))
 
+    @pytest.mark.parametrize("keys", [
+        dict(weight_threshold=0.0, gap_tolerance=-1.0),
+        dict(weight_threshold=0.0), dict(weight_threshold=-0.1),
+        dict(weight_threshold=1.5), dict(gap_tolerance=-1.0),
+    ], ids=["both", "zero-threshold", "negative-threshold",
+            "threshold-above-one", "negative-tolerance"])
+    def test_classification_ranges(self, keys):
+        # each of these flags dark or in-band modes as bound states
+        cfg = dict(kind="asymptotic", n_side=4, kappa=8.0, t_max=1.0)
+        validate_config(ExperimentConfig(weight_threshold=1.0,
+                                         gap_tolerance=0.0, **cfg))
+        with pytest.raises(ConfigError,
+                           match="weight_threshold|gap_tolerance"):
+            validate_config(ExperimentConfig(**cfg, **keys))
+
     def test_markov_requires_resonance(self):
         # the decay envelope uses the resonant sin^2(kappa F) population
         with pytest.raises(ConfigError, match="markov"):

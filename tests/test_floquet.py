@@ -1,12 +1,14 @@
 """Stroboscopic-analysis tests: folding, spectra, bound states, asymptotics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from qbsim import LatticeEnvironment, ProtocolSchedule, SystemParams
 from qbsim.dynamics import SegmentPropagators, build_hamiltonian
-from qbsim.errors import MemoryCapError, NotAnEigenpairError
+from qbsim.errors import NotAnEigenpairError
 from qbsim.floquet import (
     BandSupport,
     QuasienergySpectrum,
@@ -29,6 +31,13 @@ KAPPA = 8.0
 PARAMS = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=KAPPA)
 TAU = 0.5 * np.pi / KAPPA
 SCHEDULE = ProtocolSchedule(tau_c=TAU, tau_s=TAU, tau_d=TAU)
+
+
+def _coupled_modes(spec):
+    """Indices of the modes with stored vectors, and those vectors stacked
+    as full-basis columns."""
+    idx = np.flatnonzero(spec.columns >= 0)
+    return idx, np.stack([spec.mode(j) for j in idx], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -140,14 +149,25 @@ class TestSpectrum:
         )
 
     def test_modes_orthonormal(self, spectrum4):
-        v = spectrum4.modes
+        _, v = _coupled_modes(spectrum4)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-12)
 
     def test_modes_are_eigenvectors(self, spectrum4):
         u = one_period_operator(PARAMS, ENV4, SCHEDULE)
-        lam = np.exp(-1j * spectrum4.quasienergies * SCHEDULE.period)
-        resid = u @ spectrum4.modes - lam[None, :] * spectrum4.modes
+        idx, v = _coupled_modes(spectrum4)
+        lam = np.exp(-1j * spectrum4.quasienergies[idx] * SCHEDULE.period)
+        resid = u @ v - lam[None, :] * v
         assert np.abs(resid).max() < 1e-10
+
+    def test_dark_modes_have_no_vector(self, spectrum4):
+        shells = ENV4.shells()
+        idx, _ = _coupled_modes(spectrum4)
+        assert idx.size == 2 + 2 * shells.frequencies.size
+        dark = np.flatnonzero(spectrum4.columns < 0)
+        assert dark.size == 2 * np.sum(shells.multiplicities - 1) > 0
+        np.testing.assert_array_equal(spectrum4.system_weights[dark], 0.0)
+        with pytest.raises(ValueError, match="dark"):
+            spectrum4.mode(dark[0])
 
     def test_system_weight_completeness(self, spectrum4):
         assert spectrum4.system_weights.sum() == pytest.approx(2.0, abs=1e-12)
@@ -191,26 +211,37 @@ class TestShellSpectrum:
         np.testing.assert_array_equal(spec.fbs_indices, ref_idx)
         np.testing.assert_allclose(spec.system_weights[spec.fbs_indices],
                                    ref.system_weights[ref_idx], rtol=0, atol=1e-9)
-        v = spec.modes
-        assert np.abs(v.conj().T @ v - np.eye(spec.dimension)).max() < 1e-10
-        lam = np.exp(-1j * spec.quasienergies * sch.period)
+        idx, v = _coupled_modes(spec)
+        assert np.abs(v.conj().T @ v - np.eye(idx.size)).max() < 1e-10
+        lam = np.exp(-1j * spec.quasienergies[idx] * sch.period)
         assert np.abs(u @ v - lam * v).max() < 1e-10
         if delta == 0.0:
             # every bound state lies in one sector: charger side = s * battery side
             nm = env.n_modes
             for j in spec.fbs_indices:
-                phi_b = np.concatenate([v[:1, j], v[2:2 + nm, j]])
-                phi_c = np.concatenate([v[1:2, j], v[2 + nm:, j]])
+                phi = spec.mode(j)
+                phi_b = np.concatenate([phi[:1], phi[2:2 + nm]])
+                phi_c = np.concatenate([phi[1:2], phi[2 + nm:]])
                 s = np.sign(np.real(phi_c[0] / phi_b[0]))
                 assert np.abs(phi_c - s * phi_b).max() < 1e-12
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
-    def test_memory_cap_before_any_work(self, delta):
-        # 16 d^2 bytes of modes at d = 20002 exceed the 3 GB cap
-        env = LatticeEnvironment(n_side=100, varpi=1.0, q=0.5, g=0.5)
+    def test_allocates_no_dense_modes(self, delta):
+        # a d x d complex array at d = 3202 alone takes 16 d^2 = 164 MB
+        env = LatticeEnvironment(n_side=40, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=15.0)
-        with pytest.raises(MemoryCapError):
-            compute_spectrum(params, env, SCHEDULE)
+        tau = 0.5 * np.pi / params.rabi
+        sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        tracemalloc.start()
+        try:
+            spec = compute_spectrum(params, env, sch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = spec.dimension
+        assert d == 3202
+        assert len(spec.fbs_indices) == 2
+        assert peak < 16 * d**2 / 4
 
 
 class TestIdentifyFbs:
@@ -219,10 +250,11 @@ class TestIdentifyFbs:
         d = eps.size
         return QuasienergySpectrum(
             quasienergies=eps,
-            modes=np.eye(d, dtype=complex),
             system_weights=np.asarray(weights, dtype=float),
             omega_T=omega_T,
             band=BandSupport(lo=lo, hi=hi, omega_T=omega_T),
+            vectors=np.eye(d, dtype=complex),
+            columns=np.arange(d),
         )
 
     def test_explicit_tolerance(self):
@@ -243,6 +275,17 @@ class TestIdentifyFbs:
         idx = identify_fbs(spec, weight_threshold=0.05, gap_tolerance=0.1)
         np.testing.assert_array_equal(idx, [1])
 
+    @pytest.mark.parametrize("keys", [
+        dict(weight_threshold=0.0), dict(weight_threshold=1.5),
+        dict(weight_threshold=float("nan")), dict(gap_tolerance=-1.0),
+        dict(gap_tolerance=float("nan"))])
+    def test_rejects_ranges_that_flag_uncoupled_modes(self, keys):
+        # a zero threshold flags weight-0 modes, a negative tolerance in-band ones
+        spec = self._make([0.8, 0.25, 0.9], [0.5, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            identify_fbs(spec, **keys)
+        assert identify_fbs(spec, weight_threshold=1.0, gap_tolerance=0.0).size == 0
+
 
 class TestFloquetMode:
     def test_sampled_states_match_expm(self):
@@ -252,7 +295,7 @@ class TestFloquetMode:
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
         mode = floquet_mode(env=env, params=par, schedule=sch,
-                            phi0=spec.modes[:, j],
+                            phi0=spec.mode(j),
                             epsilon=spec.quasienergies[j], n_samples=4)
         h1 = build_hamiltonian(par, env, 1.0)
         h0 = build_hamiltonian(par, env, 0.0)
@@ -278,7 +321,7 @@ class TestFloquetMode:
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
         props = SegmentPropagators(par, env)
-        mode = floquet_mode(par, env, sch, spec.modes[:, j],
+        mode = floquet_mode(par, env, sch, spec.mode(j),
                             spec.quasienergies[j], n_samples=7, props=props)
         raw, prev = mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
@@ -297,7 +340,7 @@ class TestFloquetMode:
 
     def test_rejects_perturbed_eigenvector(self, spectrum4):
         j = spectrum4.fbs_indices[0]
-        phi0 = spectrum4.modes[:, j].copy()
+        phi0 = spectrum4.mode(j).copy()
         phi0[2] += 1e-3
         phi0 /= np.linalg.norm(phi0)
         with pytest.raises(NotAnEigenpairError):
@@ -339,7 +382,7 @@ class TestAsymptoticEnergy:
         # predicted energy at any aligned sample time
         j = spectrum4.fbs_indices[0]
         shifted = floquet_mode(
-            PARAMS, ENV4, SCHEDULE, spectrum4.modes[:, j],
+            PARAMS, ENV4, SCHEDULE, spectrum4.mode(j),
             spectrum4.quasienergies[j] + SCHEDULE.omega_T, n_samples=24,
         )
         ts = np.arange(0, 24 * 8) * (SCHEDULE.period / 24)
