@@ -2,10 +2,11 @@
 
 Two independent routes are provided and cross-validated:
 
-* ``propagate_exact`` diagonalizes the full (2 + 2N^2)-dimensional
-  Hamiltonian once per drive value and steps the state in the eigenbasis
-  of the current drive segment: phases per step, one real basis overlap
-  per drive switch (numerically exact for the finite lattice).
+* ``propagate_exact`` diagonalizes the Hamiltonian on the bright
+  frequency shells (2 + 2S dimensions for S shells, against 2 + 2N^2 for
+  the full basis) once per drive value and steps the state in the
+  eigenbasis of the current drive segment: phases per step, one real basis
+  overlap per drive switch (numerically exact for the finite lattice).
 * ``solve_volterra`` integrates the reduced pair of amplitude equations
 
       du_l/dt + i omega_l u_l + i kappa f(t) u_l' + int_0^t nu(t-s) u_l(s) ds = 0
@@ -29,7 +30,7 @@ from .environment import (LatticeEnvironment, memory_kernel_continuum,
 from .errors import ConvergenceError, MemoryCapError
 from .model import ProtocolSchedule, SystemParams
 
-# bytes; the largest dense allocation a lattice solver may request
+# bytes; the largest allocation a lattice propagation may request
 MEMORY_CAP = 3e9
 
 __all__ = [
@@ -176,80 +177,134 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out.view(complex).reshape(m.shape[0], *z.shape[1:])
 
 
-class SegmentPropagators:
-    """Cached eigendecompositions H_f = V_f diag(w_f) V_f^T, f = 1 and 0.
+def check_memory(env: LatticeEnvironment, n_states: int = 1,
+                 memory_cap: float | None = None) -> None:
+    """Raise MemoryCapError if propagating n_states states on env would
+    need more than memory_cap bytes (default MEMORY_CAP).
 
-    ``evolve`` steps a state in the eigenbasis of the current segment:
-    phases exp(-i w_f dt) per step and the real overlap V_0^T V_1 (or its
-    transpose) when the drive switches.  ``apply`` is the site-basis step
-    V exp(-i w dt) V^T, kept as the reference for that path.
+    Two real eigenbases of the n = 2 + 2S bright block, their overlap and
+    the eigh workspace take 6 n^2 floats.  Each full-basis state (d
+    components), and the propagators' own index and phase arrays, take at
+    most 4 d complex: its site form, its coefficients and their copies.
+    """
+    cap = MEMORY_CAP if memory_cap is None else memory_cap
+    n = 2 + 2 * env.shells().frequencies.size
+    estimate = 48 * n * n + 64 * (2 + 2 * env.n_modes) * (n_states + 1)
+    if estimate > cap:
+        raise MemoryCapError(required=estimate, cap=int(cap))
+
+
+def _rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v shaped to scale the rows of x, a vector or one state per column."""
+    return v.reshape(v.shape + (1,) * (x.ndim - 1))
+
+
+class SegmentPropagators:
+    """exp(-i H_f t), f = 1 and 0, on full-basis states, from the shells.
+
+    Every bath mode couples with the same g/N, so within a frequency shell
+    (``env.shells()``) only the uniform superposition couples to the pair.
+    A state x of the d = 2 + 2N^2 basis splits, in O(d), into its bright
+    shell amplitudes b = P^T x (b_s = sum_{k in s} x_k / sqrt(m_s), with P
+    the bright isometry) and its dark remainder x - P b.  The bright part is
+    stepped in the eigenbasis of the (2 + 2S)-dimensional shell Hamiltonian
+    H_f = V_f diag(w_f) V_f^T.  The dark remainder keeps its site form and
+    turns at its shell frequency under either drive value, which is exact:
+    dark combinations do not couple.
+
+    ``evolve`` steps the coefficients [V_f^T b, dark site part]: phases per
+    step, and the real overlap V_0^T V_1 (or its transpose) on the bright
+    part when the drive switches.  ``apply`` is the direct step
+    P V exp(-i w dt) V^T b plus the turned dark part, kept as the
+    reference for that path.  Neither forms a d x d array.
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment,
-                 memory_cap: float = MEMORY_CAP):
-        d = 2 + 2 * env.n_modes
-        estimate = 6 * d * d * 8  # two eigenbases plus LAPACK workspace
-        if estimate > memory_cap:
-            raise MemoryCapError(required=estimate, cap=int(memory_cap))
-        self.dimension = d
+                 memory_cap: float | None = None):
+        check_memory(env, memory_cap=memory_cap)
+        shells = env.shells()
+        n_sh = shells.frequencies.size
+        self.dimension = 2 + 2 * env.n_modes
         self.evals = {}
         self.evecs = {}
+        bath = _bath_arrays(env, shells)
         for f in (1.0, 0.0):
-            w, v = np.linalg.eigh(build_hamiltonian(params, env, f))
+            w, v = np.linalg.eigh(_pair_hamiltonian(params, bath, f))
             self.evals[f] = w
             self.evecs[f] = v
+        # site i carries bright amplitude _members[i] with weight _scale[i]
+        self._members = np.concatenate([[0, 1], 2 + shells.index,
+                                        2 + n_sh + shells.index])
+        root_m = np.sqrt(shells.multiplicities)[shells.index]
+        self._scale = np.concatenate([[1.0, 1.0], 1.0 / root_m, 1.0 / root_m])
+        self._order = np.argsort(self._members, kind="stable")
+        self._starts = np.searchsorted(self._members[self._order],
+                                       np.arange(2 + 2 * n_sh))
+        w_dark = shells.frequencies[shells.index]
+        self._dark_freqs = np.concatenate([[0.0, 0.0], w_dark, w_dark])
         self._overlap = None
 
+    def _expand(self, b: np.ndarray) -> np.ndarray:
+        """P b: each bright amplitude spread over its shell as b_s/sqrt(m_s)."""
+        return _rows(self._scale, b) * b[self._members]
+
+    def _split(self, x: np.ndarray):
+        """(P^T x, x - P P^T x): bright shell amplitudes, dark remainder."""
+        x = np.asarray(x, dtype=complex)
+        b = np.add.reduceat((_rows(self._scale, x) * x)[self._order],
+                            self._starts, axis=0)
+        return b, x - self._expand(b)
+
     def apply(self, state: np.ndarray, f: float, dt: float) -> np.ndarray:
-        """exp(-i H_f dt) @ state."""
+        """exp(-i H_f dt) @ state, for a state or one state per column."""
         f = 1.0 if f else 0.0
+        b, dark = self._split(state)
         v = self.evecs[f]
-        return v @ (np.exp(-1j * self.evals[f] * dt) * (v.T @ state))
+        b = v @ (_rows(np.exp(-1j * self.evals[f] * dt), b) * (v.T @ b))
+        return (self._expand(b)
+                + _rows(np.exp(-1j * self._dark_freqs * dt), dark) * dark)
 
     def evolve(self, state: np.ndarray, pieces):
         """Step a site-basis state through (duration, f) pieces.
 
-        Yields (f, c) after each piece, with the state equal to V_f c.  The
-        state is mapped into the first segment's eigenbasis once; a step
-        costs O(d), and a drive switch one real O(d^2) product on the real
-        and imaginary parts.
+        Yields (f, c) after each piece, with c = [V_f^T b, dark site part]
+        (``to_site`` maps it back).  The state is split and mapped into the
+        first segment's eigenbasis once; a step costs O(d), and a drive
+        switch one real O((2 + 2S)^2) product on the real and imaginary
+        parts of the bright coefficients.
         """
+        n = self.evals[1.0].size
         phases = {}
         f_now, c = None, None
         for dur, f in pieces:
             f = 1.0 if f else 0.0
             if c is None:
-                c = _real_matmul(self.evecs[f].T, state)
+                b, dark = self._split(state)
+                c = np.concatenate([_real_matmul(self.evecs[f].T, b), dark])
             elif f != f_now:
                 if self._overlap is None:
-                    # V_0^T V_1 takes f = 1 coefficients to f = 0 ones.  It
-                    # is built after the eigh workspace is freed: with the
-                    # two eigenbases it holds 3 d^2 floats, inside the 6 d^2
-                    # of the memory-cap estimate in __init__.
+                    # V_0^T V_1 takes f = 1 coefficients to f = 0 ones
                     self._overlap = self.evecs[0.0].T @ self.evecs[1.0]
                 ovl = self._overlap
-                c = _real_matmul(ovl if f == 0.0 else ovl.T, c)
+                c = np.concatenate([_real_matmul(ovl if f == 0.0 else ovl.T,
+                                                 c[:n]), c[n:]])
             f_now = f
             ph = phases.get((f, dur))
             if ph is None:
-                ph = phases[(f, dur)] = np.exp(-1j * self.evals[f] * dur)
+                ph = phases[(f, dur)] = np.exp(-1j * dur * np.concatenate(
+                    [self.evals[f], self._dark_freqs]))
             c = ph * c
             yield f, c
 
     def to_site(self, f: float, c: np.ndarray) -> np.ndarray:
-        """V_f c: eigen-coefficients (a vector, or one per column) to sites."""
-        return _real_matmul(self.evecs[1.0 if f else 0.0], c)
+        """Coefficients of ``evolve`` (a vector, or one per column) to sites."""
+        n = self.evals[1.0].size
+        bright = _real_matmul(self.evecs[1.0 if f else 0.0], c[:n])
+        return self._expand(bright) + c[n:]
 
     def materialize(self, f: float, dt: float) -> np.ndarray:
-        """Dense d x d unitary exp(-i H_f dt).
-
-        ``one_period_operator`` builds the full-basis U_T from these; the
-        spectrum path (``compute_spectrum``) does not use it, and builds
-        U_T on the frequency shells instead.
-        """
-        f = 1.0 if f else 0.0
-        v = self.evecs[f]
-        return (v * np.exp(-1j * self.evals[f] * dt)) @ v.T
+        """Dense d x d unitary exp(-i H_f dt): ``apply`` on the identity."""
+        return self.apply(np.eye(self.dimension), f, dt)
 
 
 def propagate_exact(
@@ -279,9 +334,10 @@ def propagate_exact(
     pair = np.empty((2, n_steps + 1), dtype=complex)
     pair[:, 0] = state[:2]
     rows = {f: props.evecs[f][:2].astype(complex) for f in (1.0, 0.0)}
+    n = rows[1.0].shape[1]  # the pair rows touch only the bright coefficients
     steps = props.evolve(state, zip(itertools.repeat(h), f_step))
     for j, (f, c) in enumerate(steps, 1):
-        pair[:, j] = rows[f] @ c
+        pair[:, j] = rows[f] @ c[:n]
     state = props.to_site(f, c)
     u_b, u_c = pair
     times = np.arange(n_steps + 1) * h

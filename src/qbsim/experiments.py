@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import (_build_grid, default_time_step, propagate_exact,
-                       solve_volterra, solve_volterra_pm)
+from .dynamics import (_build_grid, check_memory, default_time_step,
+                       propagate_exact, solve_volterra, solve_volterra_pm)
 from .environment import LatticeEnvironment
-from .errors import ConfigError
+from .errors import ConfigError, MemoryCapError
 from .floquet import (
     circular_distance,
     compute_spectrum,
@@ -232,6 +232,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 _check_protocol(float(kappa), resolve_schedule(cfg, kappa))
     except ValueError as exc:
         raise ConfigError(f"kind {cfg.kind}: {exc}{advice}") from None
+    # the kinds that propagate full-basis states: a trace from the charger
+    # start, or n_offsets samples of each bound state
+    if cfg.kind in ("asymptotic", "nonresonant") \
+            or (cfg.kind == "dynamics" and cfg.route == "exact"):
+        n_states = 1 if cfg.kind == "dynamics" else cfg.n_offsets
+        try:
+            check_memory(resolve_environment(cfg), n_states=n_states)
+        except MemoryCapError as exc:
+            raise ConfigError(f"kind {cfg.kind}: {exc}; lower n_side") \
+                from None
 
 
 def sweep_grid_values(cfg: ExperimentConfig) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .dynamics import (SegmentPropagators, _bath_arrays, _pair_hamiltonian,
-                       _sector_hamiltonian)
+                       _sector_hamiltonian, build_hamiltonian)
 from .environment import LatticeEnvironment, Shells
 from .errors import NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
@@ -144,16 +144,13 @@ def one_period_operator(
     env: LatticeEnvironment,
     schedule: ProtocolSchedule,
 ) -> np.ndarray:
-    """U_T = U(tau_d; f=1) U(tau_s; f=0) U(tau_c; f=1)."""
-    props = SegmentPropagators(params, env)
-    cache: dict = {}
-    u = None
-    for dur, f in schedule.segments():
-        key = (f, dur)
-        if key not in cache:
-            cache[key] = props.materialize(f, dur)
-        u = cache[key] if u is None else cache[key] @ u
-    return u
+    """U_T = U(tau_d; f=1) U(tau_s; f=0) U(tau_c; f=1), in the full basis.
+
+    Built from dense eigendecompositions of ``build_hamiltonian``, with no
+    shell reduction, so it stays an independent check of the shell paths.
+    """
+    return _small_period_operator(
+        lambda f: build_hamiltonian(params, env, f), schedule)
 
 
 def _folded_schur(u, schedule):

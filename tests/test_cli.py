@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qbsim import dynamics
 from qbsim.cli import main
 
 
@@ -52,6 +53,24 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("validate", str(tmp_path / "nope.cfg")) == 1
+
+    @pytest.mark.parametrize("body", [
+        "kind = asymptotic\n",
+        "kind = nonresonant\ndelta = 0.5\nkappa = 8.0\n",
+        "kind = dynamics\n",
+    ])
+    def test_memory_cap(self, tmp_path, capsys, monkeypatch, body):
+        # the kinds that propagate full-basis states check the propagator
+        # estimate up front, as run would; nothing large is built here
+        monkeypatch.setattr(dynamics, "MEMORY_CAP", 1e4)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(body + "n_side = 6\n")
+        assert run_cli("validate", str(cfg)) == 1
+        assert "exceeds cap" in capsys.readouterr().err
+        # memory-kernel routes build no propagators
+        cfg.write_text(body + "n_side = 6\nroute = volterra\n")
+        expected = 0 if body == "kind = dynamics\n" else 1
+        assert run_cli("validate", str(cfg)) == expected
 
 
 class TestRun:
@@ -124,3 +143,15 @@ class TestRun:
 
     def test_missing_subcommand(self):
         assert run_cli() == 1
+
+    def test_asymptotic_beyond_full_basis_cap(self, tmp_path):
+        # d = 9802 at n_side = 70: the full-basis eigenbases alone would
+        # exceed the cap, the bright shells (2 + 2 * 649) do not
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("kind = asymptotic\nn_side = 70\nt_max = 2.0\n"
+                       "n_offsets = 24\n")
+        assert run_cli("validate", str(cfg)) == 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        rows = (out / "asymptotic.csv").read_text().splitlines()
+        assert len(rows) > 1 + 24  # header, then more than one period

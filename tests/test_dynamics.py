@@ -1,5 +1,7 @@
 """Propagation-route tests: exact spectral, memory-kernel Volterra, +/- split."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -19,6 +21,7 @@ from qbsim.dynamics import (
     build_sector_hamiltonian,
 )
 from qbsim.errors import ConvergenceError, MemoryCapError
+from qbsim.floquet import compute_spectrum, floquet_mode
 from qbsim.ideal import ideal_evolve
 
 # shared small-lattice instance for cross-route checks
@@ -198,6 +201,100 @@ class TestEigenbasisStepping:
             np.linalg.norm(state), abs=1e-12)
 
 
+def _shell_case(n_side, delta, taus):
+    """Lattice, params, schedule and sample step of a shell-propagator check:
+    half-swap segments sampled at T/24, or the given segments at 0.05."""
+    env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+    params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
+    if taus is None:
+        tau = 0.5 * np.pi / 4.8
+        schedule = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        return env, params, schedule, schedule.period / 24
+    return env, params, ProtocolSchedule(*taus), 0.05
+
+
+def _expm_pieces(params, env, pieces, state, cache=None):
+    """state stepped through (duration, f) pieces by dense full-basis expm,
+    the exponentials kept in ``cache`` by (f, duration)."""
+    cache = {} if cache is None else cache
+    for dur, f in pieces:
+        key = (f, round(dur, 12))
+        if key not in cache:
+            cache[key] = sla.expm(-1j * build_hamiltonian(params, env, f) * dur)
+        state = cache[key] @ state
+    return state
+
+
+class TestShellPropagators:
+    """The bright-shell propagators against dense full-basis expm steps."""
+
+    @pytest.mark.parametrize("n_side", [6, 12])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("taus", [None, (0.3, 0.45, 0.15)],
+                             ids=["equal", "unequal"])
+    def test_trace_matches_expm(self, n_side, delta, taus):
+        env, params, schedule, sample_dt = _shell_case(n_side, delta, taus)
+        trace = propagate_exact(params, env, schedule,
+                                t_max=4 * schedule.period, sample_dt=sample_dt)
+        h = trace.metadata["dt"]
+        state = np.zeros(2 + 2 * env.n_modes, dtype=complex)
+        state[1] = 1.0
+        pair, cache = [state[:2]], {}
+        for t in trace.times[1:]:
+            f = schedule.evaluate(t - 0.5 * h)
+            state = _expm_pieces(params, env, [(h, f)], state, cache)
+            pair.append(state[:2])
+        u_b, u_c = np.array(pair).T
+        np.testing.assert_allclose(trace.u_b, u_b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.u_c, u_c, rtol=0, atol=1e-12)
+
+    def test_dark_state_matches_expm(self):
+        env, params, schedule, _ = _shell_case(6, 0.5, (0.3, 0.45, 0.15))
+        shells = env.shells()
+        assert shells.multiplicities.max() == 10
+        rng = np.random.default_rng(11)
+        d = 2 + 2 * env.n_modes
+        state = rng.normal(size=d) + 1j * rng.normal(size=d)
+        state /= np.linalg.norm(state)
+        dark = 0.0  # weight off the uniform superposition of each shell
+        for part in state[2:].reshape(2, -1):
+            mean = (np.bincount(shells.index, part.real)
+                    + 1j * np.bincount(shells.index, part.imag))
+            mean /= shells.multiplicities
+            dark += np.sum(np.abs(part - mean[shells.index]) ** 2)
+        assert dark > 0.5
+        pieces = schedule.pieces(0.1, 0.3 + 2 * schedule.period)
+        expected = _expm_pieces(params, env, pieces, state)
+        props = SegmentPropagators(params, env)
+        for f, c in props.evolve(state, pieces):
+            pass
+        np.testing.assert_allclose(props.to_site(f, c), expected,
+                                   rtol=0, atol=1e-11)
+        applied = state
+        for dur, f in pieces:
+            applied = props.apply(applied, f, dur)
+        np.testing.assert_allclose(applied, expected, rtol=0, atol=1e-11)
+
+    def test_allocates_no_dense_matrix(self):
+        # one real d x d array at d = 3202 alone takes 8 d^2 = 82 MB
+        env, params, schedule, sample_dt = _shell_case(40, 0.5, None)
+        spec = compute_spectrum(params, env, schedule)
+        j = int(np.argmax(spec.system_weights))
+        tracemalloc.start()
+        try:
+            trace = propagate_exact(params, env, schedule,
+                                    t_max=2 * schedule.period,
+                                    sample_dt=sample_dt)
+            mode = floquet_mode(params, env, schedule, spec.mode(j),
+                                spec.quasienergies[j], n_samples=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.metadata["final_norm"] == pytest.approx(1.0, abs=1e-12)
+        assert mode.closure_error < 1e-10
+        assert peak < (2 + 2 * env.n_modes) ** 2
+
+
 class TestVolterraRoute:
     @pytest.mark.parametrize("delta", [0.0, 0.3])
     def test_decoupled_matches_two_level(self, delta):
@@ -230,6 +327,22 @@ class TestVolterraRoute:
         order2 = np.log2(errs[1] / errs[2])
         assert 1.6 < order1 < 2.4
         assert 1.6 < order2 < 2.4
+
+    def test_detuned_second_order_convergence(self):
+        # off resonance the memory route and the lattice route still solve
+        # one model: max |u_b| gaps measure 4.5e-4, 1.1e-4 and 2.8e-5
+        params = SystemParams.from_center(omega_0=2.0, delta=0.5, kappa=3.0)
+        h0 = default_time_step(params, ENV10, SCHEDULE)
+        t_max = 2 * SCHEDULE.period
+        errs = []
+        for div in (2, 4, 8):
+            volt = solve_volterra(params, ENV10, SCHEDULE, t_max, dt=h0 / div)
+            exact = propagate_exact(params, ENV10, SCHEDULE, t_max,
+                                    sample_dt=volt.metadata["dt"])
+            errs.append(np.max(np.abs(volt.u_b - exact.u_b)))
+        assert errs[2] < 5e-5
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.7 < np.log2(coarse / fine) < 2.3
 
     def test_system_norm_bounded(self):
         volt = solve_volterra(PARAMS, ENV10, SCHEDULE, 2 * SCHEDULE.period)

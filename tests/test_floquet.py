@@ -338,6 +338,34 @@ class TestFloquetMode:
             np.linalg.norm(raw - lam * mode.phi0), abs=1e-12)
         assert mode.closure_error < 1e-10
 
+    @pytest.mark.parametrize("n_side", [6, 12])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("taus", [None, (0.3, 0.45, 0.15)],
+                             ids=["equal", "unequal"])
+    def test_samples_match_expm_steps(self, n_side, delta, taus):
+        # the shell-reduced sampling against dense full-basis exponentials;
+        # seven offsets fall inside the segments of either schedule
+        env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+        par = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
+        tau = 0.5 * np.pi / 4.8
+        sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
+        spec = compute_spectrum(par, env, sch)
+        j = int(np.argmax(spec.system_weights))
+        mode = floquet_mode(par, env, sch, spec.mode(j),
+                            spec.quasienergies[j], n_samples=7)
+        cache, raw, prev = {}, mode.phi0, 0.0
+        for k, s in enumerate(mode.offsets):
+            for dur, f in sch.pieces(prev, s):
+                key = (f, round(dur, 12))
+                if key not in cache:
+                    cache[key] = sla.expm(
+                        -1j * build_hamiltonian(par, env, f) * dur)
+                raw = cache[key] @ raw
+            prev = s
+            np.testing.assert_allclose(
+                mode.states[k], np.exp(1j * mode.epsilon * s) * raw,
+                rtol=0, atol=1e-12)
+
     def test_rejects_perturbed_eigenvector(self, spectrum4):
         j = spectrum4.fbs_indices[0]
         phi0 = spectrum4.mode(j).copy()
