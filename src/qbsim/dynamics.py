@@ -167,36 +167,42 @@ def _build_grid(schedule: ProtocolSchedule, t_max: float, dt: float):
 
 
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a real matrix m and a complex vector or matrix z.
+    """m @ z for a real matrix m and a complex vector z.
 
     One real product on the interleaved real and imaginary parts; numpy
     would otherwise promote m to complex on every call.
     """
     z = np.ascontiguousarray(z, dtype=complex)
-    out = m @ z.view(float).reshape(z.shape[0], -1)
-    return out.view(complex).reshape(m.shape[0], *z.shape[1:])
+    return (m @ z.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def check_memory(env: LatticeEnvironment, n_states: int = 1,
-                 memory_cap: float | None = None) -> None:
-    """Raise MemoryCapError if propagating n_states states on env would
-    need more than memory_cap bytes (default MEMORY_CAP).
+def check_memory(env: LatticeEnvironment, delta: float | None = None) -> None:
+    """Raise MemoryCapError if a lattice run on env would exceed MEMORY_CAP.
 
-    Two real eigenbases of the n = 2 + 2S bright block, their overlap and
-    the eigh workspace take 6 n^2 floats.  Each full-basis state (d
-    components), and the propagators' own index and phase arrays, take at
-    most 4 d complex: its site form, its coefficients and their copies.
+    n = 2 + 2S for S shells.  Propagation (``delta`` None) takes 6 n^2
+    floats for the shell eigenbases and the eigh workspace plus 8 complex
+    full-basis vectors; a spectrum at detuning ``delta`` takes 6 complex
+    n x n matrices when detuned and 3 over the two sector blocks at
+    delta = 0 (tracemalloc peaks: 5.0-5.4 and 2.5-2.7 at n_side 20-60).
     """
-    cap = MEMORY_CAP if memory_cap is None else memory_cap
     n = 2 + 2 * env.shells().frequencies.size
-    estimate = 48 * n * n + 64 * (2 + 2 * env.n_modes) * (n_states + 1)
-    if estimate > cap:
-        raise MemoryCapError(required=estimate, cap=int(cap))
+    if delta is None:
+        estimate = 48 * n * n + 128 * (2 + 2 * env.n_modes)
+    else:
+        estimate = (96 if delta else 48) * n * n
+    if estimate > MEMORY_CAP:
+        raise MemoryCapError(required=estimate, cap=int(MEMORY_CAP))
 
 
-def _rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """v shaped to scale the rows of x, a vector or one state per column."""
-    return v.reshape(v.shape + (1,) * (x.ndim - 1))
+def _bright_isometry(shells):
+    """The bright isometry P as (members, scale): full-basis site i carries
+    shell amplitude members[i] times scale[i], 1/sqrt(m_s) on a shell."""
+    n_sh = shells.frequencies.size
+    members = np.concatenate([[0, 1], 2 + shells.index,
+                              2 + n_sh + shells.index])
+    root_m = np.sqrt(shells.multiplicities)[shells.index]
+    scale = np.concatenate([[1.0, 1.0], 1.0 / root_m, 1.0 / root_m])
+    return members, scale
 
 
 class SegmentPropagators:
@@ -214,64 +220,59 @@ class SegmentPropagators:
 
     ``evolve`` steps the coefficients [V_f^T b, dark site part]: phases per
     step, and the real overlap V_0^T V_1 (or its transpose) on the bright
-    part when the drive switches.  ``apply`` is the direct step
-    P V exp(-i w dt) V^T b plus the turned dark part, kept as the
-    reference for that path.  Neither forms a d x d array.
+    part when the drive switches.  ``pair_amplitudes`` reads the battery and
+    charger amplitudes off the coefficients, ``to_site`` the whole state.
+    ``apply`` is the direct step P V exp(-i w dt) V^T b plus the turned dark
+    part, kept as the reference for that path.  None forms a d x d array.
     """
 
-    def __init__(self, params: SystemParams, env: LatticeEnvironment,
-                 memory_cap: float | None = None):
-        check_memory(env, memory_cap=memory_cap)
+    def __init__(self, params: SystemParams, env: LatticeEnvironment):
+        check_memory(env)
         shells = env.shells()
-        n_sh = shells.frequencies.size
         self.dimension = 2 + 2 * env.n_modes
         self.evals = {}
         self.evecs = {}
+        self._readout = {}
         bath = _bath_arrays(env, shells)
         for f in (1.0, 0.0):
             w, v = np.linalg.eigh(_pair_hamiltonian(params, bath, f))
             self.evals[f] = w
             self.evecs[f] = v
-        # site i carries bright amplitude _members[i] with weight _scale[i]
-        self._members = np.concatenate([[0, 1], 2 + shells.index,
-                                        2 + n_sh + shells.index])
-        root_m = np.sqrt(shells.multiplicities)[shells.index]
-        self._scale = np.concatenate([[1.0, 1.0], 1.0 / root_m, 1.0 / root_m])
+            self._readout[f] = v[:2].astype(complex)
+        self._members, self._scale = _bright_isometry(shells)
         self._order = np.argsort(self._members, kind="stable")
         self._starts = np.searchsorted(self._members[self._order],
-                                       np.arange(2 + 2 * n_sh))
+                                       np.arange(2 + 2 * shells.frequencies.size))
         w_dark = shells.frequencies[shells.index]
         self._dark_freqs = np.concatenate([[0.0, 0.0], w_dark, w_dark])
         self._overlap = None
 
     def _expand(self, b: np.ndarray) -> np.ndarray:
         """P b: each bright amplitude spread over its shell as b_s/sqrt(m_s)."""
-        return _rows(self._scale, b) * b[self._members]
+        return self._scale * b[self._members]
 
     def _split(self, x: np.ndarray):
         """(P^T x, x - P P^T x): bright shell amplitudes, dark remainder."""
         x = np.asarray(x, dtype=complex)
-        b = np.add.reduceat((_rows(self._scale, x) * x)[self._order],
-                            self._starts, axis=0)
+        b = np.add.reduceat((self._scale * x)[self._order], self._starts)
         return b, x - self._expand(b)
 
     def apply(self, state: np.ndarray, f: float, dt: float) -> np.ndarray:
-        """exp(-i H_f dt) @ state, for a state or one state per column."""
+        """exp(-i H_f dt) @ state."""
         f = 1.0 if f else 0.0
         b, dark = self._split(state)
         v = self.evecs[f]
-        b = v @ (_rows(np.exp(-1j * self.evals[f] * dt), b) * (v.T @ b))
-        return (self._expand(b)
-                + _rows(np.exp(-1j * self._dark_freqs * dt), dark) * dark)
+        b = v @ (np.exp(-1j * self.evals[f] * dt) * (v.T @ b))
+        return self._expand(b) + np.exp(-1j * self._dark_freqs * dt) * dark
 
     def evolve(self, state: np.ndarray, pieces):
         """Step a site-basis state through (duration, f) pieces.
 
         Yields (f, c) after each piece, with c = [V_f^T b, dark site part]
-        (``to_site`` maps it back).  The state is split and mapped into the
-        first segment's eigenbasis once; a step costs O(d), and a drive
-        switch one real O((2 + 2S)^2) product on the real and imaginary
-        parts of the bright coefficients.
+        (``pair_amplitudes`` and ``to_site`` read it).  The state is split
+        and mapped into the first segment's eigenbasis once; a step costs
+        O(d), and a drive switch one real O((2 + 2S)^2) product on the real
+        and imaginary parts of the bright coefficients.
         """
         n = self.evals[1.0].size
         phases = {}
@@ -296,15 +297,17 @@ class SegmentPropagators:
             c = ph * c
             yield f, c
 
+    def pair_amplitudes(self, f: float, c: np.ndarray) -> np.ndarray:
+        """Battery and charger amplitudes of ``evolve`` coefficients, from
+        the two pair rows of V_f: the dark part has none, so O(2 + 2S)."""
+        rows = self._readout[1.0 if f else 0.0]
+        return rows @ c[:rows.shape[1]]
+
     def to_site(self, f: float, c: np.ndarray) -> np.ndarray:
-        """Coefficients of ``evolve`` (a vector, or one per column) to sites."""
+        """Coefficients of ``evolve`` to the site basis."""
         n = self.evals[1.0].size
         bright = _real_matmul(self.evecs[1.0 if f else 0.0], c[:n])
         return self._expand(bright) + c[n:]
-
-    def materialize(self, f: float, dt: float) -> np.ndarray:
-        """Dense d x d unitary exp(-i H_f dt): ``apply`` on the identity."""
-        return self.apply(np.eye(self.dimension), f, dt)
 
 
 def propagate_exact(
@@ -319,8 +322,8 @@ def propagate_exact(
 
     Starts from the charger-excited state.  The sampling grid is snapped so
     that every drive switching time is a grid point.  Returns an EnergyTrace
-    carrying u_b and u_c at the samples, read from rows 0 and 1 of the
-    segment eigenbasis (O(d) per sample).
+    carrying u_b and u_c at the samples, read off the segment eigenbasis
+    coefficients by ``pair_amplitudes``.
     """
     if sample_dt is None:
         sample_dt = min(s for s in (schedule.tau_c, schedule.tau_s,
@@ -333,11 +336,9 @@ def propagate_exact(
 
     pair = np.empty((2, n_steps + 1), dtype=complex)
     pair[:, 0] = state[:2]
-    rows = {f: props.evecs[f][:2].astype(complex) for f in (1.0, 0.0)}
-    n = rows[1.0].shape[1]  # the pair rows touch only the bright coefficients
     steps = props.evolve(state, zip(itertools.repeat(h), f_step))
     for j, (f, c) in enumerate(steps, 1):
-        pair[:, j] = rows[f] @ c[:n]
+        pair[:, j] = props.pair_amplitudes(f, c)
     state = props.to_site(f, c)
     u_b, u_c = pair
     times = np.arange(n_steps + 1) * h

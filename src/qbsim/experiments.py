@@ -41,6 +41,9 @@ KINDS = ("ideal-cycle", "markov", "dynamics", "kappa-sweep", "spectrum",
          "asymptotic", "perturbation", "nonresonant")
 ROUTES = ("exact", "volterra", "volterra-pm")
 KERNELS = ("discrete", "continuum")
+# the kinds that build one-period spectra
+_SPECTRUM_KINDS = ("kappa-sweep", "spectrum", "asymptotic", "perturbation",
+                   "nonresonant")
 
 # samples per drive period used by the trace-producing kinds
 _SAMPLES_PER_PERIOD = 24
@@ -232,16 +235,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 _check_protocol(float(kappa), resolve_schedule(cfg, kappa))
     except ValueError as exc:
         raise ConfigError(f"kind {cfg.kind}: {exc}{advice}") from None
-    # the kinds that propagate full-basis states: a trace from the charger
-    # start, or n_offsets samples of each bound state
-    if cfg.kind in ("asymptotic", "nonresonant") \
-            or (cfg.kind == "dynamics" and cfg.route == "exact"):
-        n_states = 1 if cfg.kind == "dynamics" else cfg.n_offsets
-        try:
-            check_memory(resolve_environment(cfg), n_states=n_states)
-        except MemoryCapError as exc:
-            raise ConfigError(f"kind {cfg.kind}: {exc}; lower n_side") \
-                from None
+    # the lattice kinds check the memory estimate of what they build, before
+    # any of it is built: a spectrum, exact propagation, or both
+    env = resolve_environment(cfg)
+    try:
+        if cfg.kind in _SPECTRUM_KINDS:
+            check_memory(env, cfg.delta)
+        if cfg.kind in ("asymptotic", "nonresonant") \
+                or (cfg.kind == "dynamics" and cfg.route == "exact"):
+            check_memory(env)
+    except MemoryCapError as exc:
+        raise ConfigError(f"kind {cfg.kind}: {exc}; lower n_side") from None
 
 
 def sweep_grid_values(cfg: ExperimentConfig) -> np.ndarray:

@@ -31,8 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 
-from .dynamics import (SegmentPropagators, _bath_arrays, _pair_hamiltonian,
-                       _sector_hamiltonian, build_hamiltonian)
+from .dynamics import (SegmentPropagators, _bath_arrays, _bright_isometry,
+                       _pair_hamiltonian, _sector_hamiltonian, build_hamiltonian,
+                       check_memory)
 from .environment import LatticeEnvironment, Shells
 from .errors import NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
@@ -132,11 +133,8 @@ class QuasienergySpectrum:
         v = self.vectors[:, col]
         if self.shells is None:
             return v
-        index = self.shells.index
-        root_m = np.sqrt(self.shells.multiplicities)[index]
-        n_sh = self.shells.frequencies.size
-        return np.concatenate([v[:2], v[2 + index] / root_m,
-                               v[2 + n_sh + index] / root_m])
+        members, scale = _bright_isometry(self.shells)
+        return scale * v[members]
 
 
 def one_period_operator(
@@ -183,12 +181,15 @@ def quasienergy_spectrum(
 
 
 def _small_period_operator(hamiltonian, schedule):
-    """U_T from the eigendecompositions of hamiltonian(f), f = 1 and 0."""
+    """U_T from the eigendecompositions of hamiltonian(f), f = 1 and 0;
+    each distinct (f, duration) step is formed once."""
     mats = {f: np.linalg.eigh(hamiltonian(f)) for f in (1.0, 0.0)}
-    u = None
+    steps, u = {}, None
     for dur, f in schedule.segments():
-        w, v = mats[f]
-        step = (v * np.exp(-1j * w * dur)) @ v.T
+        step = steps.get((f, dur))
+        if step is None:
+            w, v = mats[f]
+            step = steps[(f, dur)] = (v * np.exp(-1j * w * dur)) @ v.T
         u = step if u is None else step @ u
     return u
 
@@ -264,7 +265,9 @@ def compute_spectrum(
     weight_threshold: float = 0.05,
     gap_tolerance: float | None = None,
 ) -> QuasienergySpectrum:
-    """Full-basis spectrum with FBS classification, built on the shells."""
+    """Full-basis spectrum with FBS classification, built on the shells;
+    MemoryCapError, before any matrix is built, if they would not fit."""
+    check_memory(env, params.delta)
     if params.delta == 0.0:
         spec = resonant_spectrum(params, env, schedule)
     else:
@@ -306,23 +309,24 @@ def identify_fbs(
 class FloquetMode:
     """Periodic part phi(t) = e^{+i eps t} U_t phi(0), sampled over one period.
 
-    ``offsets`` holds n_samples times j*T/n_samples (T excluded); the
-    closure residual ||phi(T) - phi(0)|| is stored at construction.
-    ``omega_b`` is the battery splitting that prices a battery population
-    as energy.
+    ``offsets`` holds n_samples times j*T/n_samples (T excluded) and
+    ``pair`` the battery and charger amplitudes of phi at each of them;
+    ``phi0`` is the full-basis phi(0).  The closure residual
+    ||phi(T) - phi(0)|| is stored at construction.  ``omega_b`` is the
+    battery splitting that prices a battery population as energy.
     """
 
     epsilon: float
     phi0: np.ndarray
     offsets: np.ndarray
-    states: np.ndarray  # (n_samples, d)
+    pair: np.ndarray  # (n_samples, 2): battery, charger
     period: float
     omega_b: float
     closure_error: float
 
     @property
     def battery_amplitudes(self) -> np.ndarray:
-        return self.states[:, 0]
+        return self.pair[:, 0]
 
     def offset_index(self, t) -> np.ndarray:
         """Grid index of t mod T on the sampled offsets (must align)."""
@@ -347,9 +351,9 @@ def floquet_mode(
 ) -> FloquetMode:
     """Sample the periodic Floquet mode built on an eigenvector of U_T.
 
-    One pass over the period in the segment eigenbasis gives the samples
-    and phi(T); both are mapped back to the site basis, the samples one
-    segment at a time.
+    One pass over the period in the segment eigenbasis gives the samples,
+    of which only the battery and charger amplitudes are kept, and phi(T),
+    which is mapped back to the site basis for the closure residual.
     """
     if props is None:
         props = SegmentPropagators(params, env)
@@ -361,25 +365,20 @@ def floquet_mode(
     for j, (t0, t1) in enumerate(zip(offsets, [*offsets[1:], T]), 1):
         pieces += schedule.pieces(t0, t1)
         sample_at[len(pieces)] = j  # time offsets[j] (T at j = n_samples)
-    taken = {1.0: ([], []), 0.0: ([], [])}  # f -> (sample indices, coeffs)
+    pair = np.empty((n_samples, 2), dtype=complex)
+    pair[0] = phi0[:2]
     for k, (f, c) in enumerate(props.evolve(phi0, pieces), 1):
         j = sample_at.get(k, n_samples)
         if j < n_samples:
-            taken[f][0].append(j)
-            taken[f][1].append(c)
+            pair[j] = props.pair_amplitudes(f, c)
     end = props.to_site(f, c)
     residual = float(np.linalg.norm(end - lam * phi0))
     if residual > _CLOSURE_TOL:
         raise NotAnEigenpairError(residual=residual, tol=_CLOSURE_TOL)
-    states = np.empty((n_samples, phi0.size), dtype=complex)
-    states[0] = phi0
-    for f, (idx, cs) in taken.items():
-        if idx:
-            states[idx] = props.to_site(f, np.stack(cs, axis=1)).T
-    states *= np.exp(1j * epsilon * offsets)[:, None]
+    pair *= np.exp(1j * epsilon * offsets)[:, None]
     # ||phi(T) - phi(0)|| coincides with the eigenpair residual
     return FloquetMode(epsilon=float(epsilon), phi0=phi0, offsets=offsets,
-                       states=states, period=T, omega_b=params.omega_b,
+                       pair=pair, period=T, omega_b=params.omega_b,
                        closure_error=residual)
 
 

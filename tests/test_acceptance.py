@@ -319,8 +319,8 @@ def test_criterion_08_asymptotic_agreement():
     trace, sel, ts = late(4.5)
     amp = np.zeros(ts.size, dtype=complex)
     for mode in _modes(4.5):
-        at = mode.states[mode.offset_index(ts)]
-        amp += (np.vdot(mode.states[0], INIT30) * np.exp(-1j * mode.epsilon * ts)
+        at = mode.pair[mode.offset_index(ts)]
+        amp += (np.vdot(mode.phi0, INIT30) * np.exp(-1j * mode.epsilon * ts)
                 * (at[:, 1] + s * at[:, 0]))
     pred45 = 0.5 * np.abs(amp) ** 2
     exact45 = 0.5 * np.abs(trace.u_c[sel] + s * trace.u_b[sel]) ** 2
@@ -392,7 +392,7 @@ def test_criterion_11_detuned_reactivation():
     localized_ok = weight_b[i_b] > 0.9 and weight_c[i_c] > 0.9
 
     modes = _modes(15.0, 0.5)
-    c2 = [abs(np.vdot(m.states[0], INIT30)) ** 2 for m in modes]
+    c2 = [abs(np.vdot(m.phi0, INIT30)) ** 2 for m in modes]
     overlap_ok = c2[i_b] < 0.1 and c2[i_c] > 0.9
 
     sched = _schedule(15.0)

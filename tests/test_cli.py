@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, exit codes, emitted files."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -60,8 +61,8 @@ class TestValidate:
         "kind = dynamics\n",
     ])
     def test_memory_cap(self, tmp_path, capsys, monkeypatch, body):
-        # the kinds that propagate full-basis states check the propagator
-        # estimate up front, as run would; nothing large is built here
+        # the kinds that propagate states check the propagator estimate up
+        # front, as run would; nothing large is built here
         monkeypatch.setattr(dynamics, "MEMORY_CAP", 1e4)
         cfg = tmp_path / "big.cfg"
         cfg.write_text(body + "n_side = 6\n")
@@ -72,6 +73,28 @@ class TestValidate:
         expected = 0 if body == "kind = dynamics\n" else 1
         assert run_cli("validate", str(cfg)) == expected
 
+
+    @pytest.mark.parametrize("body, expected", [
+        # one complex 15,880-dimensional shell operator alone takes 4 GB
+        ("kind = spectrum\ndelta = 0.5\nkappa = 15\nn_side = 250\n", 1),
+        ("kind = kappa-sweep\nn_side = 300\nkappa_min = 3\nkappa_max = 6\n"
+         "kappa_step = 0.05\n", 1),
+        ("kind = spectrum\ndelta = 0.5\nkappa = 15\nn_side = 100\n", 0),
+    ], ids=["detuned-250", "sweep-300", "detuned-100"])
+    def test_spectrum_memory_cap(self, tmp_path, capsys, body, expected):
+        # the spectrum estimate is checked without building any matrix
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(body)
+        tracemalloc.start()
+        try:
+            code = run_cli("validate", str(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == expected
+        if expected:
+            assert "exceeds cap" in capsys.readouterr().err
+        assert peak < 64e6
 
 class TestRun:
     def test_preset_bundle(self, tmp_path, capsys):

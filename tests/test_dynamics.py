@@ -15,6 +15,7 @@ from qbsim import (
     solve_volterra,
     solve_volterra_pm,
 )
+from qbsim import dynamics
 from qbsim.dynamics import (
     SegmentPropagators,
     build_hamiltonian,
@@ -105,10 +106,13 @@ class TestSegmentPropagators:
     PARAMS = SystemParams(omega_b=1.2, omega_c=2.1, kappa=0.7)
 
     def test_materialize_matches_expm(self):
+        # the dense unitary, materialized column by column through apply
         props = SegmentPropagators(self.PARAMS, self.ENV)
         for f, dt in ((1.0, 0.83), (0.0, 1.7)):
             expected = sla.expm(-1j * build_hamiltonian(self.PARAMS, self.ENV, f) * dt)
-            np.testing.assert_allclose(props.materialize(f, dt), expected, atol=1e-12)
+            dense = np.stack([props.apply(e, f, dt)
+                              for e in np.eye(props.dimension)], axis=1)
+            np.testing.assert_allclose(dense, expected, atol=1e-12)
 
     def test_advance_matches_expm_product(self):
         schedule = ProtocolSchedule(tau_c=0.7, tau_s=1.1, tau_d=0.5)
@@ -125,9 +129,10 @@ class TestSegmentPropagators:
             pass
         np.testing.assert_allclose(props.to_site(f, c), expected, atol=1e-11)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MEMORY_CAP", 1000)
         with pytest.raises(MemoryCapError):
-            SegmentPropagators(PARAMS, ENV10, memory_cap=1000)
+            SegmentPropagators(PARAMS, ENV10)
 
 
 class TestExactPropagation:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qbsim import LatticeEnvironment, ProtocolSchedule, SystemParams
+from qbsim import LatticeEnvironment, ProtocolSchedule, SystemParams, dynamics
 from qbsim.dynamics import SegmentPropagators, build_hamiltonian
-from qbsim.errors import NotAnEigenpairError
+from qbsim.errors import MemoryCapError, NotAnEigenpairError
 from qbsim.floquet import (
     BandSupport,
     QuasienergySpectrum,
@@ -243,6 +243,16 @@ class TestShellSpectrum:
         assert len(spec.fbs_indices) == 2
         assert peak < 16 * d**2 / 4
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_memory_cap(self, monkeypatch, delta):
+        env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
+        tau = 0.5 * np.pi / 4.8
+        sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        monkeypatch.setattr(dynamics, "MEMORY_CAP", 1e4)
+        with pytest.raises(MemoryCapError):
+            compute_spectrum(params, env, sch)
+
 
 class TestIdentifyFbs:
     def _make(self, eps, weights, lo=-0.2, hi=0.3, omega_T=2.0):
@@ -301,8 +311,8 @@ class TestFloquetMode:
         h0 = build_hamiltonian(par, env, 0.0)
         u_half = sla.expm(-1j * h0 * 0.5) @ sla.expm(-1j * h1 * 0.5)  # to t = T/2 = 1.0
         expected = np.exp(1j * mode.epsilon * 1.0) * (u_half @ mode.phi0)
-        np.testing.assert_allclose(mode.states[2], expected, atol=1e-10)
-        np.testing.assert_allclose(mode.states[0], mode.phi0, atol=0)
+        np.testing.assert_allclose(mode.pair[2], expected[:2], atol=1e-10)
+        np.testing.assert_allclose(mode.pair[0], mode.phi0[:2], atol=0)
         assert mode.closure_error < 1e-6
 
     def test_rejects_non_eigenvector(self):
@@ -329,7 +339,7 @@ class TestFloquetMode:
                 raw = props.apply(raw, f, dur)
             prev = s
             np.testing.assert_allclose(
-                mode.states[k], np.exp(1j * mode.epsilon * s) * raw,
+                mode.pair[k], np.exp(1j * mode.epsilon * s) * raw[:2],
                 rtol=0, atol=1e-12)
         for dur, f in sch.pieces(prev, sch.period):
             raw = props.apply(raw, f, dur)
@@ -363,8 +373,29 @@ class TestFloquetMode:
                 raw = cache[key] @ raw
             prev = s
             np.testing.assert_allclose(
-                mode.states[k], np.exp(1j * mode.epsilon * s) * raw,
+                mode.pair[k], np.exp(1j * mode.epsilon * s) * raw[:2],
                 rtol=0, atol=1e-12)
+
+    def test_sampling_memory_does_not_grow_with_samples(self):
+        # 960 full-basis samples at d = 3202 alone would take 49 MB
+        env = LatticeEnvironment(n_side=40, varpi=1.0, q=0.5, g=0.5)
+        par = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=4.8)
+        tau = 0.5 * np.pi / 4.8
+        sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        spec = compute_spectrum(par, env, sch)
+        j = spec.fbs_indices[0]
+        phi0 = spec.mode(j)
+        n_samples, d = 960, spec.dimension
+        tracemalloc.start()
+        try:
+            mode = floquet_mode(par, env, sch, phi0, spec.quasienergies[j],
+                                n_samples=n_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mode.pair.shape == (n_samples, 2)
+        assert mode.closure_error < 1e-10
+        assert peak < n_samples * d * 16 / 4
 
     def test_rejects_perturbed_eigenvector(self, spectrum4):
         j = spectrum4.fbs_indices[0]

@@ -1,0 +1,151 @@
+"""Output-identity gate: every preset at n_side = 6, from two source trees.
+
+    python3 tools/output_gate.py PARENT_SRC CHANGE_SRC
+
+runs each preset of the qbsim package found in PARENT_SRC and in
+CHANGE_SRC (the directories that hold ``qbsim/``) into gate/parent/<preset>
+and gate/change/<preset> under the repository root, then prints two
+verdicts:
+
+* byte mode: the CSV files and summary.json must be byte-identical, and
+  the sidecars equal once ``created_at`` is removed;
+* tolerance mode: every CSV cell, summary number and sidecar number
+  (without ``created_at``) must agree to |x - y| <= 1e-10 max(1, |x|), with
+  strings and the shape of each file equal.  The worst relative
+  difference |x - y| / max(1, |x|) is printed.
+
+A change that should move no number passes byte mode; a change that only
+reorders floating-point work passes tolerance mode.  The exit status is 0
+when every preset ran and tolerance mode passes, 1 otherwise.
+"""
+
+import csv
+import json
+import math
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+TOLERANCE = 1e-10
+GATE = pathlib.Path(__file__).resolve().parent.parent / "gate"
+
+
+def _cli(src, *args):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(src).resolve())}
+    return subprocess.run([sys.executable, "-m", "qbsim.cli", *args], env=env,
+                          capture_output=True, text=True)
+
+
+def run_presets(src, out) -> list[str]:
+    """Every preset at n_side = 6 from the code in src; the failed ones."""
+    listed = _cli(src, "list-presets")
+    if listed.returncode:
+        return [f"list-presets: {listed.stderr.strip()}"]
+    failed = []
+    for preset in (line.split()[0] for line in listed.stdout.splitlines()):
+        run = _cli(src, "run", "--preset", preset, "--set", "n_side=6",
+                   "--out", str(out / preset))
+        if run.returncode:
+            failed.append(f"{preset}: {run.stderr.strip()}")
+    return failed
+
+
+def _sidecar(path):
+    meta = json.loads(path.read_text())
+    meta.pop("created_at", None)
+    return meta
+
+
+def _leaves(x):
+    """The keys and values of a JSON document, in order."""
+    if isinstance(x, dict):
+        return [v for k in x for v in [k, *_leaves(x[k])]]
+    if isinstance(x, list):
+        return [v for e in x for v in _leaves(e)]
+    return [x]
+
+
+def _cell(s):
+    try:
+        return float(s)
+    except ValueError:
+        return s
+
+
+def _values(path):
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return [_cell(c) for row in csv.reader(fh) for c in row]
+    doc = json.loads(path.read_text())
+    if isinstance(doc, dict):
+        doc.pop("created_at", None)
+    return _leaves(doc)
+
+
+def _relative_gap(x, y):
+    """|x - y| / max(1, |x|) for two numbers (0 if equal, inf if not
+    comparable); None for two equal non-numbers."""
+    numbers = (int, float)
+    if type(x) in numbers and type(y) in numbers:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            return 0.0
+        return abs(x - y) / max(1.0, abs(x))
+    return None if x == y else math.inf
+
+
+def compare(a, b):
+    """Names that differ in bytes, names beyond tolerance, the worst
+    relative difference and the number of files in a."""
+    names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    others = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    missing = sorted(set(names) ^ set(others))
+    byte = [str(n) for n in missing]
+    tol = list(byte)
+    worst = 0.0
+    for n in sorted(set(names) & set(others)):
+        x, y = a / n, b / n
+        if n.name.endswith(".meta.json"):
+            same = _sidecar(x) == _sidecar(y)
+        else:
+            same = x.read_bytes() == y.read_bytes()
+        if not same:
+            byte.append(str(n))
+        vx, vy = _values(x), _values(y)
+        if len(vx) != len(vy):
+            tol.append(str(n))
+            continue
+        gaps = [g for g in map(_relative_gap, vx, vy) if g is not None]
+        gap = max(gaps, default=0.0)
+        worst = max(worst, gap)
+        if gap > TOLERANCE:
+            tol.append(str(n))
+    return byte, tol, worst, len(names)
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python3 tools/output_gate.py PARENT_SRC CHANGE_SRC",
+              file=sys.stderr)
+        return 1
+    shutil.rmtree(GATE, ignore_errors=True)
+    failed = []
+    for side, src in zip(("parent", "change"), argv):
+        failed += [f"{side} {f}" for f in run_presets(src, GATE / side)]
+    for f in failed:
+        print("FAILED:", f)
+    byte, tol, worst, count = compare(GATE / "parent", GATE / "change")
+    print(f"byte mode: {'PASS' if not byte else 'FAIL'} ({count} files, "
+          f"{len(byte)} differ)")
+    for n in byte:
+        print("  differs:", n)
+    print(f"tolerance mode ({TOLERANCE:g}): {'PASS' if not tol else 'FAIL'} "
+          f"({count} files, worst relative difference {worst:.1e})")
+    for n in tol:
+        print("  beyond tolerance:", n)
+    return 1 if failed or tol else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
