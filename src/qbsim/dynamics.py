@@ -176,138 +176,98 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (m @ z.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def check_memory(env: LatticeEnvironment, delta: float | None = None) -> None:
+def check_memory(env: LatticeEnvironment, delta: float = 0.0) -> None:
     """Raise MemoryCapError if a lattice run on env would exceed MEMORY_CAP.
 
-    n = 2 + 2S for S shells.  Propagation (``delta`` None) takes 6 n^2
-    floats for the shell eigenbases and the eigh workspace plus 8 complex
-    full-basis vectors; a spectrum at detuning ``delta`` takes 6 complex
-    n x n matrices when detuned and 3 over the two sector blocks at
-    delta = 0 (tracemalloc peaks: 5.0-5.4 and 2.5-2.7 at n_side 20-60).
+    n = 2 + 2S for S shells.  Propagation takes 6 n^2 floats for the shell
+    eigenbases and the eigh workspace, as much as a spectrum at zero
+    detuning (3 complex n x n matrices over the two sector blocks); a
+    detuned spectrum takes 6 (tracemalloc peaks: 2.5-2.7 and 5.0-5.4 at
+    n_side 20-60).
     """
     n = 2 + 2 * env.shells().frequencies.size
-    if delta is None:
-        estimate = 48 * n * n + 128 * (2 + 2 * env.n_modes)
-    else:
-        estimate = (96 if delta else 48) * n * n
+    estimate = (96 if delta else 48) * n * n
     if estimate > MEMORY_CAP:
         raise MemoryCapError(required=estimate, cap=int(MEMORY_CAP))
 
 
-def _bright_isometry(shells):
-    """The bright isometry P as (members, scale): full-basis site i carries
-    shell amplitude members[i] times scale[i], 1/sqrt(m_s) on a shell."""
-    n_sh = shells.frequencies.size
-    members = np.concatenate([[0, 1], 2 + shells.index,
-                              2 + n_sh + shells.index])
-    root_m = np.sqrt(shells.multiplicities)[shells.index]
-    scale = np.concatenate([[1.0, 1.0], 1.0 / root_m, 1.0 / root_m])
-    return members, scale
-
-
 class SegmentPropagators:
-    """exp(-i H_f t), f = 1 and 0, on full-basis states, from the shells.
+    """exp(-i H_f t), f = 1 and 0, on the bright frequency shells.
 
     Every bath mode couples with the same g/N, so within a frequency shell
-    (``env.shells()``) only the uniform superposition couples to the pair.
-    A state x of the d = 2 + 2N^2 basis splits, in O(d), into its bright
-    shell amplitudes b = P^T x (b_s = sum_{k in s} x_k / sqrt(m_s), with P
-    the bright isometry) and its dark remainder x - P b.  The bright part is
-    stepped in the eigenbasis of the (2 + 2S)-dimensional shell Hamiltonian
-    H_f = V_f diag(w_f) V_f^T.  The dark remainder keeps its site form and
-    turns at its shell frequency under either drive value, which is exact:
-    dark combinations do not couple.
+    (``env.shells()``) only the uniform superposition couples to the pair;
+    the charger-excited start and every Floquet mode stay in the span of
+    these bright combinations for all time.  A state is therefore a shell
+    vector b of size n = 2 + 2S: battery, charger, the S battery-bath
+    shells and the S charger-bath shells, with shell amplitude
+    b_s = sum_{k in s} x_k / sqrt(m_s) of the lattice amplitudes x_k.  It
+    is stepped in the eigenbasis of the shell Hamiltonian
+    H_f = V_f diag(w_f) V_f^T.
 
-    ``evolve`` steps the coefficients [V_f^T b, dark site part]: phases per
-    step, and the real overlap V_0^T V_1 (or its transpose) on the bright
-    part when the drive switches.  ``pair_amplitudes`` reads the battery and
-    charger amplitudes off the coefficients, ``to_site`` the whole state.
-    ``apply`` is the direct step P V exp(-i w dt) V^T b plus the turned dark
-    part, kept as the reference for that path.  None forms a d x d array.
+    ``evolve`` steps the coefficients V_f^T b: phases per step, and the
+    real overlap V_0^T V_1 (or its transpose) when the drive switches.
+    ``pair_amplitudes`` reads the battery and charger amplitudes off the
+    coefficients, ``to_shells`` the whole shell vector.  ``apply`` is the
+    direct step V_f exp(-i w_f dt) V_f^T b, kept as the reference for that
+    path.  ``dimension`` is the lattice dimension d = 2 + 2N^2 that the
+    shell states reduce; nothing here uses it.
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment):
         check_memory(env)
-        shells = env.shells()
         self.dimension = 2 + 2 * env.n_modes
         self.evals = {}
         self.evecs = {}
         self._readout = {}
-        bath = _bath_arrays(env, shells)
+        bath = _bath_arrays(env, env.shells())
         for f in (1.0, 0.0):
             w, v = np.linalg.eigh(_pair_hamiltonian(params, bath, f))
             self.evals[f] = w
             self.evecs[f] = v
             self._readout[f] = v[:2].astype(complex)
-        self._members, self._scale = _bright_isometry(shells)
-        self._order = np.argsort(self._members, kind="stable")
-        self._starts = np.searchsorted(self._members[self._order],
-                                       np.arange(2 + 2 * shells.frequencies.size))
-        w_dark = shells.frequencies[shells.index]
-        self._dark_freqs = np.concatenate([[0.0, 0.0], w_dark, w_dark])
         self._overlap = None
 
-    def _expand(self, b: np.ndarray) -> np.ndarray:
-        """P b: each bright amplitude spread over its shell as b_s/sqrt(m_s)."""
-        return self._scale * b[self._members]
-
-    def _split(self, x: np.ndarray):
-        """(P^T x, x - P P^T x): bright shell amplitudes, dark remainder."""
-        x = np.asarray(x, dtype=complex)
-        b = np.add.reduceat((self._scale * x)[self._order], self._starts)
-        return b, x - self._expand(b)
-
     def apply(self, state: np.ndarray, f: float, dt: float) -> np.ndarray:
-        """exp(-i H_f dt) @ state."""
+        """exp(-i H_f dt) @ state, for a shell vector."""
         f = 1.0 if f else 0.0
-        b, dark = self._split(state)
         v = self.evecs[f]
-        b = v @ (np.exp(-1j * self.evals[f] * dt) * (v.T @ b))
-        return self._expand(b) + np.exp(-1j * self._dark_freqs * dt) * dark
+        return v @ (np.exp(-1j * self.evals[f] * dt) * (v.T @ state))
 
     def evolve(self, state: np.ndarray, pieces):
-        """Step a site-basis state through (duration, f) pieces.
+        """Step a shell vector through (duration, f) pieces.
 
-        Yields (f, c) after each piece, with c = [V_f^T b, dark site part]
-        (``pair_amplitudes`` and ``to_site`` read it).  The state is split
-        and mapped into the first segment's eigenbasis once; a step costs
-        O(d), and a drive switch one real O((2 + 2S)^2) product on the real
-        and imaginary parts of the bright coefficients.
+        Yields (f, c) after each piece, with c = V_f^T b the coefficients in
+        the current segment's eigenbasis (``pair_amplitudes`` and
+        ``to_shells`` read them).  A step costs O(n) phases, a drive switch
+        one real O(n^2) product on the real and imaginary parts.
         """
-        n = self.evals[1.0].size
         phases = {}
         f_now, c = None, None
         for dur, f in pieces:
             f = 1.0 if f else 0.0
             if c is None:
-                b, dark = self._split(state)
-                c = np.concatenate([_real_matmul(self.evecs[f].T, b), dark])
+                c = _real_matmul(self.evecs[f].T, state)
             elif f != f_now:
                 if self._overlap is None:
                     # V_0^T V_1 takes f = 1 coefficients to f = 0 ones
                     self._overlap = self.evecs[0.0].T @ self.evecs[1.0]
                 ovl = self._overlap
-                c = np.concatenate([_real_matmul(ovl if f == 0.0 else ovl.T,
-                                                 c[:n]), c[n:]])
+                c = _real_matmul(ovl if f == 0.0 else ovl.T, c)
             f_now = f
             ph = phases.get((f, dur))
             if ph is None:
-                ph = phases[(f, dur)] = np.exp(-1j * dur * np.concatenate(
-                    [self.evals[f], self._dark_freqs]))
+                ph = phases[(f, dur)] = np.exp(-1j * dur * self.evals[f])
             c = ph * c
             yield f, c
 
     def pair_amplitudes(self, f: float, c: np.ndarray) -> np.ndarray:
         """Battery and charger amplitudes of ``evolve`` coefficients, from
-        the two pair rows of V_f: the dark part has none, so O(2 + 2S)."""
-        rows = self._readout[1.0 if f else 0.0]
-        return rows @ c[:rows.shape[1]]
+        the two pair rows of V_f."""
+        return self._readout[1.0 if f else 0.0] @ c
 
-    def to_site(self, f: float, c: np.ndarray) -> np.ndarray:
-        """Coefficients of ``evolve`` to the site basis."""
-        n = self.evals[1.0].size
-        bright = _real_matmul(self.evecs[1.0 if f else 0.0], c[:n])
-        return self._expand(bright) + c[n:]
+    def to_shells(self, f: float, c: np.ndarray) -> np.ndarray:
+        """Coefficients of ``evolve`` back to the shell vector V_f c."""
+        return _real_matmul(self.evecs[1.0 if f else 0.0], c)
 
 
 def propagate_exact(
@@ -323,7 +283,8 @@ def propagate_exact(
     Starts from the charger-excited state.  The sampling grid is snapped so
     that every drive switching time is a grid point.  Returns an EnergyTrace
     carrying u_b and u_c at the samples, read off the segment eigenbasis
-    coefficients by ``pair_amplitudes``.
+    coefficients by ``pair_amplitudes``; ``final_norm`` is the norm of the
+    last coefficients, that of the state since V_f is orthogonal.
     """
     if sample_dt is None:
         sample_dt = min(s for s in (schedule.tau_c, schedule.tau_s,
@@ -331,7 +292,7 @@ def propagate_exact(
     h, n_steps, f_step = _build_grid(schedule, t_max, sample_dt)
     if props is None:
         props = SegmentPropagators(params, env)
-    state = np.zeros(props.dimension, dtype=complex)
+    state = np.zeros(props.evals[1.0].size, dtype=complex)
     state[1] = 1.0
 
     pair = np.empty((2, n_steps + 1), dtype=complex)
@@ -339,7 +300,6 @@ def propagate_exact(
     steps = props.evolve(state, zip(itertools.repeat(h), f_step))
     for j, (f, c) in enumerate(steps, 1):
         pair[:, j] = props.pair_amplitudes(f, c)
-    state = props.to_site(f, c)
     u_b, u_c = pair
     times = np.arange(n_steps + 1) * h
     energies = params.omega_b * np.abs(u_b) ** 2
@@ -347,7 +307,7 @@ def propagate_exact(
         "route": "exact",
         "dt": h,
         "t_max": times[-1],
-        "final_norm": float(np.linalg.norm(state)),
+        "final_norm": float(np.linalg.norm(c)),
     }
     return EnergyTrace(times=times, energies=energies, metadata=meta,
                        u_b=u_b, u_c=u_c)

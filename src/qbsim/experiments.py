@@ -236,13 +236,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"kind {cfg.kind}: {exc}{advice}") from None
     # the lattice kinds check the memory estimate of what they build, before
-    # any of it is built: a spectrum, exact propagation, or both
+    # any of it is built; a spectrum needs at least as much as propagation
     env = resolve_environment(cfg)
     try:
         if cfg.kind in _SPECTRUM_KINDS:
             check_memory(env, cfg.delta)
-        if cfg.kind in ("asymptotic", "nonresonant") \
-                or (cfg.kind == "dynamics" and cfg.route == "exact"):
+        elif cfg.kind == "dynamics" and cfg.route == "exact":
             check_memory(env)
     except MemoryCapError as exc:
         raise ConfigError(f"kind {cfg.kind}: {exc}; lower n_side") from None
@@ -541,7 +540,7 @@ def _run_nonresonant(cfg, params, env, schedule):
          + list(weights.values())),
         ("-distribution", ["component"] + [f"p_{j + 1}" for j in range(m)],
          [np.arange(spec.dimension)]
-         + [np.abs(mode.phi0)**2 for mode in modes]),
+         + [np.abs(spec.mode(j))**2 for j in spec.fbs_indices]),
         ("-energy", ["t", "energy_asymptotic"] + header,
          [ts, decomp.total] + cols),
     ]

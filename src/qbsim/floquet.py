@@ -31,9 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 
-from .dynamics import (SegmentPropagators, _bath_arrays, _bright_isometry,
-                       _pair_hamiltonian, _sector_hamiltonian, build_hamiltonian,
-                       check_memory)
+from .dynamics import (SegmentPropagators, _bath_arrays, _pair_hamiltonian,
+                       _sector_hamiltonian, build_hamiltonian, check_memory)
 from .environment import LatticeEnvironment, Shells
 from .errors import NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
@@ -126,15 +125,21 @@ class QuasienergySpectrum:
         return self.quasienergies.size
 
     def mode(self, j: int) -> np.ndarray:
-        """Full-basis eigenvector of the coupled mode j."""
+        """Full-basis eigenvector of the coupled mode j.
+
+        A shell amplitude a_s spreads over the m_s members of its shell as
+        a_s / sqrt(m_s), in the layout of ``build_hamiltonian``.
+        """
         col = self.columns[j]
         if col < 0:
             raise ValueError(f"mode {j} is dark: it has no stored vector")
         v = self.vectors[:, col]
         if self.shells is None:
             return v
-        members, scale = _bright_isometry(self.shells)
-        return scale * v[members]
+        idx, n_sh = self.shells.index, self.shells.frequencies.size
+        scale = 1.0 / np.sqrt(self.shells.multiplicities)[idx]
+        return np.concatenate([v[:2], scale * v[2 + idx],
+                               scale * v[2 + n_sh + idx]])
 
 
 def one_period_operator(
@@ -311,7 +316,8 @@ class FloquetMode:
 
     ``offsets`` holds n_samples times j*T/n_samples (T excluded) and
     ``pair`` the battery and charger amplitudes of phi at each of them;
-    ``phi0`` is the full-basis phi(0).  The closure residual
+    ``phi0`` is phi(0) on the bright shells (battery, charger, the S
+    battery-bath shells, the S charger-bath shells).  The closure residual
     ||phi(T) - phi(0)|| is stored at construction.  ``omega_b`` is the
     battery splitting that prices a battery population as energy.
     """
@@ -351,14 +357,21 @@ def floquet_mode(
 ) -> FloquetMode:
     """Sample the periodic Floquet mode built on an eigenvector of U_T.
 
-    One pass over the period in the segment eigenbasis gives the samples,
-    of which only the battery and charger amplitudes are kept, and phi(T),
-    which is mapped back to the site basis for the closure residual.
+    ``phi0`` is the eigenvector on the bright shells, of size 2 + 2S (a
+    stored column of ``QuasienergySpectrum.vectors``); any other size
+    raises ValueError.  One pass over the period in the segment eigenbasis
+    gives the samples, of which only the battery and charger amplitudes are
+    kept, and phi(T), which is mapped back to the shells for the closure
+    residual.
     """
     if props is None:
         props = SegmentPropagators(params, env)
     T = schedule.period
+    n = props.evals[1.0].size
     phi0 = np.asarray(phi0, dtype=complex)
+    if phi0.shape != (n,):
+        raise ValueError(f"phi0 must be a shell vector of size 2 + 2S = {n}, "
+                         f"got shape {phi0.shape}")
     lam = np.exp(-1j * epsilon * T)
     offsets = np.arange(n_samples) * (T / n_samples)
     pieces, sample_at = [], {}
@@ -371,7 +384,7 @@ def floquet_mode(
         j = sample_at.get(k, n_samples)
         if j < n_samples:
             pair[j] = props.pair_amplitudes(f, c)
-    end = props.to_site(f, c)
+    end = props.to_shells(f, c)
     residual = float(np.linalg.norm(end - lam * phi0))
     if residual > _CLOSURE_TOL:
         raise NotAnEigenpairError(residual=residual, tol=_CLOSURE_TOL)
@@ -390,14 +403,16 @@ def fbs_floquet_modes(
     n_samples: int = 96,
     props: SegmentPropagators | None = None,
 ) -> list[FloquetMode]:
-    """FloquetMode objects for every classified bound state of a spectrum."""
+    """FloquetMode objects for every classified bound state of a shell
+    spectrum (``compute_spectrum``), sampled from its stored vectors."""
     if spectrum.fbs_indices is None:
         raise ValueError("spectrum has no FBS classification; "
                          "run identify_fbs/compute_spectrum first")
     if props is None:
         props = SegmentPropagators(params, env)
     return [
-        floquet_mode(params, env, schedule, spectrum.mode(j),
+        floquet_mode(params, env, schedule,
+                     spectrum.vectors[:, spectrum.columns[j]],
                      spectrum.quasienergies[j], n_samples=n_samples, props=props)
         for j in spectrum.fbs_indices
     ]

@@ -46,9 +46,6 @@ OMEGA_0 = 2.0
 N_SIDE = 30
 
 ENV30 = qb.LatticeEnvironment(n_side=N_SIDE, varpi=VARPI, q=Q, g=G)
-# charger-excited start over the 2 + 2 N^2 single-excitation basis
-INIT30 = np.zeros(2 + 2 * N_SIDE**2, dtype=complex)
-INIT30[1] = 1.0
 
 SAMPLES_PER_PERIOD = 24
 
@@ -320,7 +317,8 @@ def test_criterion_08_asymptotic_agreement():
     amp = np.zeros(ts.size, dtype=complex)
     for mode in _modes(4.5):
         at = mode.pair[mode.offset_index(ts)]
-        amp += (np.vdot(mode.phi0, INIT30) * np.exp(-1j * mode.epsilon * ts)
+        # c_j = <phi_j(0)|charger>, the overlap with the charger-excited start
+        amp += (np.conj(mode.phi0[1]) * np.exp(-1j * mode.epsilon * ts)
                 * (at[:, 1] + s * at[:, 0]))
     pred45 = 0.5 * np.abs(amp) ** 2
     exact45 = 0.5 * np.abs(trace.u_c[sel] + s * trace.u_b[sel]) ** 2
@@ -392,7 +390,7 @@ def test_criterion_11_detuned_reactivation():
     localized_ok = weight_b[i_b] > 0.9 and weight_c[i_c] > 0.9
 
     modes = _modes(15.0, 0.5)
-    c2 = [abs(np.vdot(m.phi0, INIT30)) ** 2 for m in modes]
+    c2 = [abs(m.phi0[1]) ** 2 for m in modes]
     overlap_ok = c2[i_b] < 0.1 and c2[i_c] > 0.9
 
     sched = _schedule(15.0)

@@ -25,6 +25,8 @@ from qbsim.errors import ConvergenceError, MemoryCapError
 from qbsim.floquet import compute_spectrum, floquet_mode
 from qbsim.ideal import ideal_evolve
 
+from oracles import bright_isometry
+
 # shared small-lattice instance for cross-route checks
 ENV10 = LatticeEnvironment(n_side=10, varpi=1.0, q=0.5, g=0.5)
 PARAMS = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=3.0)
@@ -106,28 +108,33 @@ class TestSegmentPropagators:
     PARAMS = SystemParams(omega_b=1.2, omega_c=2.1, kappa=0.7)
 
     def test_materialize_matches_expm(self):
-        # the dense unitary, materialized column by column through apply
+        # the shell unitary, materialized column by column through apply:
+        # expm(-i H dt) P = P U_shell, so the full-basis unitary keeps the
+        # bright subspace to itself (the 2 x 2 lattice has a two-mode shell)
         props = SegmentPropagators(self.PARAMS, self.ENV)
+        p = bright_isometry(self.ENV)
+        assert p.shape == (10, 8)
         for f, dt in ((1.0, 0.83), (0.0, 1.7)):
-            expected = sla.expm(-1j * build_hamiltonian(self.PARAMS, self.ENV, f) * dt)
+            expected = sla.expm(-1j * build_hamiltonian(self.PARAMS, self.ENV, f) * dt) @ p
             dense = np.stack([props.apply(e, f, dt)
-                              for e in np.eye(props.dimension)], axis=1)
-            np.testing.assert_allclose(dense, expected, atol=1e-12)
+                              for e in np.eye(p.shape[1])], axis=1)
+            np.testing.assert_allclose(p @ dense, expected, atol=1e-12)
 
     def test_advance_matches_expm_product(self):
         schedule = ProtocolSchedule(tau_c=0.7, tau_s=1.1, tau_d=0.5)
         props = SegmentPropagators(self.PARAMS, self.ENV)
+        p = bright_isometry(self.ENV)
         rng = np.random.default_rng(7)
-        state = rng.normal(size=10) + 1j * rng.normal(size=10)
+        state = rng.normal(size=8) + 1j * rng.normal(size=8)
         state /= np.linalg.norm(state)
         t0, t1 = 0.3, 0.3 + 2 * schedule.period + 0.9
-        expected = state
+        expected = p @ state
         for dur, f in schedule.pieces(t0, t1):
             u = sla.expm(-1j * build_hamiltonian(self.PARAMS, self.ENV, f) * dur)
             expected = u @ expected
         for f, c in props.evolve(state, schedule.pieces(t0, t1)):
             pass
-        np.testing.assert_allclose(props.to_site(f, c), expected, atol=1e-11)
+        np.testing.assert_allclose(p @ props.to_shells(f, c), expected, atol=1e-11)
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MEMORY_CAP", 1000)
@@ -170,7 +177,7 @@ class TestExactPropagation:
 
 
 class TestEigenbasisStepping:
-    """``propagate_exact`` against the site-basis ``apply`` loop it replaced."""
+    """``propagate_exact`` against the direct ``apply`` loop it replaced."""
 
     @pytest.mark.parametrize("n_side, delta, taus", [
         (12, 0.0, None),
@@ -193,7 +200,7 @@ class TestEigenbasisStepping:
                                 t_max=20 * schedule.period,
                                 sample_dt=sample_dt, props=props)
         h = trace.metadata["dt"]
-        state = np.zeros(props.dimension, dtype=complex)
+        state = np.zeros(2 + 2 * env.shells().frequencies.size, dtype=complex)
         state[1] = 1.0
         u_b, u_c = [state[0]], [state[1]]
         for t in trace.times[1:]:
@@ -253,32 +260,21 @@ class TestShellPropagators:
         np.testing.assert_allclose(trace.u_b, u_b, rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.u_c, u_c, rtol=0, atol=1e-12)
 
-    def test_dark_state_matches_expm(self):
-        env, params, schedule, _ = _shell_case(6, 0.5, (0.3, 0.45, 0.15))
-        shells = env.shells()
-        assert shells.multiplicities.max() == 10
-        rng = np.random.default_rng(11)
-        d = 2 + 2 * env.n_modes
-        state = rng.normal(size=d) + 1j * rng.normal(size=d)
-        state /= np.linalg.norm(state)
-        dark = 0.0  # weight off the uniform superposition of each shell
-        for part in state[2:].reshape(2, -1):
-            mean = (np.bincount(shells.index, part.real)
-                    + 1j * np.bincount(shells.index, part.imag))
-            mean /= shells.multiplicities
-            dark += np.sum(np.abs(part - mean[shells.index]) ** 2)
-        assert dark > 0.5
-        pieces = schedule.pieces(0.1, 0.3 + 2 * schedule.period)
-        expected = _expm_pieces(params, env, pieces, state)
-        props = SegmentPropagators(params, env)
-        for f, c in props.evolve(state, pieces):
-            pass
-        np.testing.assert_allclose(props.to_site(f, c), expected,
-                                   rtol=0, atol=1e-11)
-        applied = state
-        for dur, f in pieces:
-            applied = props.apply(applied, f, dur)
-        np.testing.assert_allclose(applied, expected, rtol=0, atol=1e-11)
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("taus", [None, (0.3, 0.45, 0.15)],
+                             ids=["equal", "unequal"])
+    def test_final_norm_matches_expm(self, delta, taus):
+        # final_norm is the norm of the shell coefficients; the oracle steps
+        # the full-basis start by dense exponentials over the same horizon
+        env, params, schedule, sample_dt = _shell_case(6, delta, taus)
+        trace = propagate_exact(params, env, schedule,
+                                t_max=4 * schedule.period, sample_dt=sample_dt)
+        state = np.zeros(2 + 2 * env.n_modes, dtype=complex)
+        state[1] = 1.0
+        state = _expm_pieces(params, env,
+                             schedule.pieces(0.0, trace.times[-1]), state)
+        assert trace.metadata["final_norm"] == pytest.approx(
+            np.linalg.norm(state), abs=1e-12)
 
     def test_allocates_no_dense_matrix(self):
         # one real d x d array at d = 3202 alone takes 8 d^2 = 82 MB
@@ -290,7 +286,8 @@ class TestShellPropagators:
             trace = propagate_exact(params, env, schedule,
                                     t_max=2 * schedule.period,
                                     sample_dt=sample_dt)
-            mode = floquet_mode(params, env, schedule, spec.mode(j),
+            mode = floquet_mode(params, env, schedule,
+                                spec.vectors[:, spec.columns[j]],
                                 spec.quasienergies[j], n_samples=24)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

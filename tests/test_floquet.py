@@ -25,12 +25,19 @@ from qbsim.floquet import (
     resonant_spectrum,
 )
 
+from oracles import bright_isometry
+
 # cheap two-bound-state instance shared across the asymptotic tests
 ENV4 = LatticeEnvironment(n_side=4, varpi=1.0, q=0.5, g=0.5)
 KAPPA = 8.0
 PARAMS = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=KAPPA)
 TAU = 0.5 * np.pi / KAPPA
 SCHEDULE = ProtocolSchedule(tau_c=TAU, tau_s=TAU, tau_d=TAU)
+
+
+def _shell_vector(spec, j):
+    """The stored eigenvector of mode j, on the bright shells."""
+    return spec.vectors[:, spec.columns[j]]
 
 
 def _coupled_modes(spec):
@@ -305,22 +312,34 @@ class TestFloquetMode:
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
         mode = floquet_mode(env=env, params=par, schedule=sch,
-                            phi0=spec.mode(j),
+                            phi0=_shell_vector(spec, j),
                             epsilon=spec.quasienergies[j], n_samples=4)
         h1 = build_hamiltonian(par, env, 1.0)
         h0 = build_hamiltonian(par, env, 0.0)
         u_half = sla.expm(-1j * h0 * 0.5) @ sla.expm(-1j * h1 * 0.5)  # to t = T/2 = 1.0
-        expected = np.exp(1j * mode.epsilon * 1.0) * (u_half @ mode.phi0)
+        phi0 = bright_isometry(env) @ mode.phi0
+        expected = np.exp(1j * mode.epsilon * 1.0) * (u_half @ phi0)
         np.testing.assert_allclose(mode.pair[2], expected[:2], atol=1e-10)
         np.testing.assert_allclose(mode.pair[0], mode.phi0[:2], atol=0)
         assert mode.closure_error < 1e-6
 
     def test_rejects_non_eigenvector(self):
+        n = 2 + 2 * ENV4.shells().frequencies.size
         rng = np.random.default_rng(3)
-        v = rng.normal(size=34) + 1j * rng.normal(size=34)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
         with pytest.raises(NotAnEigenpairError):
             floquet_mode(PARAMS, ENV4, SCHEDULE, v, 0.1)
+
+    def test_rejects_full_basis_vector(self, spectrum4):
+        # phi(0) is a shell vector; the full-basis expansion of the same
+        # eigenvector has the lattice size d = 34 instead of 2 + 2S
+        j = spectrum4.fbs_indices[0]
+        n = 2 + 2 * ENV4.shells().frequencies.size
+        assert spectrum4.mode(j).size == 34 != n
+        with pytest.raises(ValueError, match=rf"size 2 \+ 2S = {n}\b"):
+            floquet_mode(PARAMS, ENV4, SCHEDULE, spectrum4.mode(j),
+                         spectrum4.quasienergies[j])
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_samples_match_apply_path(self, delta):
@@ -331,7 +350,7 @@ class TestFloquetMode:
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
         props = SegmentPropagators(par, env)
-        mode = floquet_mode(par, env, sch, spec.mode(j),
+        mode = floquet_mode(par, env, sch, _shell_vector(spec, j),
                             spec.quasienergies[j], n_samples=7, props=props)
         raw, prev = mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
@@ -361,9 +380,9 @@ class TestFloquetMode:
         sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
-        mode = floquet_mode(par, env, sch, spec.mode(j),
+        mode = floquet_mode(par, env, sch, _shell_vector(spec, j),
                             spec.quasienergies[j], n_samples=7)
-        cache, raw, prev = {}, mode.phi0, 0.0
+        cache, raw, prev = {}, bright_isometry(env) @ mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
             for dur, f in sch.pieces(prev, s):
                 key = (f, round(dur, 12))
@@ -376,6 +395,30 @@ class TestFloquetMode:
                 mode.pair[k], np.exp(1j * mode.epsilon * s) * raw[:2],
                 rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("taus", [None, (0.3, 0.45, 0.15)],
+                             ids=["equal", "unequal"])
+    def test_closure_error_matches_full_basis(self, delta, taus):
+        # the shell residual ||phi(T) - lambda phi(0)|| against the full-basis
+        # U_T on the expanded mode, for the eigenvalue and for one moved by
+        # 1e-8 / T, whose residual of about 1e-8 the two must agree on
+        env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
+        par = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
+        tau = 0.5 * np.pi / 4.8
+        sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
+        spec = compute_spectrum(par, env, sch)
+        j = int(np.argmax(spec.system_weights))
+        u = one_period_operator(par, env, sch)
+        phi0 = bright_isometry(env) @ _shell_vector(spec, j)
+        for shift in (0.0, 1e-8 / sch.period):
+            eps = spec.quasienergies[j] + shift
+            mode = floquet_mode(par, env, sch, _shell_vector(spec, j), eps,
+                                n_samples=7)
+            lam = np.exp(-1j * eps * sch.period)
+            expected = np.linalg.norm(u @ phi0 - lam * phi0)
+            assert mode.closure_error == pytest.approx(expected, abs=1e-12)
+        assert 0.9e-8 < mode.closure_error < 1.1e-8
+
     def test_sampling_memory_does_not_grow_with_samples(self):
         # 960 full-basis samples at d = 3202 alone would take 49 MB
         env = LatticeEnvironment(n_side=40, varpi=1.0, q=0.5, g=0.5)
@@ -384,7 +427,7 @@ class TestFloquetMode:
         sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
         spec = compute_spectrum(par, env, sch)
         j = spec.fbs_indices[0]
-        phi0 = spec.mode(j)
+        phi0 = _shell_vector(spec, j)
         n_samples, d = 960, spec.dimension
         tracemalloc.start()
         try:
@@ -399,7 +442,7 @@ class TestFloquetMode:
 
     def test_rejects_perturbed_eigenvector(self, spectrum4):
         j = spectrum4.fbs_indices[0]
-        phi0 = spectrum4.mode(j).copy()
+        phi0 = _shell_vector(spectrum4, j).copy()
         phi0[2] += 1e-3
         phi0 /= np.linalg.norm(phi0)
         with pytest.raises(NotAnEigenpairError):
@@ -441,7 +484,7 @@ class TestAsymptoticEnergy:
         # predicted energy at any aligned sample time
         j = spectrum4.fbs_indices[0]
         shifted = floquet_mode(
-            PARAMS, ENV4, SCHEDULE, spectrum4.mode(j),
+            PARAMS, ENV4, SCHEDULE, _shell_vector(spectrum4, j),
             spectrum4.quasienergies[j] + SCHEDULE.omega_T, n_samples=24,
         )
         ts = np.arange(0, 24 * 8) * (SCHEDULE.period / 24)

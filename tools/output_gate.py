@@ -11,8 +11,9 @@ verdicts:
   the sidecars equal once ``created_at`` is removed;
 * tolerance mode: every CSV cell, summary number and sidecar number
   (without ``created_at``) must agree to |x - y| <= 1e-10 max(1, |x|), with
-  strings and the shape of each file equal.  The worst relative
-  difference |x - y| / max(1, |x|) is printed.
+  strings and the shape of each file equal; a NaN or an infinity must be
+  the same on both sides.  The worst relative difference
+  |x - y| / max(1, |x|) is printed.
 
 A change that should move no number passes byte mode; a change that only
 reorders floating-point work passes tolerance mode.  The exit status is 0
@@ -85,12 +86,15 @@ def _values(path):
 
 
 def _relative_gap(x, y):
-    """|x - y| / max(1, |x|) for two numbers (0 if equal, inf if not
-    comparable); None for two equal non-numbers."""
+    """|x - y| / max(1, |x|) for two numbers: 0 if equal (NaN against NaN
+    too), inf if only one is NaN or infinite or they are not comparable;
+    None for two equal non-numbers."""
     numbers = (int, float)
     if type(x) in numbers and type(y) in numbers:
         if x == y or (math.isnan(x) and math.isnan(y)):
             return 0.0
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.inf
         return abs(x - y) / max(1.0, abs(x))
     return None if x == y else math.inf
 
