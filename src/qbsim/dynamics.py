@@ -7,6 +7,9 @@ Two independent routes are provided and cross-validated:
   the full basis) once per drive value and steps the state in the
   eigenbasis of the current drive segment: phases per step, one real basis
   overlap per drive switch (numerically exact for the finite lattice).
+  ``SegmentPropagators.march`` does the stepping on the ``_build_grid``
+  grid; ``floquet.floquet_mode`` samples the Floquet modes with the same
+  march over one period.
 * ``solve_volterra`` integrates the reduced pair of amplitude equations
 
       du_l/dt + i omega_l u_l + i kappa f(t) u_l' + int_0^t nu(t-s) u_l(s) ds = 0
@@ -19,7 +22,6 @@ combinations available at zero detuning.
 Every route starts from the charger-excited state (u_c = 1, all else 0).
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -204,13 +206,14 @@ class SegmentPropagators:
     is stepped in the eigenbasis of the shell Hamiltonian
     H_f = V_f diag(w_f) V_f^T.
 
-    ``evolve`` steps the coefficients V_f^T b: phases per step, and the
-    real overlap V_0^T V_1 (or its transpose) when the drive switches.
-    ``pair_amplitudes`` reads the battery and charger amplitudes off the
-    coefficients, ``to_shells`` the whole shell vector.  ``apply`` is the
-    direct step V_f exp(-i w_f dt) V_f^T b, kept as the reference for that
-    path.  ``dimension`` is the lattice dimension d = 2 + 2N^2 that the
-    shell states reduce; nothing here uses it.
+    ``march`` steps a shell vector on a uniform grid (``_build_grid``):
+    it moves to the coefficients V_f^T b once, multiplies them by one phase
+    vector per drive value at each step, applies the real overlap
+    V_0^T V_1 (or its transpose) when the drive switches, and reads the
+    battery and charger amplitudes off the two pair rows of V_f.
+    ``apply`` is the direct step V_f exp(-i w_f dt) V_f^T b, kept as the
+    reference for that path.  ``dimension`` is the lattice dimension
+    d = 2 + 2N^2 that the shell states reduce; nothing here uses it.
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment):
@@ -233,41 +236,32 @@ class SegmentPropagators:
         v = self.evecs[f]
         return v @ (np.exp(-1j * self.evals[f] * dt) * (v.T @ state))
 
-    def evolve(self, state: np.ndarray, pieces):
-        """Step a shell vector through (duration, f) pieces.
+    def march(self, state: np.ndarray, h: float, f_step):
+        """Step a shell vector through len(f_step) steps of width h.
 
-        Yields (f, c) after each piece, with c = V_f^T b the coefficients in
-        the current segment's eigenbasis (``pair_amplitudes`` and
-        ``to_shells`` read them).  A step costs O(n) phases, a drive switch
-        one real O(n^2) product on the real and imaginary parts.
+        f_step[j] is the drive value on step j, as ``_build_grid`` returns
+        it.  Returns the battery and charger amplitudes at the grid times,
+        shape (len(f_step) + 1, 2) with the start in row 0, and the shell
+        vector after the last step.  A step costs O(n) phases, a drive
+        switch one real O(n^2) product on the real and imaginary parts.
         """
-        phases = {}
-        f_now, c = None, None
-        for dur, f in pieces:
+        phases = {f: np.exp(-1j * h * w) for f, w in self.evals.items()}
+        pair = np.empty((len(f_step) + 1, 2), dtype=complex)
+        pair[0] = state[:2]
+        f_now = 1.0 if f_step[0] else 0.0
+        c = _real_matmul(self.evecs[f_now].T, state)
+        for j, f in enumerate(f_step, 1):
             f = 1.0 if f else 0.0
-            if c is None:
-                c = _real_matmul(self.evecs[f].T, state)
-            elif f != f_now:
+            if f != f_now:
                 if self._overlap is None:
                     # V_0^T V_1 takes f = 1 coefficients to f = 0 ones
                     self._overlap = self.evecs[0.0].T @ self.evecs[1.0]
                 ovl = self._overlap
                 c = _real_matmul(ovl if f == 0.0 else ovl.T, c)
-            f_now = f
-            ph = phases.get((f, dur))
-            if ph is None:
-                ph = phases[(f, dur)] = np.exp(-1j * dur * self.evals[f])
-            c = ph * c
-            yield f, c
-
-    def pair_amplitudes(self, f: float, c: np.ndarray) -> np.ndarray:
-        """Battery and charger amplitudes of ``evolve`` coefficients, from
-        the two pair rows of V_f."""
-        return self._readout[1.0 if f else 0.0] @ c
-
-    def to_shells(self, f: float, c: np.ndarray) -> np.ndarray:
-        """Coefficients of ``evolve`` back to the shell vector V_f c."""
-        return _real_matmul(self.evecs[1.0 if f else 0.0], c)
+                f_now = f
+            c = phases[f] * c
+            pair[j] = self._readout[f] @ c
+        return pair, _real_matmul(self.evecs[f_now], c)
 
 
 def propagate_exact(
@@ -282,9 +276,8 @@ def propagate_exact(
 
     Starts from the charger-excited state.  The sampling grid is snapped so
     that every drive switching time is a grid point.  Returns an EnergyTrace
-    carrying u_b and u_c at the samples, read off the segment eigenbasis
-    coefficients by ``pair_amplitudes``; ``final_norm`` is the norm of the
-    last coefficients, that of the state since V_f is orthogonal.
+    carrying u_b and u_c at the samples (``SegmentPropagators.march``) and
+    ``final_norm``, the norm of the last shell vector.
     """
     if sample_dt is None:
         sample_dt = min(s for s in (schedule.tau_c, schedule.tau_s,
@@ -294,20 +287,15 @@ def propagate_exact(
         props = SegmentPropagators(params, env)
     state = np.zeros(props.evals[1.0].size, dtype=complex)
     state[1] = 1.0
-
-    pair = np.empty((2, n_steps + 1), dtype=complex)
-    pair[:, 0] = state[:2]
-    steps = props.evolve(state, zip(itertools.repeat(h), f_step))
-    for j, (f, c) in enumerate(steps, 1):
-        pair[:, j] = props.pair_amplitudes(f, c)
-    u_b, u_c = pair
+    pair, end = props.march(state, h, f_step)
+    u_b, u_c = pair.T
     times = np.arange(n_steps + 1) * h
     energies = params.omega_b * np.abs(u_b) ** 2
     meta = {
         "route": "exact",
         "dt": h,
         "t_max": times[-1],
-        "final_norm": float(np.linalg.norm(c)),
+        "final_norm": float(np.linalg.norm(end)),
     }
     return EnergyTrace(times=times, energies=energies, metadata=meta,
                        u_b=u_b, u_c=u_c)

@@ -14,6 +14,7 @@ superposition of each set of degenerate modes (a frequency shell) couples
 to the emitter; ``LatticeEnvironment.shells`` groups the modes.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,12 +51,15 @@ class LatticeEnvironment:
     g: float
 
     def __post_init__(self):
-        if self.n_side < 1:
+        # chained comparisons fail for NaN as well as out of range
+        if not self.n_side >= 1:
             raise ValueError("n_side must be >= 1")
-        if self.q <= 0:
-            raise ValueError("hopping q must be positive")
-        if self.g < 0:
-            raise ValueError("coupling g must be nonnegative")
+        if not math.isfinite(self.varpi):
+            raise ValueError("band center varpi must be finite")
+        if not 0 < self.q < math.inf:
+            raise ValueError("hopping q must be positive and finite")
+        if not 0 <= self.g < math.inf:
+            raise ValueError("coupling g must be nonnegative and finite")
 
     @property
     def n_modes(self) -> int:

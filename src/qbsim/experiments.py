@@ -226,8 +226,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     try:  # the solvers' own protocol checks, before any work is done
         if cfg.kind in ("dynamics", "asymptotic"):
             advice = "; " + _step_advice(cfg)
-            _build_grid(schedule, schedule.period, _trace_step(
+            _, n_steps, _ = _build_grid(schedule, schedule.period, _trace_step(
                 cfg, resolve_system(cfg), resolve_environment(cfg), schedule))
+            # the trace samples must land on the modes' T/n_offsets offsets
+            if cfg.kind == "asymptotic" and n_steps != _SAMPLES_PER_PERIOD:
+                raise ValueError(
+                    f"the trace step T/{_SAMPLES_PER_PERIOD} snaps to "
+                    f"T/{n_steps} on the drive segments, so the trace is not "
+                    "aligned with the mode samples")
         elif cfg.kind == "nonresonant":
             _check_protocol(cfg.kappa, schedule)
         elif cfg.kind == "perturbation":
@@ -245,6 +251,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
             check_memory(env)
     except MemoryCapError as exc:
         raise ConfigError(f"kind {cfg.kind}: {exc}; lower n_side") from None
+    if cfg.kind == "markov" and cfg.gamma is None:
+        # the rates the runner computes, which the sidecar must hold as
+        # finite numbers
+        try:
+            rates = markov_rates(env, cfg.omega_0)
+        except ValueError as exc:
+            raise ConfigError(f"kind markov: {exc}; set gamma") from None
+        if not all(map(math.isfinite, (rates.gamma, rates.lamb_shift))):
+            raise ConfigError(
+                f"kind markov: the Markovian rates at omega_0 = {cfg.omega_0} "
+                f"are not finite (gamma = {rates.gamma}, lamb_shift = "
+                f"{rates.lamb_shift}): omega_0 lies on a band edge; set gamma")
 
 
 def sweep_grid_values(cfg: ExperimentConfig) -> np.ndarray:

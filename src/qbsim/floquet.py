@@ -31,8 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 
-from .dynamics import (SegmentPropagators, _bath_arrays, _pair_hamiltonian,
-                       _sector_hamiltonian, build_hamiltonian, check_memory)
+from .dynamics import (SegmentPropagators, _bath_arrays, _build_grid,
+                       _pair_hamiltonian, _sector_hamiltonian,
+                       build_hamiltonian, check_memory)
 from .environment import LatticeEnvironment, Shells
 from .errors import NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
@@ -359,10 +360,11 @@ def floquet_mode(
 
     ``phi0`` is the eigenvector on the bright shells, of size 2 + 2S (a
     stored column of ``QuasienergySpectrum.vectors``); any other size
-    raises ValueError.  One pass over the period in the segment eigenbasis
-    gives the samples, of which only the battery and charger amplitudes are
-    kept, and phi(T), which is mapped back to the shells for the closure
-    residual.
+    raises ValueError.  The samples are the steps of the ``_build_grid``
+    grid at T / n_samples, which must take exactly n_samples steps per
+    period: every drive segment a multiple of T / n_samples, else
+    ValueError.  One ``march`` over the period gives the battery and
+    charger amplitudes at the offsets and phi(T) for the closure residual.
     """
     if props is None:
         props = SegmentPropagators(params, env)
@@ -372,23 +374,17 @@ def floquet_mode(
     if phi0.shape != (n,):
         raise ValueError(f"phi0 must be a shell vector of size 2 + 2S = {n}, "
                          f"got shape {phi0.shape}")
+    h, n_steps, f_step = _build_grid(schedule, T, T / n_samples)
+    if n_steps != n_samples:
+        raise ValueError(f"{n_samples} samples per period do not fit the "
+                         f"drive segments: the grid has {n_steps} steps")
+    pair, end = props.march(phi0, h, f_step)
     lam = np.exp(-1j * epsilon * T)
-    offsets = np.arange(n_samples) * (T / n_samples)
-    pieces, sample_at = [], {}
-    for j, (t0, t1) in enumerate(zip(offsets, [*offsets[1:], T]), 1):
-        pieces += schedule.pieces(t0, t1)
-        sample_at[len(pieces)] = j  # time offsets[j] (T at j = n_samples)
-    pair = np.empty((n_samples, 2), dtype=complex)
-    pair[0] = phi0[:2]
-    for k, (f, c) in enumerate(props.evolve(phi0, pieces), 1):
-        j = sample_at.get(k, n_samples)
-        if j < n_samples:
-            pair[j] = props.pair_amplitudes(f, c)
-    end = props.to_shells(f, c)
     residual = float(np.linalg.norm(end - lam * phi0))
     if residual > _CLOSURE_TOL:
         raise NotAnEigenpairError(residual=residual, tol=_CLOSURE_TOL)
-    pair *= np.exp(1j * epsilon * offsets)[:, None]
+    offsets = np.arange(n_samples) * h
+    pair = pair[:-1] * np.exp(1j * epsilon * offsets)[:, None]
     # ||phi(T) - phi(0)|| coincides with the eigenpair residual
     return FloquetMode(epsilon=float(epsilon), phi0=phi0, offsets=offsets,
                        pair=pair, period=T, omega_b=params.omega_b,

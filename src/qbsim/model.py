@@ -22,10 +22,11 @@ class SystemParams:
     kappa: float
 
     def __post_init__(self):
-        if self.omega_b <= 0 or self.omega_c <= 0:
-            raise ValueError("level splittings must be positive")
-        if self.kappa < 0:
-            raise ValueError("coupling kappa must be nonnegative")
+        # chained comparisons fail for NaN as well as out of range
+        if not (0 < self.omega_b < math.inf and 0 < self.omega_c < math.inf):
+            raise ValueError("level splittings must be positive and finite")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError("coupling kappa must be nonnegative and finite")
 
     @property
     def omega_0(self) -> float:
@@ -61,10 +62,10 @@ class ProtocolSchedule:
     tau_d: float
 
     def __post_init__(self):
-        if self.tau_c <= 0 or self.tau_d <= 0:
-            raise ValueError("tau_c and tau_d must be positive")
-        if self.tau_s < 0:
-            raise ValueError("tau_s must be nonnegative")
+        if not (0 < self.tau_c < math.inf and 0 < self.tau_d < math.inf):
+            raise ValueError("tau_c and tau_d must be positive and finite")
+        if not 0 <= self.tau_s < math.inf:
+            raise ValueError("tau_s must be nonnegative and finite")
 
     @property
     def period(self) -> float:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from qbsim import dynamics
+from qbsim import dynamics, experiments
 from qbsim.cli import main
 
 
@@ -51,6 +51,22 @@ class TestValidate:
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
         assert "aligned" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("omega_0, reason", [
+        (1.0, "band center"), (3.0, "band edge")])
+    def test_markov_rates_undefined(self, tmp_path, capsys, omega_0, reason):
+        # without gamma the run computes the rates; at the band center they
+        # do not exist, at a band edge the Lamb shift is infinite
+        cfg = tmp_path / "markov.cfg"
+        cfg.write_text(f"kind = markov\nomega_0 = {omega_0}\n")
+        assert run_cli("validate", str(cfg)) == 1
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert reason in err and "set gamma" in err
+        assert not out.exists()
+        cfg.write_text(f"kind = markov\nomega_0 = {omega_0}\ngamma = 0.1\n")
+        assert run_cli("validate", str(cfg)) == 0
 
     def test_missing_file(self, tmp_path):
         assert run_cli("validate", str(tmp_path / "nope.cfg")) == 1
@@ -152,17 +168,21 @@ class TestRun:
         assert run_cli("run", "--preset", "fig1b", "--set", "kappa=fast",
                        "--out", str(tmp_path)) == 1
 
-    def test_runtime_failure_exit_code(self, tmp_path):
-        # validates fine, but the van Hove point (1.0) rejects rate
-        # evaluation and the band edge (3.0) gives an infinite level shift
-        for omega_0 in (1.0, 3.0):
-            cfg = tmp_path / "m.cfg"
-            cfg.write_text(f"kind = markov\nomega_0 = {omega_0}\nkappa = 15.0\n")
-            out = tmp_path / f"out-{omega_0}"
-            assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
-            for path in out.iterdir():
-                text = path.read_text()
-                assert "Infinity" not in text and "NaN" not in text
+    def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a config that validates and then fails inside the solver exits 2;
+        # the failure is injected, since validate now catches the markov
+        # rates that used to fail here
+        def fail(*args, **kwargs):
+            raise ValueError("injected solver failure")
+
+        monkeypatch.setattr(experiments, "markov_energy", fail)
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("kind = markov\nkappa = 15.0\n")
+        assert run_cli("validate", str(cfg)) == 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert "numerical failure: injected" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_missing_subcommand(self):
         assert run_cli() == 1

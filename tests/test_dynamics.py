@@ -121,20 +121,28 @@ class TestSegmentPropagators:
             np.testing.assert_allclose(p @ dense, expected, atol=1e-12)
 
     def test_advance_matches_expm_product(self):
+        # unequal segments on a T/23 grid, over two periods and part of a
+        # third: the pair rows and the final shell vector against dense
+        # full-basis exponentials of each step
         schedule = ProtocolSchedule(tau_c=0.7, tau_s=1.1, tau_d=0.5)
         props = SegmentPropagators(self.PARAMS, self.ENV)
         p = bright_isometry(self.ENV)
         rng = np.random.default_rng(7)
         state = rng.normal(size=8) + 1j * rng.normal(size=8)
         state /= np.linalg.norm(state)
-        t0, t1 = 0.3, 0.3 + 2 * schedule.period + 0.9
-        expected = p @ state
-        for dur, f in schedule.pieces(t0, t1):
-            u = sla.expm(-1j * build_hamiltonian(self.PARAMS, self.ENV, f) * dur)
-            expected = u @ expected
-        for f, c in props.evolve(state, schedule.pieces(t0, t1)):
-            pass
-        np.testing.assert_allclose(p @ props.to_shells(f, c), expected, atol=1e-11)
+        h, n_steps, f_step = dynamics._build_grid(
+            schedule, 2 * schedule.period + 0.9, 0.1)
+        assert n_steps == 55 and len(set(f_step)) == 2
+        pair, end = props.march(state, h, f_step)
+        steps = {f: sla.expm(-1j * build_hamiltonian(self.PARAMS, self.ENV, f) * h)
+                 for f in (1.0, 0.0)}
+        expected = [p @ state]
+        for f in f_step:
+            expected.append(steps[f] @ expected[-1])
+        expected = np.array(expected)
+        assert pair.shape == (n_steps + 1, 2)
+        np.testing.assert_allclose(pair, expected[:, :2], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(p @ end, expected[-1], rtol=0, atol=1e-11)
 
     def test_memory_cap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MEMORY_CAP", 1000)

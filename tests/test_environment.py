@@ -46,6 +46,16 @@ class TestLatticeEnvironment:
         with pytest.raises(ValueError):
             LatticeEnvironment(n_side=4, varpi=1.0, q=0.5, g=-0.1)
 
+    @pytest.mark.parametrize("keys", [
+        dict(q=np.nan), dict(g=np.nan), dict(varpi=np.nan),
+        dict(q=np.inf), dict(g=np.inf),
+    ], ids=["q-nan", "g-nan", "varpi-nan", "q-inf", "g-inf"])
+    def test_rejects_nan_and_inf(self, keys):
+        # a NaN hopping used to construct and then fail inside shells()
+        with pytest.raises(ValueError, match="finite"):
+            LatticeEnvironment(**{"n_side": 4, "varpi": 1.0, "q": 0.5,
+                                  "g": 0.5, **keys})
+
 
 class TestShells:
     @pytest.mark.parametrize("n_side, count", [(10, 19), (12, 21), (20, 61),

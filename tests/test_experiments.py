@@ -140,13 +140,18 @@ class TestValidation:
         (dict(kind="dynamics"), "t_max/n_samples"),
         (dict(kind="dynamics", n_samples=100), "t_max/n_samples"),
         (dict(kind="dynamics", route="volterra"), "set dt"),
+        # T/24 snaps to T/25 on these segments: the trace runs, but off the
+        # modes' T/96 offsets
+        (dict(kind="asymptotic", tau_c=0.4, tau_s=0.4, tau_d=0.2, t_max=2.0),
+         "multiples of T/24"),
     ], ids=["asymptotic", "dynamics-exact", "dynamics-exact-samples",
-            "dynamics-volterra"])
+            "dynamics-volterra", "asymptotic-snapped"])
     def test_alignment_names_step_source(self, keys, advice):
         # the message names what sets the step of that kind; asymptotic
         # and exact runs have no dt to pass
         with pytest.raises(ConfigError) as err:
-            validate_config(ExperimentConfig(n_side=4, tau_s=0.5, **keys))
+            validate_config(ExperimentConfig(**{"n_side": 4, "tau_s": 0.5,
+                                                **keys}))
         assert "aligned" in str(err.value)
         assert advice in str(err.value)
         if keys.get("route", "exact") == "exact":
@@ -241,16 +246,16 @@ class TestRunners:
         rows = (tmp_path / "mk.csv").read_text().splitlines()
         assert len(rows) == 62  # header + n_samples + 1
 
-    def test_markov_runtime_error_at_band_center(self, tmp_path):
-        # the band center rejects the rates; at the band edge the shift is
-        # infinite, which strict JSON cannot carry
+    def test_markov_undefined_rates_rejected(self, tmp_path):
+        # the band center has no rates and the band edge an infinite shift,
+        # which strict JSON cannot carry: both fail validation, before any
+        # file is written
         for omega_0 in (1.0, 3.0):
             cfg = ExperimentConfig(kind="markov", label="bad", omega_0=omega_0,
                                    kappa=15.0)
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError, match="set gamma"):
                 run_experiment(cfg, tmp_path)
-        assert (tmp_path / "bad.csv").exists()
-        assert not (tmp_path / "bad.meta.json").exists()
+        assert not any(tmp_path.iterdir())
 
     def test_dynamics_volterra(self, tmp_path):
         cfg = ExperimentConfig(kind="dynamics", label="dyn", kappa=3.0, n_side=3,

@@ -343,7 +343,7 @@ class TestFloquetMode:
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_samples_match_apply_path(self, delta):
-        # seven offsets of T = 0.9 fall inside the unequal segments
+        # twelve offsets of T = 0.9: T/12 divides the unequal segments
         env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
         par = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
         sch = ProtocolSchedule(tau_c=0.3, tau_s=0.45, tau_d=0.15)
@@ -351,7 +351,7 @@ class TestFloquetMode:
         j = int(np.argmax(spec.system_weights))
         props = SegmentPropagators(par, env)
         mode = floquet_mode(par, env, sch, _shell_vector(spec, j),
-                            spec.quasienergies[j], n_samples=7, props=props)
+                            spec.quasienergies[j], n_samples=12, props=props)
         raw, prev = mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
             for dur, f in sch.pieces(prev, s):
@@ -372,8 +372,8 @@ class TestFloquetMode:
     @pytest.mark.parametrize("taus", [None, (0.3, 0.45, 0.15)],
                              ids=["equal", "unequal"])
     def test_samples_match_expm_steps(self, n_side, delta, taus):
-        # the shell-reduced sampling against dense full-basis exponentials;
-        # seven offsets fall inside the segments of either schedule
+        # the shell-reduced sampling against dense full-basis exponentials,
+        # at twelve offsets, which T/12 steps reach on either schedule
         env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
         par = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
         tau = 0.5 * np.pi / 4.8
@@ -381,7 +381,7 @@ class TestFloquetMode:
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
         mode = floquet_mode(par, env, sch, _shell_vector(spec, j),
-                            spec.quasienergies[j], n_samples=7)
+                            spec.quasienergies[j], n_samples=12)
         cache, raw, prev = {}, bright_isometry(env) @ mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
             for dur, f in sch.pieces(prev, s):
@@ -413,11 +413,25 @@ class TestFloquetMode:
         for shift in (0.0, 1e-8 / sch.period):
             eps = spec.quasienergies[j] + shift
             mode = floquet_mode(par, env, sch, _shell_vector(spec, j), eps,
-                                n_samples=7)
+                                n_samples=12)
             lam = np.exp(-1j * eps * sch.period)
             expected = np.linalg.norm(u @ phi0 - lam * phi0)
             assert mode.closure_error == pytest.approx(expected, abs=1e-12)
         assert 0.9e-8 < mode.closure_error < 1.1e-8
+
+    @pytest.mark.parametrize("taus", [None, (0.3, 0.45, 0.15)],
+                             ids=["equal", "unequal"])
+    def test_rejects_unaligned_samples(self, taus):
+        # T/7 fits neither schedule: the grid would snap to T/6 on both
+        env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
+        par = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=4.8)
+        tau = 0.5 * np.pi / 4.8
+        sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
+        spec = compute_spectrum(par, env, sch)
+        j = int(np.argmax(spec.system_weights))
+        with pytest.raises(ValueError, match="grid has 6 steps"):
+            floquet_mode(par, env, sch, _shell_vector(spec, j),
+                         spec.quasienergies[j], n_samples=7)
 
     def test_sampling_memory_does_not_grow_with_samples(self):
         # 960 full-basis samples at d = 3202 alone would take 49 MB

@@ -29,6 +29,16 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(omega_b=1.0, omega_c=1.0, kappa=-0.1)
 
+    @pytest.mark.parametrize("keys", [
+        dict(omega_b=math.nan), dict(omega_c=math.nan), dict(kappa=math.nan),
+        dict(omega_b=math.inf), dict(kappa=math.inf),
+    ], ids=["omega_b-nan", "omega_c-nan", "kappa-nan", "omega_b-inf",
+            "kappa-inf"])
+    def test_rejects_nan_and_inf(self, keys):
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**{"omega_b": 1.0, "omega_c": 1.0, "kappa": 1.0,
+                            **keys})
+
 
 class TestProtocolSchedule:
     def test_period_and_frequency(self):
@@ -87,6 +97,15 @@ class TestProtocolSchedule:
             ProtocolSchedule(tau_c=0.0, tau_s=1.0, tau_d=1.0)
         with pytest.raises(ValueError):
             ProtocolSchedule(tau_c=1.0, tau_s=-0.5, tau_d=1.0)
+
+    @pytest.mark.parametrize("keys", [
+        dict(tau_c=math.nan), dict(tau_s=math.nan), dict(tau_d=math.nan),
+        dict(tau_c=math.inf), dict(tau_s=math.inf),
+    ], ids=["tau_c-nan", "tau_s-nan", "tau_d-nan", "tau_c-inf", "tau_s-inf"])
+    def test_rejects_nan_and_inf(self, keys):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolSchedule(**{"tau_c": 1.0, "tau_s": 1.0, "tau_d": 1.0,
+                                **keys})
 
 
 class TestOptimalSchedule:
