@@ -169,13 +169,14 @@ def _build_grid(schedule: ProtocolSchedule, t_max: float, dt: float):
 
 
 def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for a real matrix m and a complex vector z.
+    """m @ z for a real matrix m and a complex vector or matrix z.
 
     One real product on the interleaved real and imaginary parts; numpy
     would otherwise promote m to complex on every call.
     """
     z = np.ascontiguousarray(z, dtype=complex)
-    return (m @ z.view(float).reshape(-1, 2)).view(complex).ravel()
+    out = m @ z.view(float).reshape(z.shape[0], -1)
+    return out.view(complex).reshape((m.shape[0],) + z.shape[1:])
 
 
 def check_memory(env: LatticeEnvironment, delta: float = 0.0) -> None:
@@ -183,12 +184,12 @@ def check_memory(env: LatticeEnvironment, delta: float = 0.0) -> None:
 
     n = 2 + 2S for S shells.  Propagation takes 6 n^2 floats for the shell
     eigenbases and the eigh workspace, as much as a spectrum at zero
-    detuning (3 complex n x n matrices over the two sector blocks); a
-    detuned spectrum takes 6 (tracemalloc peaks: 2.5-2.7 and 5.0-5.4 at
-    n_side 20-60).
+    detuning (two sector blocks of n/2); a detuned spectrum takes 10, five
+    complex n x n matrices (tracemalloc peaks: 4.6-4.9 and 8.0-9.1 n^2
+    floats at n_side 20-60).
     """
     n = 2 + 2 * env.shells().frequencies.size
-    estimate = (96 if delta else 48) * n * n
+    estimate = (80 if delta else 48) * n * n
     if estimate > MEMORY_CAP:
         raise MemoryCapError(required=estimate, cap=int(MEMORY_CAP))
 

@@ -217,6 +217,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("config key kappa_step: must be positive")
     if None not in sweep_keys and not sweep_grid_values(cfg).size:
         raise ConfigError("empty sweep")
+    if cfg.kind in ("kappa-sweep", "perturbation"):
+        kappa_lo = sweep_grid_values(_default_sweep(cfg))[0]
+        if kappa_lo <= 0:
+            raise ConfigError(f"config key kappa_min: every sweep coupling "
+                              f"must be positive, the grid starts at "
+                              f"{kappa_lo:g}")
     if cfg.kind in ("asymptotic", "nonresonant") \
             and cfg.n_offsets % _SAMPLES_PER_PERIOD:
         raise ConfigError(

@@ -1,10 +1,6 @@
 """Stroboscopic analysis: quasienergies, bound states, asymptotic energy.
 
-The one-period operator U_T is unitary, so its eigendecomposition is taken
-through a complex Schur factorization (which for a normal matrix is the
-eigendecomposition with rigorously orthonormal vectors, also inside
-quasi-degenerate clusters of the folded bath band).  Quasienergies are
-folded into the zone (-omega_T/2, omega_T/2].
+Quasienergies are folded into the zone (-omega_T/2, omega_T/2].
 
 ``compute_spectrum`` never forms the full-basis U_T.  Every bath mode
 couples with the same g/N, so within a frequency shell (a set of
@@ -21,8 +17,17 @@ also splits the symmetric/antisymmetric sectors (blocks of 1 + S), so
 every bound state is exactly sector-pure, even when the two bound-state
 quasienergies are degenerate.
 
+Each shell block is diagonalized through one real symmetric eigenproblem
+(``_cayley_spectrum``).  The 1-0-1 drive makes U_T similar to the complex
+symmetric unitary U'' = P Q P, P = U_0(tau_s/2) and Q = U_1(tau_c + tau_d),
+whose Cayley transform i(I - zU'')(I + zU'')^-1 is real symmetric.  Its
+``eigh`` gives orthonormal real eigenvectors, also inside quasi-degenerate
+clusters of the folded bath band, and every eigenpair is checked by its
+residual.
+
 ``one_period_operator`` and ``quasienergy_spectrum`` work in the full
-basis; they are the reference the shell path is checked against.
+basis, through a complex Schur factorization of U_T; they are the
+reference the shell path is checked against.
 """
 
 import math
@@ -32,7 +37,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .dynamics import (SegmentPropagators, _bath_arrays, _build_grid,
-                       _pair_hamiltonian, _sector_hamiltonian,
+                       _pair_hamiltonian, _real_matmul, _sector_hamiltonian,
                        build_hamiltonian, check_memory)
 from .environment import LatticeEnvironment, Shells
 from .errors import NotAnEigenpairError
@@ -225,6 +230,81 @@ def _full_basis_spectrum(eps, vecs, shells, schedule, env):
                                shells=shells)
 
 
+def _cayley_shift(h1, h0, n_pair, schedule):
+    """Angle theta of the Cayley shift z = e^{i theta}.
+
+    z lambda = -1 falls in the middle of the widest gap of the uncoupled
+    (g = 0) levels lambda of U'': the shells' e^{-i omega_s T} and the
+    eigenvalues of the bare pair block (the first ``n_pair`` rows), so no
+    level, and no bound state grown from one, sits near the pole.
+    """
+    def step(h, t):
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(-1j * w * t)) @ v.T
+    p = step(h0[:n_pair, :n_pair], 0.5 * schedule.tau_s)
+    pair = p @ step(h1[:n_pair, :n_pair], schedule.tau_c + schedule.tau_d) @ p
+    levels = np.sort(np.mod(np.concatenate([
+        np.angle(np.linalg.eigvals(pair)),
+        -schedule.period * np.diag(h0)[n_pair:]]), 2.0 * math.pi))
+    gaps = np.diff(levels, append=levels[0] + 2.0 * math.pi)
+    k = np.argmax(gaps)
+    return math.pi - levels[k] - 0.5 * gaps[k]
+
+
+def _cayley_spectrum(hamiltonian, n_pair, schedule):
+    """Folded quasienergies and eigenvectors of U_T from one real ``eigh``.
+
+    ``hamiltonian(f)`` is a real symmetric shell block whose first
+    ``n_pair`` rows are the pair (1 for a sector, 2 for battery and
+    charger).  The drive is 1-0-1, so in the frame Y = U_0(tau_s/2)
+    U_1(tau_c), Y U_T Y^-1 = U'' = P Q P with P = U_0(tau_s/2) and
+    Q = U_1(tau_c + tau_d): complex symmetric and unitary, with real
+    eigenvectors o_j.  Its Cayley transform K = i(I - zU'')(I + zU'')^-1
+    is real symmetric with eigenvalues tan(phi_j / 2), z lambda_j =
+    e^{i phi_j}.  U'' is assembled in the f = 0 eigenbasis as
+    D_0 W D_1 W^T D_0 with the real overlap W = V_0^T V_1, and the modes
+    are phi_j(0) = Y^-1 V_0 o_j.  An eigenpair residual
+    ||U'' o_j - lambda_j o_j|| above ``_CLOSURE_TOL`` raises
+    NotAnEigenpairError.
+    """
+    h1, h0 = hamiltonian(1.0), hamiltonian(0.0)
+    theta = _cayley_shift(h1, h0, n_pair, schedule)
+    w1, v1 = np.linalg.eigh(h1)
+    w0, v0 = np.linalg.eigh(h0)
+    del h1, h0
+    ovl = v0.T @ v1
+    del v0
+    half = np.exp(-0.5j * schedule.tau_s * w0)
+    u = _real_matmul(ovl, np.exp(-1j * (schedule.tau_c + schedule.tau_d)
+                                 * w1)[:, None] * ovl.T)
+    u *= half[:, None]
+    u *= half
+    # K = i(2 (I + zU'')^-1 - I) is real: -2 Im (I + zU'')^-1, symmetrized;
+    # I + zU'' is formed in place and turned back into U'' for the residual
+    diag = np.diag_indices_from(u)
+    u *= np.exp(1j * theta)
+    u[diag] += 1.0
+    inv = np.linalg.inv(u).imag
+    u[diag] -= 1.0
+    u *= np.exp(-1j * theta)
+    tan_half, o = np.linalg.eigh(-(inv + inv.T))
+    del inv
+    phi = 2.0 * np.arctan(tan_half)
+    lam = np.exp(1j * (phi - theta))
+    r = _real_matmul(o.T, u)  # row j: (U'' o_j)^T, U'' symmetric
+    del u
+    r.real -= lam.real[:, None] * o.T
+    r.imag -= lam.imag[:, None] * o.T
+    residual = float(np.linalg.norm(r, axis=1).max())
+    del r
+    if residual > _CLOSURE_TOL:
+        raise NotAnEigenpairError(residual=residual, tol=_CLOSURE_TOL)
+    eps = fold_quasienergy((theta - phi) / schedule.period, schedule.omega_T)
+    vecs = _real_matmul(ovl.T, np.conj(half)[:, None] * o)
+    vecs *= np.exp(1j * schedule.tau_c * w1)[:, None]
+    return eps, _real_matmul(v1, vecs)
+
+
 def resonant_spectrum(
     params: SystemParams,
     env: LatticeEnvironment,
@@ -243,9 +323,8 @@ def resonant_spectrum(
     eps_all, vec_blocks = [], []
     s = 1.0 / math.sqrt(2.0)
     for sector in (+1, -1):
-        u = _small_period_operator(
-            lambda f: _sector_hamiltonian(params, bath, f, sector), schedule)
-        eps, q_mat = _folded_schur(u, schedule)
+        eps, q_mat = _cayley_spectrum(
+            lambda f: _sector_hamiltonian(params, bath, f, sector), 1, schedule)
         eps_all.append(eps)
         vec_blocks.append(np.concatenate([s * q_mat[:1], sector * s * q_mat[:1],
                                           s * q_mat[1:], sector * s * q_mat[1:]]))
@@ -255,12 +334,11 @@ def resonant_spectrum(
 
 
 def _detuned_spectrum(params, env, schedule):
-    """Spectrum at any detuning from U_T on the bright shells (2 + 2S)."""
+    """Spectrum at any detuning on the bright shells (2 + 2S)."""
     shells = env.shells()
     bath = _bath_arrays(env, shells)
-    u = _small_period_operator(
-        lambda f: _pair_hamiltonian(params, bath, f), schedule)
-    eps, q_mat = _folded_schur(u, schedule)
+    eps, q_mat = _cayley_spectrum(
+        lambda f: _pair_hamiltonian(params, bath, f), 2, schedule)
     return _full_basis_spectrum(eps, q_mat, shells, schedule, env)
 
 

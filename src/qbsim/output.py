@@ -23,6 +23,18 @@ def format_float(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _format_column(col: np.ndarray) -> list[str]:
+    """``format_float`` of every entry, with one formatter per column dtype."""
+    values = col.tolist()
+    if col.dtype == np.bool_:
+        return ["1" if v else "0" for v in values]
+    if col.dtype.kind in "iu":
+        return list(map(str, values))
+    if col.dtype.kind == "f" and col.dtype.itemsize <= 8:
+        return list(map("{:.17g}".format, values))
+    return [format_float(v) for v in col]
+
+
 def write_csv(path: str, header: list[str], columns: list) -> str:
     """Write named columns of equal length; returns the path."""
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
@@ -32,8 +44,7 @@ def write_csv(path: str, header: list[str], columns: list) -> str:
     if any(c.shape[0] != n for c in cols):
         raise ValueError("columns must have equal length")
     lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(format_float(c[i]) for c in cols))
+    lines.extend(map(",".join, zip(*map(_format_column, cols))))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

@@ -41,6 +41,21 @@ class TestValidate:
         )
         assert run_cli("validate", str(cfg)) == 1
 
+    @pytest.mark.parametrize("kind", ["kappa-sweep", "perturbation"])
+    @pytest.mark.parametrize("kappa_min", [0, -1])
+    def test_nonpositive_sweep_coupling(self, tmp_path, capsys, kind,
+                                        kappa_min):
+        # kappa = 0 used to reach the runner as a division by zero, and a
+        # negative one as a SystemParams error (exit code 2)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"kind = {kind}\nn_side = 4\nkappa_min = {kappa_min}\n"
+                       "kappa_max = 1\nkappa_step = 1\n")
+        assert run_cli("validate", str(cfg)) == 1
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert "kappa_min" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unrunnable_protocol(self, tmp_path, capsys):
         # T/24 sampling cannot resolve tau_s = 0.5 next to the half-swap
         # segments: a config error up front, not a numerical failure later

@@ -351,6 +351,25 @@ class TestOutputHelpers:
         with pytest.raises(ValueError):
             write_csv(path, ["a", "b"], [np.array([1.0]), np.array([1.0, 2.0])])
 
+    def test_write_csv_matches_format_float(self, tmp_path):
+        # columns are formatted per dtype; the bytes must stay those of
+        # format_float applied cell by cell
+        cols = [np.array([True, False, True]),
+                np.array([3, -7, 2**62]),
+                np.array([2.0, -0.0, np.nan]),
+                np.array([1e-300, 0.1 + 0.2, -1.2345678901234567e17]),
+                np.array([np.inf, 1 / 3, 5e-324])]
+        path = tmp_path / "t.csv"
+        write_csv(path, list("abcde"), cols)
+        rows = [",".join(format_float(c[i]) for c in cols) for i in range(3)]
+        assert path.read_bytes() == ("a,b,c,d,e\n" + "\n".join(rows)
+                                     + "\n").encode()
+        assert rows == [
+            "1,3,2,1e-300,inf",
+            "0,-7,-0,0.30000000000000004,0.33333333333333331",
+            "1,4611686018427387904,nan,-1.2345678901234566e+17,"
+            "4.9406564584124654e-324"]
+
     def test_write_metadata(self, tmp_path):
         path = tmp_path / "t.meta.json"
         write_metadata(path, {"x": np.float64(1.5), "n": np.int64(3),

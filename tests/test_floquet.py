@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qbsim import LatticeEnvironment, ProtocolSchedule, SystemParams, dynamics
+from qbsim import (LatticeEnvironment, ProtocolSchedule, SystemParams,
+                   dynamics, floquet)
 from qbsim.dynamics import SegmentPropagators, build_hamiltonian
 from qbsim.errors import MemoryCapError, NotAnEigenpairError
 from qbsim.floquet import (
@@ -234,7 +235,9 @@ class TestShellSpectrum:
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_allocates_no_dense_modes(self, delta):
-        # a d x d complex array at d = 3202 alone takes 16 d^2 = 164 MB
+        # a d x d complex array at d = 3202 alone takes 16 d^2 = 164 MB; the
+        # shell spectrum (n = 444) peaks at four complex n x n matrices
+        # when detuned (13 MB) and under three at delta = 0 (7 MB)
         env = LatticeEnvironment(n_side=40, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=15.0)
         tau = 0.5 * np.pi / params.rabi
@@ -259,6 +262,65 @@ class TestShellSpectrum:
         monkeypatch.setattr(dynamics, "MEMORY_CAP", 1e4)
         with pytest.raises(MemoryCapError):
             compute_spectrum(params, env, sch)
+
+
+class TestCayleySpectrum:
+    """The real-eigh spectrum against the complex Schur form of the same
+    shell blocks and against the full-basis U_T, in the cases where the
+    Cayley transform could go wrong."""
+
+    @pytest.mark.parametrize("g, omega_0, delta, kappa, taus", [
+        # the zone edge +-omega_T/2 sits on a lattice frequency (n_side 12)
+        (0.5, 2.0, 0.0, 3.0, None), (0.5, 2.0, 0.5, 3.0, None),
+        (0.5, 2.0, 0.0, 3.75, None), (0.5, 2.0, 0.5, 3.75, None),
+        # no storage segment: P = I
+        (0.5, 2.0, 0.0, 8.0, (0.3, 0.0, 0.2)),
+        (0.5, 2.0, 0.5, 8.0, (0.3, 0.0, 0.2)),
+        # unequal segments, detuned
+        (0.5, 2.0, 0.5, 6.0, (0.3, 0.45, 0.15)),
+        # two bound states 1.1e-2 apart in a zone of width 60
+        (0.2, 2.0, 0.5, 30.0, (np.pi / 60, 0.0, np.pi / 60)),
+        # a weakly coupled pair level halfway round the zone from the band:
+        # a shift from the shells alone would put the pole on it
+        (0.01, 1.0, 0.0, 15.0, None),
+    ], ids=["edge3", "edge3-detuned", "edge3.75", "edge3.75-detuned",
+            "no-storage", "no-storage-detuned", "unequal-detuned",
+            "near-degenerate", "pair-level-opposite-band"])
+    def test_matches_schur(self, monkeypatch, g, omega_0, delta, kappa,
+                           taus):
+        env = LatticeEnvironment(n_side=12, varpi=1.0, q=0.5, g=g)
+        params = SystemParams.from_center(omega_0=omega_0, delta=delta,
+                                          kappa=kappa)
+        tau = 0.5 * np.pi / kappa
+        sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
+        spec = compute_spectrum(params, env, sch)
+        with monkeypatch.context() as m:
+            # the same shell blocks through U_T and its complex Schur form;
+            # the dark modes at the zone edge fold as in the spectrum
+            m.setattr(floquet, "_cayley_spectrum",
+                      lambda hamiltonian, n_pair, schedule:
+                      floquet._folded_schur(floquet._small_period_operator(
+                          hamiltonian, schedule), schedule))
+            ref = compute_spectrum(params, env, sch)
+        np.testing.assert_allclose(spec.quasienergies, ref.quasienergies,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(spec.fbs_indices, ref.fbs_indices)
+        np.testing.assert_allclose(spec.system_weights[spec.fbs_indices],
+                                   ref.system_weights[ref.fbs_indices],
+                                   rtol=0, atol=1e-10)
+        u = one_period_operator(params, env, sch)
+        idx, v = _coupled_modes(spec)
+        assert np.abs(v.conj().T @ v - np.eye(idx.size)).max() < 1e-12
+        lam = np.exp(-1j * spec.quasienergies[idx] * sch.period)
+        assert np.abs(u @ v - lam * v).max() < 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_residual_check_raises(self, monkeypatch, delta):
+        params = SystemParams.from_center(omega_0=2.0, delta=delta,
+                                          kappa=KAPPA)
+        monkeypatch.setattr(floquet, "_CLOSURE_TOL", 0.0)
+        with pytest.raises(NotAnEigenpairError):
+            compute_spectrum(params, ENV4, SCHEDULE)
 
 
 class TestIdentifyFbs:
