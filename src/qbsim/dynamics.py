@@ -2,14 +2,19 @@
 
 Two independent routes are provided and cross-validated:
 
-* ``propagate_exact`` diagonalizes the Hamiltonian on the bright
-  frequency shells (2 + 2S dimensions for S shells, against 2 + 2N^2 for
-  the full basis) once per drive value and steps the state in the
-  eigenbasis of the current drive segment: phases per step, one real basis
-  overlap per drive switch (numerically exact for the finite lattice).
+* ``propagate_exact`` works on the bright frequency shells (2 + 2S
+  dimensions for S shells, against 2 + 2N^2 for the full basis).  Per
+  drive value the shell Hamiltonian splits, after a 2 x 2 rotation R_f of
+  the battery/charger pair and of both baths, into two (1 + S) arrowhead
+  blocks, each diagonalized once (``SegmentPropagators``).  The state is
+  stepped in the eigenbasis of the current drive segment, a run of
+  constant drive at a time: direct phase powers for its steps, one
+  product for their pair amplitudes, and one real basis overlap per drive
+  switch (numerically exact for the finite lattice).
   ``SegmentPropagators.march`` does the stepping on the ``_build_grid``
   grid; ``floquet.floquet_mode`` samples the Floquet modes with the same
-  march over one period.
+  march over one period, and ``floquet.compute_spectrum`` builds U_T from
+  the same block eigensystem.
 * ``solve_volterra`` integrates the reduced pair of amplitude equations
 
       du_l/dt + i omega_l u_l + i kappa f(t) u_l' + int_0^t nu(t-s) u_l(s) ds = 0
@@ -34,6 +39,8 @@ from .model import ProtocolSchedule, SystemParams
 
 # bytes; the largest allocation a lattice propagation may request
 MEMORY_CAP = 3e9
+# steps per chunk of a constant-drive run in SegmentPropagators.march
+_MARCH_CHUNK = 128
 
 __all__ = [
     "EnergyTrace",
@@ -72,15 +79,28 @@ def _bath_arrays(env: LatticeEnvironment, shells=None):
     return w, np.full(w.size, env.coupling_per_mode)
 
 
+def _pair_matrix(params: SystemParams, f_value: float) -> np.ndarray:
+    """M(f): the battery and charger levels and their exchange kappa f."""
+    return np.array([[params.omega_b, params.kappa * f_value],
+                     [params.kappa * f_value, params.omega_c]])
+
+
+def _arrowhead(apex: float, bath) -> np.ndarray:
+    """(1 + S) block diag(apex, omega_s), the couplings g_s in its first row
+    and column, for a bath given as (frequencies, couplings)."""
+    w, gk = bath
+    h = np.diag(np.concatenate(([apex], w)))
+    h[0, 1:] = h[1:, 0] = gk
+    return h
+
+
 def _pair_hamiltonian(params: SystemParams, bath, f_value: float) -> np.ndarray:
     """Pair plus two baths given as (frequencies, couplings)."""
     w, gk = bath
     nb = w.size
     d = 2 + 2 * nb
     h = np.zeros((d, d))
-    h[0, 0] = params.omega_b
-    h[1, 1] = params.omega_c
-    h[0, 1] = h[1, 0] = params.kappa * f_value
+    h[:2, :2] = _pair_matrix(params, f_value)
     idx_b = 2 + np.arange(nb)
     idx_c = 2 + nb + np.arange(nb)
     h[idx_b, idx_b] = w
@@ -97,13 +117,7 @@ def _sector_hamiltonian(params: SystemParams, bath, f_value: float,
         raise ValueError("sector decomposition requires zero detuning")
     if sector not in (+1, -1):
         raise ValueError("sector must be +1 or -1")
-    w, gk = bath
-    idx = 1 + np.arange(w.size)
-    h = np.zeros((1 + w.size, 1 + w.size))
-    h[0, 0] = params.omega_0 + sector * params.kappa * f_value
-    h[idx, idx] = w
-    h[0, idx] = h[idx, 0] = gk
-    return h
+    return _arrowhead(params.omega_0 + sector * params.kappa * f_value, bath)
 
 
 def build_hamiltonian(
@@ -179,17 +193,24 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out.view(complex).reshape((m.shape[0],) + z.shape[1:])
 
 
-def check_memory(env: LatticeEnvironment, delta: float = 0.0) -> None:
+def check_memory(env: LatticeEnvironment, delta: float | None = None
+                 ) -> None:
     """Raise MemoryCapError if a lattice run on env would exceed MEMORY_CAP.
 
-    n = 2 + 2S for S shells.  Propagation takes 6 n^2 floats for the shell
-    eigenbases and the eigh workspace, as much as a spectrum at zero
-    detuning (two sector blocks of n/2); a detuned spectrum takes 10, five
-    complex n x n matrices (tracemalloc peaks: 4.6-4.9 and 8.0-9.1 n^2
-    floats at n_side 20-60).
+    n = 2 + 2S for S shells.  ``delta`` None estimates propagation alone:
+    4 n^2 floats for the block eigenbases, the overlap and the eigh
+    workspace of one (1 + S) block.  A spectrum at detuning ``delta`` also
+    holds its propagators and eigenvectors: 6 n^2 floats at zero detuning,
+    10 when detuned, where U'' and the inverse of I + zU'' are complex
+    n x n matrices.  Measured peaks at n_side 60 and 100, in n^2 floats
+    (tracemalloc, then RSS): propagation 1.4 and 1.3, 2.1 and 1.9;
+    resonant spectrum 4.5 and 4.5, 6.0 and 5.4; detuned spectrum 8.0 and
+    8.0, 11.3 and 11.2.  numpy.linalg.inv keeps two
+    complex n x n work copies out of tracemalloc's sight, so the detuned
+    RSS peak exceeds its estimate, by as much as before the block split.
     """
     n = 2 + 2 * env.shells().frequencies.size
-    estimate = (80 if delta else 48) * n * n
+    estimate = (32 if delta is None else 80 if delta else 48) * n * n
     if estimate > MEMORY_CAP:
         raise MemoryCapError(required=estimate, cap=int(MEMORY_CAP))
 
@@ -203,39 +224,125 @@ class SegmentPropagators:
     these bright combinations for all time.  A state is therefore a shell
     vector b of size n = 2 + 2S: battery, charger, the S battery-bath
     shells and the S charger-bath shells, with shell amplitude
-    b_s = sum_{k in s} x_k / sqrt(m_s) of the lattice amplitudes x_k.  It
-    is stepped in the eigenbasis of the shell Hamiltonian
-    H_f = V_f diag(w_f) V_f^T.
+    b_s = sum_{k in s} x_k / sqrt(m_s) of the lattice amplitudes x_k.
 
-    ``march`` steps a shell vector on a uniform grid (``_build_grid``):
-    it moves to the coefficients V_f^T b once, multiplies them by one phase
-    vector per drive value at each step, applies the real overlap
-    V_0^T V_1 (or its transpose) when the drive switches, and reads the
-    battery and charger amplitudes off the two pair rows of V_f.
-    ``apply`` is the direct step V_f exp(-i w_f dt) V_f^T b, kept as the
-    reference for that path.  ``dimension`` is the lattice dimension
-    d = 2 + 2N^2 that the shell states reduce; nothing here uses it.
+    The two baths share the shell frequencies omega_s and couplings g_s, so
+    rotating the battery/charger pair and both baths by the eigenbasis R_f
+    of the pair matrix M(f) = [[omega_b, kappa f], [kappa f, omega_c]]
+    splits the shell Hamiltonian H_f into two (1 + S) arrowhead blocks:
+    block sigma is diag(x_sigma, omega_s) with the g_s in its first row and
+    column, x_sigma the eigenvalues of M(f) (``levels``).  Hence
+    H_f = V_f diag(w_f) V_f^T with V_f = (R_f x I) diag(Q_f0, Q_f1).  Only
+    R_f (``rotation``) and the block eigenpairs (w_fsigma, Q_fsigma)
+    (``blocks``) are stored, and ``coefficients`` (V_f^T b), ``expand``
+    (V_f c) and the pair read-out apply V_f block by block.  At zero
+    detuning M(0) = omega_0 I, so R_0 = R_1 is taken: the blocks are the
+    symmetric/antisymmetric sectors at both drive values, they never mix,
+    and the two f = 0 blocks coincide (one ``eigh`` serves both).
+
+    ``overlap`` holds the real V_0^T V_1, which takes f = 1 coefficients
+    to f = 0 ones: the block products Q_0a^T Q_1b weighted by
+    (R_0^T R_1)_ab, only the two diagonal blocks at zero detuning.  The
+    spectrum (``floquet.compute_spectrum``) is built on the same eigenpairs
+    and overlap as the march that samples its modes.
+
+    ``march`` steps a shell vector on a uniform grid (``_build_grid``) run
+    by run: within a run of constant drive it multiplies the coefficients
+    by the direct phase powers exp(-i w_f h k), k = 1 ... m, and reads the
+    battery and charger amplitudes of all m steps off with one product;
+    it applies the overlap (or its transpose) when the drive switches.
+    Runs are cut into chunks of ``_MARCH_CHUNK`` steps, so a march holds
+    O(n) numbers however many steps it takes.  ``apply`` is the direct step
+    V_f exp(-i w_f dt) V_f^T b, kept as the reference for that path.
+    ``dimension`` is the lattice dimension d = 2 + 2N^2 that the shell
+    states reduce; nothing here uses it.
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment):
         check_memory(env)
         self.dimension = 2 + 2 * env.n_modes
-        self.evals = {}
-        self.evecs = {}
+        self.shells = env.shells()
+        bath = _bath_arrays(env, self.shells)
+        self.levels, self.rotation, self.blocks, self.evals = {}, {}, {}, {}
         self._readout = {}
-        bath = _bath_arrays(env, env.shells())
+        by_apex = {}
         for f in (1.0, 0.0):
-            w, v = np.linalg.eigh(_pair_hamiltonian(params, bath, f))
-            self.evals[f] = w
-            self.evecs[f] = v
-            self._readout[f] = v[:2].astype(complex)
+            x, r = np.linalg.eigh(_pair_matrix(params, f))
+            if f == 0.0 and params.delta == 0.0:
+                r = self.rotation[1.0]  # M(0) = omega_0 I: any basis will do
+            for apex in x:
+                if apex not in by_apex:
+                    by_apex[apex] = np.linalg.eigh(_arrowhead(apex, bath))
+            blocks = [by_apex[apex] for apex in x]
+            self.levels[f], self.rotation[f], self.blocks[f] = x, r, blocks
+            self.evals[f] = np.concatenate([w for w, _ in blocks])
+            self._readout[f] = np.concatenate(
+                [np.outer(r[:, a], q[0]) for a, (_, q) in enumerate(blocks)],
+                axis=1).astype(complex)
         self._overlap = None
+
+    def coefficients(self, f: float, b: np.ndarray) -> np.ndarray:
+        """V_f^T b for shell vector(s) b: block 0's coefficients, then
+        block 1's."""
+        r, n_sh = self.rotation[f], self.shells.frequencies.size
+        battery = np.concatenate([b[:1], b[2:2 + n_sh]])
+        charger = np.concatenate([b[1:2], b[2 + n_sh:]])
+        return np.concatenate([_real_matmul(q.T, r[0, a] * battery
+                                            + r[1, a] * charger)
+                               for a, (_, q) in enumerate(self.blocks[f])])
+
+    def expand(self, f: float, c: np.ndarray, block: int | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """V_f c: shell vector(s) from coefficients on both blocks or, given
+        ``block``, from the 1 + S coefficients of that block alone; written
+        to ``out`` when given."""
+        r, n_sh = self.rotation[f], self.shells.frequencies.size
+        parts = [(block, c)] if block is not None else \
+            [(a, c[a * (1 + n_sh):(a + 1) * (1 + n_sh)]) for a in (0, 1)]
+        if out is None:
+            out = np.empty((2 + 2 * n_sh,) + c.shape[1:], dtype=complex)
+        # each side: its pair level, then its bath's shells
+        sides = [(out[p:p + 1], out[2 + p * n_sh:2 + (p + 1) * n_sh])
+                 for p in (0, 1)]
+        for i, (a, part) in enumerate(parts):
+            y = _real_matmul(self.blocks[f][a][1], part)
+            for p, (level, shells) in enumerate(sides):
+                if i == 0:  # no temporary: a spectrum's modes are n x n
+                    np.multiply(y[:1], r[p, a], out=level)
+                    np.multiply(y[1:], r[p, a], out=shells)
+                else:
+                    level += r[p, a] * y[:1]
+                    shells += r[p, a] * y[1:]
+        return out
+
+    def overlap(self) -> list:
+        """The nonzero blocks of V_0^T V_1, which takes f = 1 coefficients
+        to f = 0 ones, as (rows, columns, block) triples, built on first use
+        from the products Q_0a^T Q_1b weighted by (R_0^T R_1)_ab: the two
+        diagonal blocks at zero detuning (R_0 = R_1), else one n x n
+        block."""
+        if self._overlap is None:
+            r0, r1 = self.rotation[0.0], self.rotation[1.0]
+            q0, q1 = ([q for _, q in self.blocks[f]] for f in (0.0, 1.0))
+            m = q1[0].shape[0]
+            part = (slice(0, m), slice(m, 2 * m))
+            if r0 is r1:
+                self._overlap = [(part[a], part[a], q0[a].T @ q1[a])
+                                 for a in (0, 1)]
+            else:
+                weight = r0.T @ r1
+                ovl = np.empty((2 * m, 2 * m))
+                for a in (0, 1):
+                    for b in (0, 1):
+                        ovl[part[a], part[b]] = weight[a, b] * (q0[a].T @ q1[b])
+                self._overlap = [(slice(None), slice(None), ovl)]
+        return self._overlap
 
     def apply(self, state: np.ndarray, f: float, dt: float) -> np.ndarray:
         """exp(-i H_f dt) @ state, for a shell vector."""
         f = 1.0 if f else 0.0
-        v = self.evecs[f]
-        return v @ (np.exp(-1j * self.evals[f] * dt) * (v.T @ state))
+        return self.expand(f, np.exp(-1j * self.evals[f] * dt)
+                           * self.coefficients(f, state))
 
     def march(self, state: np.ndarray, h: float, f_step):
         """Step a shell vector through len(f_step) steps of width h.
@@ -243,26 +350,37 @@ class SegmentPropagators:
         f_step[j] is the drive value on step j, as ``_build_grid`` returns
         it.  Returns the battery and charger amplitudes at the grid times,
         shape (len(f_step) + 1, 2) with the start in row 0, and the shell
-        vector after the last step.  A step costs O(n) phases, a drive
-        switch one real O(n^2) product on the real and imaginary parts.
+        vector after the last step.  A chunk of m steps costs m n phase
+        products and one (m x n) @ (n x 2) read-out, a drive switch one
+        real O(n^2) product on the real and imaginary parts.
         """
-        phases = {f: np.exp(-1j * h * w) for f, w in self.evals.items()}
-        pair = np.empty((len(f_step) + 1, 2), dtype=complex)
+        drive = np.asarray(f_step) != 0
+        n_steps = drive.size
+        edges = (np.flatnonzero(np.diff(drive)) + 1).tolist()
+        starts = [j for a, b in zip([0] + edges, edges + [n_steps])
+                  for j in range(a, b, _MARCH_CHUNK)]
+        stops = starts[1:] + [n_steps]
+        k = np.arange(1, max(b - a for a, b in zip(starts, stops)) + 1)
+        powers = {f: np.exp(-1j * h * np.outer(k, self.evals[f]))
+                  for f in {1.0 if drive[a] else 0.0 for a in starts}}
+        pair = np.empty((n_steps + 1, 2), dtype=complex)
         pair[0] = state[:2]
-        f_now = 1.0 if f_step[0] else 0.0
-        c = _real_matmul(self.evecs[f_now].T, state)
-        for j, f in enumerate(f_step, 1):
-            f = 1.0 if f else 0.0
+        f_now = 1.0 if drive[0] else 0.0
+        c = self.coefficients(f_now, state)
+        for a, b in zip(starts, stops):
+            f = 1.0 if drive[a] else 0.0
             if f != f_now:
-                if self._overlap is None:
-                    # V_0^T V_1 takes f = 1 coefficients to f = 0 ones
-                    self._overlap = self.evecs[0.0].T @ self.evecs[1.0]
-                ovl = self._overlap
-                c = _real_matmul(ovl if f == 0.0 else ovl.T, c)
-                f_now = f
-            c = phases[f] * c
-            pair[j] = self._readout[f] @ c
-        return pair, _real_matmul(self.evecs[f_now], c)
+                switched = np.zeros_like(c)
+                for rows, cols, ovl in self.overlap():
+                    if f == 0.0:
+                        switched[rows] += _real_matmul(ovl, c[cols])
+                    else:
+                        switched[cols] += _real_matmul(ovl.T, c[rows])
+                c, f_now = switched, f
+            p = powers[f][:b - a]
+            pair[a + 1:b + 1] = p @ (self._readout[f].T * c[:, None])
+            c = p[-1] * c
+        return pair, self.expand(f_now, c)
 
 
 def propagate_exact(

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import (_build_grid, check_memory, default_time_step,
-                       propagate_exact, solve_volterra, solve_volterra_pm)
+from .dynamics import (SegmentPropagators, _build_grid, check_memory,
+                       default_time_step, propagate_exact, solve_volterra,
+                       solve_volterra_pm)
 from .environment import LatticeEnvironment
 from .errors import ConfigError, MemoryCapError
 from .floquet import (
@@ -240,6 +241,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
                     f"the trace step T/{_SAMPLES_PER_PERIOD} snaps to "
                     f"T/{n_steps} on the drive segments, so the trace is not "
                     "aligned with the mode samples")
+            # an exact trace must take the n_samples steps of t_max/n_samples
+            if cfg.kind == "dynamics" and cfg.route == "exact" \
+                    and cfg.n_samples:
+                t_max = _t_max(cfg, schedule)
+                h, n_steps, _ = _build_grid(schedule, t_max,
+                                            t_max / cfg.n_samples)
+                if n_steps != cfg.n_samples \
+                        or abs(n_steps * h - t_max) > 1e-9 * schedule.period:
+                    raise ValueError(
+                        f"the trace step t_max/n_samples = "
+                        f"{t_max / cfg.n_samples:.6g} snaps to T/"
+                        f"{round(schedule.period / h)} on the drive segments, "
+                        f"so the trace is not aligned with t_max: "
+                        f"{n_steps} steps to t = {n_steps * h:.6g}")
         elif cfg.kind == "nonresonant":
             _check_protocol(cfg.kappa, schedule)
         elif cfg.kind == "perturbation":
@@ -475,12 +490,14 @@ def _run_spectrum(cfg, params, env, schedule):
 
 
 def _bound_state_energy(cfg, params, env, schedule, ts):
-    """Bound states, their energy terms over ``ts``, diag_j/interference."""
+    """Bound states, their energy terms over ``ts``, diag_j/interference;
+    the spectrum and its modes share one eigensystem."""
+    props = SegmentPropagators(params, env)
     spec = compute_spectrum(params, env, schedule,
                             weight_threshold=cfg.weight_threshold,
-                            gap_tolerance=cfg.gap_tolerance)
+                            gap_tolerance=cfg.gap_tolerance, props=props)
     modes = fbs_floquet_modes(params, env, schedule, spec,
-                              n_samples=cfg.n_offsets)
+                              n_samples=cfg.n_offsets, props=props)
     decomp = decompose_energy_terms(modes, ts)
     header = [f"diag_{j + 1}" for j in range(len(modes))] + ["interference"]
     cols = list(decomp.elements) + [decomp.interference / params.omega_b]

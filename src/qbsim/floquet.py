@@ -12,18 +12,25 @@ lists all d quasienergies: the m_s - 1 dark combinations of each shell
 and bath are uncoupled, with quasienergy fold(omega_s) and system weight
 0, and no vector is stored for them.  ``QuasienergySpectrum.mode`` expands
 a coupled mode to the full basis, spreading a bright amplitude over its
-shell as a_s / sqrt(m_s).  At zero detuning ``resonant_spectrum``
-also splits the symmetric/antisymmetric sectors (blocks of 1 + S), so
-every bound state is exactly sector-pure, even when the two bound-state
-quasienergies are degenerate.
+shell as a_s / sqrt(m_s).
 
-Each shell block is diagonalized through one real symmetric eigenproblem
-(``_cayley_spectrum``).  The 1-0-1 drive makes U_T similar to the complex
-symmetric unitary U'' = P Q P, P = U_0(tau_s/2) and Q = U_1(tau_c + tau_d),
-whose Cayley transform i(I - zU'')(I + zU'')^-1 is real symmetric.  Its
-``eigh`` gives orthonormal real eigenvectors, also inside quasi-degenerate
-clusters of the folded bath band, and every eigenpair is checked by its
-residual.
+The spectrum is built on the eigensystem that samples its modes: the
+``dynamics.SegmentPropagators`` of the run, whose (1 + S) arrowhead
+blocks diagonalize the shell Hamiltonian at f = 1 and f = 0, and whose
+overlap V_0^T V_1 is assembled from those blocks.  At zero detuning the
+blocks are the symmetric/antisymmetric sectors, which ``resonant_spectrum``
+diagonalizes one at a time, so every bound state is exactly sector-pure,
+even when the two bound-state quasienergies are degenerate.  A detuned
+spectrum (``_detuned_spectrum``) diagonalizes U_T on the whole 2 + 2S
+overlap.
+
+Each spectrum block is diagonalized through one real symmetric
+eigenproblem (``_cayley_spectrum``).  The 1-0-1 drive makes U_T similar
+to the complex symmetric unitary U'' = P Q P, P = U_0(tau_s/2) and
+Q = U_1(tau_c + tau_d), whose Cayley transform i(I - zU'')(I + zU'')^-1
+is real symmetric.  Its ``eigh`` gives orthonormal real eigenvectors,
+also inside quasi-degenerate clusters of the folded bath band, and every
+eigenpair is checked by its residual.
 
 ``one_period_operator`` and ``quasienergy_spectrum`` work in the full
 basis, through a complex Schur factorization of U_T; they are the
@@ -36,9 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg as sla
 
-from .dynamics import (SegmentPropagators, _bath_arrays, _build_grid,
-                       _pair_hamiltonian, _real_matmul, _sector_hamiltonian,
-                       build_hamiltonian, check_memory)
+from .dynamics import (SegmentPropagators, _build_grid, _pair_matrix,
+                       _real_matmul, build_hamiltonian, check_memory)
 from .environment import LatticeEnvironment, Shells
 from .errors import NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
@@ -179,8 +185,15 @@ def _folded_band(env, schedule):
 def quasienergy_spectrum(
     u_t: np.ndarray, schedule: ProtocolSchedule, env: LatticeEnvironment
 ) -> QuasienergySpectrum:
-    """Eigendecompose a one-period operator (any detuning)."""
+    """Eigendecompose a one-period operator (any detuning).
+
+    A lattice mode on the zone edge comes out of the Schur form a few ulps
+    to either side of it; quasienergies within 8 ulps of -omega_T/2 are
+    folded to +omega_T/2, where ``compute_spectrum`` puts such modes.
+    """
     eps, vecs = _folded_schur(u_t, schedule)
+    edge = 0.5 * schedule.omega_T
+    eps = np.where(eps < -edge + 8 * np.spacing(edge), edge, eps)
     order = np.argsort(eps, kind="stable")
     vecs = vecs[:, order]
     weights = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
@@ -230,50 +243,46 @@ def _full_basis_spectrum(eps, vecs, shells, schedule, env):
                                shells=shells)
 
 
-def _cayley_shift(h1, h0, n_pair, schedule):
+def _cayley_shift(m1, m0, frequencies, schedule):
     """Angle theta of the Cayley shift z = e^{i theta}.
 
     z lambda = -1 falls in the middle of the widest gap of the uncoupled
-    (g = 0) levels lambda of U'': the shells' e^{-i omega_s T} and the
-    eigenvalues of the bare pair block (the first ``n_pair`` rows), so no
-    level, and no bound state grown from one, sits near the pole.
+    (g = 0) levels lambda of U'': the shells' e^{-i omega_s T} for the
+    shell ``frequencies``, and the eigenvalues of the bare pair's own U''
+    from its matrices m1 at f = 1 and m0 at f = 0 (M(f), or the 1 x 1
+    level of a sector), so no level, and no bound state grown from one,
+    sits near the pole.
     """
-    def step(h, t):
-        w, v = np.linalg.eigh(h)
+    def step(m, t):
+        w, v = np.linalg.eigh(m)
         return (v * np.exp(-1j * w * t)) @ v.T
-    p = step(h0[:n_pair, :n_pair], 0.5 * schedule.tau_s)
-    pair = p @ step(h1[:n_pair, :n_pair], schedule.tau_c + schedule.tau_d) @ p
+    p = step(m0, 0.5 * schedule.tau_s)
+    pair = p @ step(m1, schedule.tau_c + schedule.tau_d) @ p
     levels = np.sort(np.mod(np.concatenate([
-        np.angle(np.linalg.eigvals(pair)),
-        -schedule.period * np.diag(h0)[n_pair:]]), 2.0 * math.pi))
+        np.angle(np.linalg.eigvals(pair)), -schedule.period * frequencies]),
+        2.0 * math.pi))
     gaps = np.diff(levels, append=levels[0] + 2.0 * math.pi)
     k = np.argmax(gaps)
     return math.pi - levels[k] - 0.5 * gaps[k]
 
 
-def _cayley_spectrum(hamiltonian, n_pair, schedule):
+def _cayley_spectrum(w1, w0, ovl, theta, schedule):
     """Folded quasienergies and eigenvectors of U_T from one real ``eigh``.
 
-    ``hamiltonian(f)`` is a real symmetric shell block whose first
-    ``n_pair`` rows are the pair (1 for a sector, 2 for battery and
-    charger).  The drive is 1-0-1, so in the frame Y = U_0(tau_s/2)
-    U_1(tau_c), Y U_T Y^-1 = U'' = P Q P with P = U_0(tau_s/2) and
-    Q = U_1(tau_c + tau_d): complex symmetric and unitary, with real
-    eigenvectors o_j.  Its Cayley transform K = i(I - zU'')(I + zU'')^-1
-    is real symmetric with eigenvalues tan(phi_j / 2), z lambda_j =
-    e^{i phi_j}.  U'' is assembled in the f = 0 eigenbasis as
-    D_0 W D_1 W^T D_0 with the real overlap W = V_0^T V_1, and the modes
-    are phi_j(0) = Y^-1 V_0 o_j.  An eigenpair residual
-    ||U'' o_j - lambda_j o_j|| above ``_CLOSURE_TOL`` raises
+    ``w1`` and ``w0`` are the eigenvalues of a real symmetric shell block
+    at f = 1 and f = 0, ``ovl`` = V_0^T V_1 the real overlap of their
+    eigenvectors, and ``theta`` the angle of the shift (``_cayley_shift``).
+    The drive is 1-0-1, so in the frame Y = U_0(tau_s/2) U_1(tau_c),
+    Y U_T Y^-1 = U'' = P Q P with P = U_0(tau_s/2) and Q = U_1(tau_c +
+    tau_d): complex symmetric and unitary, with real eigenvectors o_j.
+    Its Cayley transform K = i(I - zU'')(I + zU'')^-1 is real symmetric
+    with eigenvalues tan(phi_j / 2), z lambda_j = e^{i phi_j}.  U'' is
+    assembled in the f = 0 eigenbasis as D_0 W D_1 W^T D_0 with W = ovl,
+    and the modes are phi_j(0) = Y^-1 V_0 o_j = V_1 c_j; the coefficients
+    c_j on the f = 1 eigenvectors are returned as columns.  An eigenpair
+    residual ||U'' o_j - lambda_j o_j|| above ``_CLOSURE_TOL`` raises
     NotAnEigenpairError.
     """
-    h1, h0 = hamiltonian(1.0), hamiltonian(0.0)
-    theta = _cayley_shift(h1, h0, n_pair, schedule)
-    w1, v1 = np.linalg.eigh(h1)
-    w0, v0 = np.linalg.eigh(h0)
-    del h1, h0
-    ovl = v0.T @ v1
-    del v0
     half = np.exp(-0.5j * schedule.tau_s * w0)
     u = _real_matmul(ovl, np.exp(-1j * (schedule.tau_c + schedule.tau_d)
                                  * w1)[:, None] * ovl.T)
@@ -284,11 +293,14 @@ def _cayley_spectrum(hamiltonian, n_pair, schedule):
     diag = np.diag_indices_from(u)
     u *= np.exp(1j * theta)
     u[diag] += 1.0
-    inv = np.linalg.inv(u).imag
+    inv = np.linalg.inv(u)
     u[diag] -= 1.0
     u *= np.exp(-1j * theta)
-    tan_half, o = np.linalg.eigh(-(inv + inv.T))
-    del inv
+    k_mat = inv.imag + inv.imag.T
+    del inv  # the complex inverse goes before eigh takes its workspace
+    k_mat *= -1.0
+    tan_half, o = np.linalg.eigh(k_mat)
+    del k_mat
     phi = 2.0 * np.arctan(tan_half)
     lam = np.exp(1j * (phi - theta))
     r = _real_matmul(o.T, u)  # row j: (U'' o_j)^T, U'' symmetric
@@ -302,44 +314,56 @@ def _cayley_spectrum(hamiltonian, n_pair, schedule):
     eps = fold_quasienergy((theta - phi) / schedule.period, schedule.omega_T)
     vecs = _real_matmul(ovl.T, np.conj(half)[:, None] * o)
     vecs *= np.exp(1j * schedule.tau_c * w1)[:, None]
-    return eps, _real_matmul(v1, vecs)
+    return eps, vecs
 
 
 def resonant_spectrum(
     params: SystemParams,
     env: LatticeEnvironment,
     schedule: ProtocolSchedule,
+    props: SegmentPropagators | None = None,
 ) -> QuasienergySpectrum:
     """Spectrum from the two decoupled sectors at zero detuning.
 
-    Each sector's U_T is diagonalized on the bright shells (1 + S
-    dimensions); a sector-s eigenvector (a_0, a_shells) is the pair state
-    (a_0, s a_0) / sqrt 2 with baths (a_shells, s a_shells) / sqrt 2.
+    Each sector is one (1 + S) block of ``props`` (built here if not
+    given): its U_T is diagonalized from the block eigenpairs and the
+    block's diagonal part of the overlap, and its modes are expanded
+    through that block alone, (a_0, a_shells) -> pair (r_b a_0, r_c a_0)
+    and baths (r_b a_shells, r_c a_shells) with (r_b, r_c) = (1, +-1) /
+    sqrt 2 the sector's column of R_1.
     """
     if params.delta != 0.0:
         raise ValueError("resonant_spectrum requires zero detuning")
-    shells = env.shells()
-    bath = _bath_arrays(env, shells)
-    eps_all, vec_blocks = [], []
-    s = 1.0 / math.sqrt(2.0)
-    for sector in (+1, -1):
-        eps, q_mat = _cayley_spectrum(
-            lambda f: _sector_hamiltonian(params, bath, f, sector), 1, schedule)
-        eps_all.append(eps)
-        vec_blocks.append(np.concatenate([s * q_mat[:1], sector * s * q_mat[:1],
-                                          s * q_mat[1:], sector * s * q_mat[1:]]))
-    return _full_basis_spectrum(np.concatenate(eps_all),
-                                np.concatenate(vec_blocks, axis=1),
-                                shells, schedule, env)
+    if props is None:
+        props = SegmentPropagators(params, env)
+    m = props.evals[1.0].size // 2
+    eps = np.empty(2 * m)
+    vecs = np.empty((2 * m, 2 * m), dtype=complex)
+    # the symmetric sector (level omega_0 + kappa) first
+    for cols, a in ((slice(0, m), 1), (slice(m, 2 * m), 0)):
+        theta = _cayley_shift(props.levels[1.0][a:a + 1, None],
+                              props.levels[0.0][a:a + 1, None],
+                              props.shells.frequencies, schedule)
+        eps[cols], coeffs = _cayley_spectrum(
+            props.blocks[1.0][a][0], props.blocks[0.0][a][0],
+            props.overlap()[a][2], theta, schedule)
+        props.expand(1.0, coeffs, block=a, out=vecs[:, cols])
+        del coeffs
+    return _full_basis_spectrum(eps, vecs, props.shells, schedule, env)
 
 
-def _detuned_spectrum(params, env, schedule):
-    """Spectrum at any detuning on the bright shells (2 + 2S)."""
-    shells = env.shells()
-    bath = _bath_arrays(env, shells)
-    eps, q_mat = _cayley_spectrum(
-        lambda f: _pair_hamiltonian(params, bath, f), 2, schedule)
-    return _full_basis_spectrum(eps, q_mat, shells, schedule, env)
+def _detuned_spectrum(params, env, schedule, props=None):
+    """Spectrum at any detuning on the bright shells (2 + 2S), from the
+    eigenpairs of both blocks of ``props`` and the assembled overlap."""
+    if props is None:
+        props = SegmentPropagators(params, env)
+    theta = _cayley_shift(_pair_matrix(params, 1.0), _pair_matrix(params, 0.0),
+                          props.shells.frequencies, schedule)
+    (_, _, ovl), = props.overlap()
+    eps, coeffs = _cayley_spectrum(props.evals[1.0], props.evals[0.0], ovl,
+                                   theta, schedule)
+    return _full_basis_spectrum(eps, props.expand(1.0, coeffs), props.shells,
+                                schedule, env)
 
 
 def compute_spectrum(
@@ -348,14 +372,17 @@ def compute_spectrum(
     schedule: ProtocolSchedule,
     weight_threshold: float = 0.05,
     gap_tolerance: float | None = None,
+    props: SegmentPropagators | None = None,
 ) -> QuasienergySpectrum:
-    """Full-basis spectrum with FBS classification, built on the shells;
-    MemoryCapError, before any matrix is built, if they would not fit."""
+    """Full-basis spectrum with FBS classification, built on the shells
+    from the eigensystem of ``props`` (built here if not given), which
+    ``fbs_floquet_modes`` can then reuse; MemoryCapError, before any
+    matrix is built, if they would not fit."""
     check_memory(env, params.delta)
     if params.delta == 0.0:
-        spec = resonant_spectrum(params, env, schedule)
+        spec = resonant_spectrum(params, env, schedule, props=props)
     else:
-        spec = _detuned_spectrum(params, env, schedule)
+        spec = _detuned_spectrum(params, env, schedule, props=props)
     idx = identify_fbs(spec, weight_threshold=weight_threshold,
                        gap_tolerance=gap_tolerance)
     return replace(spec, fbs_indices=idx)

@@ -149,6 +149,91 @@ class TestSegmentPropagators:
         with pytest.raises(MemoryCapError):
             SegmentPropagators(PARAMS, ENV10)
 
+    def test_march_longer_than_a_chunk(self):
+        # runs of 200, 300, 300 and 100 steps on a T/600 grid, cut into
+        # chunks of _MARCH_CHUNK = 128: the pair rows and the final shell
+        # vector against dense full-basis exponentials of each step
+        env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=0.5, kappa=4.8)
+        schedule = ProtocolSchedule(tau_c=0.3, tau_s=0.45, tau_d=0.15)
+        props = SegmentPropagators(params, env)
+        p = bright_isometry(env)
+        state = np.zeros(p.shape[1], dtype=complex)
+        state[1] = 1.0
+        h, n_steps, f_step = dynamics._build_grid(
+            schedule, 1.5 * schedule.period, schedule.period / 600)
+        assert n_steps == 900 and dynamics._MARCH_CHUNK < 200
+        pair, end = props.march(state, h, f_step)
+        steps = {f: sla.expm(-1j * build_hamiltonian(params, env, f) * h)
+                 for f in (1.0, 0.0)}
+        expected = [p @ state]
+        for f in f_step:
+            expected.append(steps[f] @ expected[-1])
+        expected = np.array(expected)
+        np.testing.assert_allclose(pair, expected[:, :2], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(p @ end, expected[-1], rtol=0, atol=1e-11)
+
+
+class TestBlockEigensystem:
+    """The two (1 + S) arrowhead blocks of ``SegmentPropagators`` against
+    ``eigh`` of the 2 + 2S shell Hamiltonian."""
+
+    @pytest.mark.parametrize("n_side", [2, 6, 12])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("f", [0.0, 1.0])
+    def test_blocks_match_shell_eigh(self, n_side, delta, f):
+        env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
+        props = SegmentPropagators(params, env)
+        h = dynamics._pair_hamiltonian(
+            params, dynamics._bath_arrays(env, env.shells()), f)
+        n = h.shape[0]
+        # V_f materialized column by column through the block expansion
+        v = props.expand(f, np.eye(n))
+        w = props.evals[f]
+        assert np.abs(v.imag).max() == 0.0
+        v = v.real
+        np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(h),
+                                   rtol=0, atol=1e-13)
+        assert np.abs((v * w) @ v.T - h).max() < 1e-13
+        assert np.abs(v.T @ v - np.eye(n)).max() < 1e-13
+        np.testing.assert_allclose(props.coefficients(f, np.eye(n)), v.T,
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_side", [2, 6, 12])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_overlap_matches_dense(self, n_side, delta):
+        env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
+        props = SegmentPropagators(params, env)
+        n = props.evals[1.0].size
+        v1, v0 = (props.expand(f, np.eye(n)).real for f in (1.0, 0.0))
+        dense = np.zeros((n, n))
+        for rows, cols, block in props.overlap():
+            dense[rows, cols] = block
+        np.testing.assert_allclose(dense, v0.T @ v1, rtol=0, atol=1e-13)
+
+    def test_resonant_blocks_are_the_sectors(self):
+        # at delta = 0, R_0 = R_1: the blocks are the +/- sectors at both
+        # drive values, the overlap never mixes them, and one eigh serves
+        # both f = 0 blocks
+        env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=4.8)
+        props = SegmentPropagators(params, env)
+        m = props.evals[1.0].size // 2
+        assert props.rotation[0.0] is props.rotation[1.0]
+        assert props.blocks[0.0][0] is props.blocks[0.0][1]
+        assert [(rows, cols) for rows, cols, _ in props.overlap()] \
+            == [(slice(0, m), slice(0, m)), (slice(m, 2 * m), slice(m, 2 * m))]
+        bath = dynamics._bath_arrays(env, env.shells())
+        for f in (1.0, 0.0):
+            for a, sector in ((0, -1), (1, +1)):
+                np.testing.assert_allclose(
+                    props.blocks[f][a][0],
+                    np.linalg.eigvalsh(dynamics._sector_hamiltonian(
+                        params, bath, f, sector)),
+                    rtol=0, atol=1e-13)
+
 
 class TestExactPropagation:
     def test_decoupled_matches_two_level(self):

@@ -233,6 +233,26 @@ class TestShellSpectrum:
                 s = np.sign(np.real(phi_c[0] / phi_b[0]))
                 assert np.abs(phi_c - s * phi_b).max() < 1e-12
 
+    @pytest.mark.parametrize("kappa", [3.0, 3.75])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_zone_edge_matches_full_basis(self, kappa, delta):
+        # at n_side 12 these drives put lattice frequencies on the zone
+        # edge; the Schur form puts their eigenphases a few ulps to either
+        # side of it, and the full-basis reference used to keep the ones
+        # at -omega_T/2 there, up to 1.12 away in the sorted spectrum
+        env = LatticeEnvironment(n_side=12, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta,
+                                          kappa=kappa)
+        tau = 0.5 * np.pi / kappa
+        sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        ref = quasienergy_spectrum(one_period_operator(params, env, sch),
+                                   sch, env)
+        spec = compute_spectrum(params, env, sch)
+        assert np.sum(np.isclose(ref.quasienergies, 0.5 * sch.omega_T,
+                                 rtol=0, atol=1e-12)) >= 6
+        np.testing.assert_allclose(ref.quasienergies, spec.quasienergies,
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_allocates_no_dense_modes(self, delta):
         # a d x d complex array at d = 3202 alone takes 16 d^2 = 164 MB; the
@@ -262,6 +282,16 @@ class TestShellSpectrum:
         monkeypatch.setattr(dynamics, "MEMORY_CAP", 1e4)
         with pytest.raises(MemoryCapError):
             compute_spectrum(params, env, sch)
+
+
+def _schur_block(w1, w0, ovl, theta, schedule):
+    """Quasienergies and Schur vectors of a shell block's U_T, on its f = 1
+    eigenvectors: U_T = D_1(tau_d) W^T D_0(tau_s) W D_1(tau_c) with
+    D_f(t) = exp(-i w_f t) and the overlap W; ``theta`` is not used."""
+    u = ((np.exp(-1j * w1 * schedule.tau_d)[:, None] * ovl.T)
+         @ (np.exp(-1j * w0 * schedule.tau_s)[:, None] * ovl)
+         * np.exp(-1j * w1 * schedule.tau_c))
+    return floquet._folded_schur(u, schedule)
 
 
 class TestCayleySpectrum:
@@ -297,10 +327,7 @@ class TestCayleySpectrum:
         with monkeypatch.context() as m:
             # the same shell blocks through U_T and its complex Schur form;
             # the dark modes at the zone edge fold as in the spectrum
-            m.setattr(floquet, "_cayley_spectrum",
-                      lambda hamiltonian, n_pair, schedule:
-                      floquet._folded_schur(floquet._small_period_operator(
-                          hamiltonian, schedule), schedule))
+            m.setattr(floquet, "_cayley_spectrum", _schur_block)
             ref = compute_spectrum(params, env, sch)
         np.testing.assert_allclose(spec.quasienergies, ref.quasienergies,
                                    rtol=0, atol=1e-12)
