@@ -20,6 +20,8 @@ Two independent routes are provided and cross-validated:
       du_l/dt + i omega_l u_l + i kappa f(t) u_l' + int_0^t nu(t-s) u_l(s) ds = 0
 
   with a second-order predictor-corrector and trapezoidal memory sums.
+  Step n costs one O(n) dot of the history against the kernel table and
+  O(1) scalar work, so a run of m steps costs O(m^2).
 
 ``solve_volterra_pm`` integrates the decoupled symmetric/antisymmetric
 combinations available at zero detuning.
@@ -201,16 +203,15 @@ def check_memory(env: LatticeEnvironment, delta: float | None = None
     4 n^2 floats for the block eigenbases, the overlap and the eigh
     workspace of one (1 + S) block.  A spectrum at detuning ``delta`` also
     holds its propagators and eigenvectors: 6 n^2 floats at zero detuning,
-    10 when detuned, where U'' and the inverse of I + zU'' are complex
-    n x n matrices.  Measured peaks at n_side 60 and 100, in n^2 floats
+    11.5 when detuned, where U'' and the inverse of I + zU'' are complex
+    n x n matrices and numpy.linalg.inv keeps two complex n x n work
+    copies besides.  Measured peaks at n_side 60 and 100, in n^2 floats
     (tracemalloc, then RSS): propagation 1.4 and 1.3, 2.1 and 1.9;
     resonant spectrum 4.5 and 4.5, 6.0 and 5.4; detuned spectrum 8.0 and
-    8.0, 11.3 and 11.2.  numpy.linalg.inv keeps two
-    complex n x n work copies out of tracemalloc's sight, so the detuned
-    RSS peak exceeds its estimate, by as much as before the block split.
+    8.0, 11.3 and 11.2 (tracemalloc does not see inv's work copies).
     """
     n = 2 + 2 * env.shells().frequencies.size
-    estimate = (32 if delta is None else 80 if delta else 48) * n * n
+    estimate = (32 if delta is None else 92 if delta else 48) * n * n
     if estimate > MEMORY_CAP:
         raise MemoryCapError(required=estimate, cap=int(MEMORY_CAP))
 
@@ -432,36 +433,43 @@ def _volterra_march(h, f_step, kern, m_of_f, init):
     """Second-order predictor-corrector march of a 2-component memory system.
 
     du/dt = -i M(f) u - int_0^t nu(t-s) u(s) ds, trapezoidal memory sums.
-    ``m_of_f`` maps a drive value to the 2x2 matrix M(f).
+    ``m_of_f`` maps a drive value to the 2x2 matrix M(f).  Once u_n is
+    final, one dot against the reversed kernel gives the history sum
+    G_{n+1} = sum_{j<=n} nu(t_{n+1} - t_j) u_j; the memory integral at
+    t_{n+1} is then h (G_{n+1} + nu(0) u_{n+1} / 2 - nu(t_{n+1}) u_0 / 2)
+    for the predicted, corrected and final u_{n+1} alike.  Everything else
+    is O(1) arithmetic on Python complex scalars.
     """
     n_steps = len(f_step)
-    big_l = n_steps
-    krev = kern[::-1].copy()
+    krev = kern[:0:-1].astype(complex)  # nu(t_n), ..., nu(t_1)
     u_hist = np.zeros((n_steps + 1, 2), dtype=complex)
     u_hist[0] = init
-    k0 = kern[0]
-    m_cache = {f: m_of_f(f) for f in np.unique(f_step)}
-
-    def conv(n):
-        if n == 0:
-            return np.zeros(2, dtype=complex)
-        s = krev[big_l - n:big_l + 1] @ u_hist[: n + 1]
-        s -= 0.5 * (kern[n] * u_hist[0] + k0 * u_hist[n])
-        return h * s
-
-    for n in range(n_steps):
-        m = m_cache[f_step[n]]
-        u_n = u_hist[n]
-        f_n = -1j * (m @ u_n) - conv(n)
-        u_pred = u_n + h * f_n
-        u_hist[n + 1] = u_pred
-        c_next = conv(n + 1)
-        f_next = -1j * (m @ u_pred) - c_next
-        u_corr = u_n + 0.5 * h * (f_n + f_next)
+    half_k = (0.5 * kern).tolist()
+    half_k0 = half_k[0]
+    drive = f_step.tolist()
+    m_cache = {f: m_of_f(f).tolist() for f in set(drive)}
+    a0, b0 = u_hist[0].tolist()
+    a, b = a0, b0
+    ca = cb = 0j  # memory integral at t_n with the final u_n
+    for n, f in enumerate(drive):
+        (m00, m01), (m10, m11) = m_cache[f]
+        fa = -1j * (m00 * a + m01 * b) - ca
+        fb = -1j * (m10 * a + m11 * b) - cb
+        # G_{n+1} - nu(t_{n+1}) u_0 / 2, final once u_n is
+        ga, gb = (krev[n_steps - 1 - n:] @ u_hist[:n + 1]).tolist()
+        ga -= half_k[n + 1] * a0
+        gb -= half_k[n + 1] * b0
+        pa, pb = a + h * fa, b + h * fb
+        ca, cb = h * (ga + half_k0 * pa), h * (gb + half_k0 * pb)
+        qa = a + 0.5 * h * (fa - 1j * (m00 * pa + m01 * pb) - ca)
+        qb = b + 0.5 * h * (fb - 1j * (m10 * pa + m11 * pb) - cb)
         # one more corrector sweep; only the endpoint memory term changes
-        c_next = c_next + 0.5 * h * k0 * (u_corr - u_pred)
-        f_next = -1j * (m @ u_corr) - c_next
-        u_hist[n + 1] = u_n + 0.5 * h * (f_n + f_next)
+        ca += h * half_k0 * (qa - pa)
+        cb += h * half_k0 * (qb - pb)
+        a = a + 0.5 * h * (fa - 1j * (m00 * qa + m01 * qb) - ca)
+        b = b + 0.5 * h * (fb - 1j * (m10 * qa + m11 * qb) - cb)
+        ca, cb = h * (ga + half_k0 * a), h * (gb + half_k0 * b)
+        u_hist[n + 1] = a, b
     return u_hist
 
 
@@ -478,9 +486,11 @@ def solve_volterra(
 
     With the 'discrete' kernel this is an independent route to the same
     finite-lattice dynamics as ``propagate_exact``; with 'continuum' it
-    targets the infinite-lattice limit.  When ``tol`` is given the solver
-    repeats at dt/2 and raises ConvergenceError if the Richardson error
-    estimate exceeds tol (the finer solution is returned otherwise).
+    targets the infinite-lattice limit.  Step n costs one O(n) history dot
+    plus O(1) scalar work (``_volterra_march``).  When ``tol`` is given
+    the solver repeats at dt/2 and raises ConvergenceError if the
+    Richardson error estimate exceeds tol (the finer solution is returned
+    otherwise).
     """
     if dt is None:
         dt = default_time_step(params, env, schedule)

@@ -233,25 +233,23 @@ def validate_config(cfg: ExperimentConfig) -> None:
     try:  # the solvers' own protocol checks, before any work is done
         if cfg.kind in ("dynamics", "asymptotic"):
             advice = "; " + _step_advice(cfg)
-            _, n_steps, _ = _build_grid(schedule, schedule.period, _trace_step(
-                cfg, resolve_system(cfg), resolve_environment(cfg), schedule))
+            step = _trace_step(cfg, resolve_system(cfg),
+                               resolve_environment(cfg), schedule)
+            _, n_steps, _ = _build_grid(schedule, schedule.period, step)
             # the trace samples must land on the modes' T/n_offsets offsets
             if cfg.kind == "asymptotic" and n_steps != _SAMPLES_PER_PERIOD:
                 raise ValueError(
                     f"the trace step T/{_SAMPLES_PER_PERIOD} snaps to "
                     f"T/{n_steps} on the drive segments, so the trace is not "
                     "aligned with the mode samples")
-            # an exact trace must take the n_samples steps of t_max/n_samples
-            if cfg.kind == "dynamics" and cfg.route == "exact" \
-                    and cfg.n_samples:
+            # an exact trace must end on t_max, in n_samples steps if set
+            if cfg.kind == "dynamics" and cfg.route == "exact":
                 t_max = _t_max(cfg, schedule)
-                h, n_steps, _ = _build_grid(schedule, t_max,
-                                            t_max / cfg.n_samples)
-                if n_steps != cfg.n_samples \
+                h, n_steps, _ = _build_grid(schedule, t_max, step)
+                if cfg.n_samples not in (0, n_steps) \
                         or abs(n_steps * h - t_max) > 1e-9 * schedule.period:
                     raise ValueError(
-                        f"the trace step t_max/n_samples = "
-                        f"{t_max / cfg.n_samples:.6g} snaps to T/"
+                        f"the trace step {step:.6g} snaps to T/"
                         f"{round(schedule.period / h)} on the drive segments, "
                         f"so the trace is not aligned with t_max: "
                         f"{n_steps} steps to t = {n_steps * h:.6g}")
@@ -356,7 +354,9 @@ def _step_advice(cfg) -> str:
         return "set dt to a step that divides every segment"
     if cfg.kind == "dynamics":
         return ("set t_max and n_samples so that t_max/n_samples divides "
-                "every segment")
+                "every segment" + ("" if cfg.n_samples else
+                                   f", or t_max to whole steps of "
+                                   f"T/{_SAMPLES_PER_PERIOD}"))
     return f"segments must be multiples of T/{_SAMPLES_PER_PERIOD}"
 
 

@@ -69,17 +69,19 @@ class TestValidate:
         assert not out.exists()
 
     def test_snapped_exact_trace(self, tmp_path, capsys):
-        # t_max/n_samples = 0.2805 snaps to T/6 on the half-swap segments
-        # (T = pi/2); the run used to write 9 rows of T/6 to t = 2.094, past
-        # t_max and off the 7 samples asked for
+        # T = pi/2 on the half-swap segments.  t_max/n_samples = 0.2805
+        # snaps to T/6: the run used to write 9 rows of T/6 to t = 2.094,
+        # past t_max and off the 7 samples asked for.  Without n_samples
+        # the step is T/24, and t_max = 2 used to end at t = 2.029.
         cfg = tmp_path / "dyn.cfg"
-        cfg.write_text("kind = dynamics\nroute = exact\nn_side = 4\n"
-                       "n_samples = 7\nt_max = 1.9635\n")
-        assert run_cli("validate", str(cfg)) == 1
         out = tmp_path / "out"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
-        assert "not aligned with t_max" in capsys.readouterr().err
-        assert not out.exists()
+        for body in ("route = exact\nn_samples = 7\nt_max = 1.9635\n",
+                     "t_max = 2.0\n"):
+            cfg.write_text(f"kind = dynamics\nn_side = 4\n{body}")
+            assert run_cli("validate", str(cfg)) == 1
+            assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+            assert "not aligned with t_max" in capsys.readouterr().err
+            assert not out.exists()
         # six samples of T/6 over one period fit
         cfg.write_text("kind = dynamics\nroute = exact\nn_side = 4\n"
                        f"n_samples = 6\nt_max = {np.pi / 2!r}\n")

@@ -25,6 +25,7 @@ from qbsim.errors import ConvergenceError, MemoryCapError
 from qbsim.floquet import compute_spectrum, floquet_mode
 from qbsim.ideal import ideal_evolve
 
+import oracles
 from oracles import bright_isometry
 
 # shared small-lattice instance for cross-route checks
@@ -454,6 +455,37 @@ class TestVolterraRoute:
         assert trace.metadata["richardson_estimate"] < 1e-2
         with pytest.raises(ConvergenceError):
             solve_volterra(params, env, schedule, t_max=1.5, dt=0.01, tol=1e-14)
+
+    @pytest.mark.parametrize("solve, delta, kernel, taus, periods, kw", [
+        (solve_volterra, 0.0, "discrete", None, 2, {}),
+        (solve_volterra, 0.5, "discrete", None, 2, {}),
+        (solve_volterra, 0.0, "continuum", None, 2, {}),
+        (solve_volterra_pm, 0.0, "discrete", None, 2, {}),
+        (solve_volterra_pm, 0.0, "continuum", None, 2, {}),
+        (solve_volterra, 0.5, "discrete", (0.3, 0.5, 0.2), 3, {"dt": 0.005}),
+        # T = 1 and a step of T/10: t_max = T/10 is one step
+        (solve_volterra, 0.0, "discrete", (0.3, 0.5, 0.2), 0.1, {"dt": 0.1}),
+        (solve_volterra, 0.0, "continuum", (0.3, 0.5, 0.2), 1,
+         {"dt": 0.01, "tol": 1e-2}),
+    ], ids=["discrete-0", "discrete-0.5", "continuum", "pm-discrete",
+            "pm-continuum", "unequal-segments", "one-step", "tol"])
+    def test_march_matches_two_sum_oracle(self, monkeypatch, solve, delta,
+                                          kernel, taus, periods, kw):
+        # the one-sum scalar march against the march that recomputes both
+        # trapezoidal history sums with numpy on every step
+        params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=3.0)
+        schedule = SCHEDULE if taus is None else ProtocolSchedule(*taus)
+        args = (params, ENV10, schedule, periods * schedule.period)
+        fast = solve(*args, kernel=kernel, **kw)
+        monkeypatch.setattr(dynamics, "_volterra_march", oracles._volterra_march)
+        ref = solve(*args, kernel=kernel, **kw)
+        assert fast.times.size == ref.times.size
+        for name in ("u_b", "u_c"):
+            np.testing.assert_allclose(getattr(fast, name), getattr(ref, name),
+                                       rtol=0, atol=1e-12)
+        if "tol" in kw:
+            assert fast.metadata["richardson_estimate"] == pytest.approx(
+                ref.metadata["richardson_estimate"], rel=0, abs=1e-12)
 
     def test_grid_validation(self):
         schedule = ProtocolSchedule(tau_c=0.7, tau_s=1.1, tau_d=0.5)

@@ -275,13 +275,19 @@ class TestShellSpectrum:
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_memory_cap(self, monkeypatch, delta):
+        # the estimate, 6 n^2 floats resonant and 11.5 detuned, lies above
+        # the RSS peaks measured at n_side 100 (5.4 and 11.2 n^2 floats)
         env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
         tau = 0.5 * np.pi / 4.8
         sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
-        monkeypatch.setattr(dynamics, "MEMORY_CAP", 1e4)
+        n = 2 + 2 * env.shells().frequencies.size
+        estimate = (92 if delta else 48) * n * n
+        monkeypatch.setattr(dynamics, "MEMORY_CAP", estimate - 1)
         with pytest.raises(MemoryCapError):
             compute_spectrum(params, env, sch)
+        monkeypatch.setattr(dynamics, "MEMORY_CAP", estimate)
+        compute_spectrum(params, env, sch)  # admitted at its estimate
 
 
 def _schur_block(w1, w0, ovl, theta, schedule):

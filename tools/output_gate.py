@@ -4,8 +4,9 @@
 
 runs each preset of the qbsim package found in PARENT_SRC and in
 CHANGE_SRC (the directories that hold ``qbsim/``) into gate/parent/<preset>
-and gate/change/<preset> under the repository root, then prints two
-verdicts:
+and gate/change/<preset> under the repository root, and beside them the
+runs of ``MEMORY_RUNS``, which take the memory-kernel routes that no preset
+uses.  It then prints two verdicts:
 
 * byte mode: the CSV files and summary.json must be byte-identical, and
   the sidecars equal once ``created_at`` is removed;
@@ -31,6 +32,11 @@ import sys
 
 TOLERANCE = 1e-10
 GATE = pathlib.Path(__file__).resolve().parent.parent / "gate"
+# (output directory, preset, overrides) of the memory-kernel route runs
+MEMORY_RUNS = [
+    ("fig2a-volterra-continuum", "fig2a", ["route=volterra", "kernel=continuum"]),
+    ("fig2a-volterra-pm", "fig2a", ["route=volterra-pm"]),
+]
 
 
 def _cli(src, *args):
@@ -40,16 +46,19 @@ def _cli(src, *args):
 
 
 def run_presets(src, out) -> list[str]:
-    """Every preset at n_side = 6 from the code in src; the failed ones."""
+    """Every preset and every memory run at n_side = 6 from the code in
+    src; the failed ones."""
     listed = _cli(src, "list-presets")
     if listed.returncode:
         return [f"list-presets: {listed.stderr.strip()}"]
+    presets = [line.split()[0] for line in listed.stdout.splitlines()]
     failed = []
-    for preset in (line.split()[0] for line in listed.stdout.splitlines()):
-        run = _cli(src, "run", "--preset", preset, "--set", "n_side=6",
-                   "--out", str(out / preset))
+    for name, preset, overrides in [(p, p, []) for p in presets] + MEMORY_RUNS:
+        sets = [a for o in ["n_side=6", *overrides] for a in ("--set", o)]
+        run = _cli(src, "run", "--preset", preset, *sets,
+                   "--out", str(out / name))
         if run.returncode:
-            failed.append(f"{preset}: {run.stderr.strip()}")
+            failed.append(f"{name}: {run.stderr.strip()}")
     return failed
 
 
