@@ -150,36 +150,49 @@ def build_sector_hamiltonian(
 def default_time_step(
     params: SystemParams, env: LatticeEnvironment, schedule: ProtocolSchedule
 ) -> float:
-    """Resolve the fastest phase and the shortest drive segment, /40."""
+    """Resolve the fastest phase and the shortest drive segment, /40, in
+    whole steps per segment (``_whole_step``)."""
     fastest = 2.0 * math.pi / (env.varpi + 4.0 * env.q + params.omega_0
                                + 2.0 * params.kappa)
-    segs = [s for s in (schedule.tau_c, schedule.tau_s, schedule.tau_d) if s > 0]
-    return min(min(segs), fastest) / 40.0
+    shortest = min(s for s, _ in schedule.segments())
+    return _whole_step(schedule, min(shortest, fastest) / 40.0)
+
+
+def _steps(length: float, dt: float) -> int:
+    """round(length / dt), at least 1: the one rounding of a step count."""
+    return max(1, round(length / dt))
+
+
+def _whole_step(schedule: ProtocolSchedule, dt: float) -> float:
+    """T over _steps(s, dt) per drive segment s: dt in whole steps per
+    segment, a step that divides them all if they have one near dt."""
+    return schedule.period / sum(_steps(s, dt) for s, _ in schedule.segments())
 
 
 def _build_grid(schedule: ProtocolSchedule, t_max: float, dt: float):
     """Uniform grid with drive segment boundaries on grid points.
 
-    Per-segment step counts are snapped so that one step width h divides
-    every segment; returns (h, n_steps, f_step) with f_step[j] the drive
-    value on step j.
+    Raises ValueError unless dt divides every drive segment and t_max into
+    whole steps to 1e-9 T.  Returns (h, n_steps, f_step): h = T / (steps
+    per period), dt to rounding, and f_step[j] the drive value on step j.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     if dt <= 0:
         raise ValueError("dt must be positive")
     segs = schedule.segments()
-    counts = [max(1, round(s / dt)) for s, _ in segs]
-    total = sum(counts)
-    h = schedule.period / total
-    for (s, _), n in zip(segs, counts):
-        if abs(n * h - s) > 1e-9 * schedule.period:
-            durations = ", ".join(f"{dur:.6g}" for dur, _ in segs)
-            raise ValueError(f"the step {dt:.6g} cannot be aligned with the "
-                             f"drive segments ({durations})")
-    n_steps = max(1, round(t_max / h))
+    counts = [_steps(s, dt) for s, _ in segs]
+    h = schedule.period / sum(counts)
+    n_steps = _steps(t_max, h)
+    tol = 1e-9 * schedule.period
+    if any(abs(n * dt - s) > tol for (s, _), n in zip(segs, counts)) \
+            or abs(n_steps * h - t_max) > tol:
+        durations = ", ".join(f"{s:.6g}" for s, _ in segs)
+        raise ValueError(f"the step {dt:.6g} is not aligned with the drive "
+                         f"segments ({durations}) and t_max = {t_max:.6g}: "
+                         "it must divide each into whole steps")
     f_cycle = np.concatenate([np.full(n, f) for n, (_, f) in zip(counts, segs)])
-    reps = -(-n_steps // total)  # ceil
+    reps = -(-n_steps // len(f_cycle))  # ceil
     f_step = np.tile(f_cycle, reps)[:n_steps]
     return h, n_steps, f_step
 
@@ -394,14 +407,16 @@ def propagate_exact(
 ) -> EnergyTrace:
     """Numerically exact lattice propagation, sampled on a uniform grid.
 
-    Starts from the charger-excited state.  The sampling grid is snapped so
-    that every drive switching time is a grid point.  Returns an EnergyTrace
-    carrying u_b and u_c at the samples (``SegmentPropagators.march``) and
-    ``final_norm``, the norm of the last shell vector.
+    Starts from the charger-excited state.  ``sample_dt`` (default: the
+    shortest segment /8, in whole steps) must divide every drive segment
+    and t_max (``_build_grid``), so every drive switch is a grid point.
+    Returns an EnergyTrace carrying u_b and u_c at the samples
+    (``SegmentPropagators.march``) and ``final_norm``, the norm of the last
+    shell vector.
     """
     if sample_dt is None:
-        sample_dt = min(s for s in (schedule.tau_c, schedule.tau_s,
-                                    schedule.tau_d) if s > 0) / 8.0
+        sample_dt = _whole_step(
+            schedule, min(s for s, _ in schedule.segments()) / 8.0)
     h, n_steps, f_step = _build_grid(schedule, t_max, sample_dt)
     if props is None:
         props = SegmentPropagators(params, env)

@@ -38,14 +38,8 @@ from .perturbation import (
     splitting_main_sum,
 )
 
-KINDS = ("ideal-cycle", "markov", "dynamics", "kappa-sweep", "spectrum",
-         "asymptotic", "perturbation", "nonresonant")
 ROUTES = ("exact", "volterra", "volterra-pm")
 KERNELS = ("discrete", "continuum")
-# the kinds that build one-period spectra
-_SPECTRUM_KINDS = ("kappa-sweep", "spectrum", "asymptotic", "perturbation",
-                   "nonresonant")
-
 # samples per drive period used by the trace-producing kinds
 _SAMPLES_PER_PERIOD = 24
 _DEFAULT_PERIODS = {"ideal-cycle": 3.0, "markov": 3.0,  # t_max / T if unset
@@ -97,6 +91,9 @@ _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _STR_KEYS = ("kind", "label", "route", "kernel")
 _INT_KEYS = ("n_side", "n_samples", "n_offsets")
 _FLOAT_KEYS = tuple(k for k in _FIELDS if k not in _STR_KEYS + _INT_KEYS)
+_POSITIVE_KEYS = ("kappa", "n_side", "varpi", "q", "tau_c", "tau_d", "dt",
+                  "t_max", "n_offsets", "kappa_step")
+_NONNEGATIVE_KEYS = ("g", "tau_s", "n_samples", "gamma", "gap_tolerance")
 
 
 def _coerce_value(key: str, raw: str):
@@ -163,125 +160,36 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.kind not in KINDS:
-        raise ConfigError(f"config key kind: {cfg.kind!r} is not one of {KINDS}")
-    if cfg.route not in ROUTES:
-        raise ConfigError(f"config key route: {cfg.route!r} is not one of {ROUTES}")
-    if cfg.kernel not in KERNELS:
-        raise ConfigError(
-            f"config key kernel: {cfg.kernel!r} is not one of {KERNELS}")
-    for key in _FLOAT_KEYS:
+def validate_config(cfg: ExperimentConfig) -> "_Plan":
+    """Check the scalar keys, then make the kind's plan (``_KIND_STEPS``),
+    the runner's own dry run: every rule a run checks before its work is
+    checked here.  Returns the plan."""
+    for key, allowed in (("kind", KINDS), ("route", ROUTES),
+                         ("kernel", KERNELS)):
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"config key {key}: {getattr(cfg, key)!r} is "
+                              f"not one of {allowed}")
+    for key in _FLOAT_KEYS + _INT_KEYS:
         v = getattr(cfg, key)
-        if v is not None and not math.isfinite(v):
+        if v is None:
+            continue
+        if not math.isfinite(v):
             raise ConfigError(f"config key {key}: must be finite, got {v}")
+        if key in _POSITIVE_KEYS and v <= 0:
+            raise ConfigError(f"config key {key}: must be positive")
+        if key in _NONNEGATIVE_KEYS and v < 0:
+            raise ConfigError(f"config key {key}: must be nonnegative")
     if cfg.omega_0 <= abs(cfg.delta):
         raise ConfigError("config keys omega_0, delta: omega_0 must exceed "
                           "|delta| so both level splittings are positive")
-    if cfg.kappa <= 0:
-        raise ConfigError("config key kappa: must be positive")
-    if cfg.n_side < 1:
-        raise ConfigError("config key n_side: must be >= 1")
-    if cfg.varpi <= 0 or cfg.q <= 0:
-        raise ConfigError("config keys varpi, q: must be positive")
-    if cfg.g < 0:
-        raise ConfigError("config key g: must be nonnegative")
-    for key in ("tau_c", "tau_d", "dt"):
-        v = getattr(cfg, key)
-        if v is not None and v <= 0:
-            raise ConfigError(f"config key {key}: must be positive")
-    if cfg.tau_s is not None and cfg.tau_s < 0:
-        raise ConfigError("config key tau_s: must be nonnegative")
-    if cfg.t_max is not None and cfg.t_max <= 0:
-        raise ConfigError("config key t_max: must be positive")
-    if cfg.n_samples < 0:
-        raise ConfigError("config key n_samples: must be nonnegative")
-    if cfg.n_offsets < 1:
-        raise ConfigError("config key n_offsets: must be >= 1")
-    if cfg.gamma is not None and cfg.gamma < 0:
-        raise ConfigError("config key gamma: must be nonnegative")
     if not 0 < cfg.weight_threshold <= 1:
         raise ConfigError("config key weight_threshold: must lie in (0, 1]")
-    if cfg.gap_tolerance is not None and cfg.gap_tolerance < 0:
-        raise ConfigError("config key gap_tolerance: must be nonnegative")
-    if cfg.kind in ("markov", "perturbation") and cfg.delta != 0.0:
-        raise ConfigError(f"kind {cfg.kind}: its formulas hold only at "
-                          "delta = 0")
-    if cfg.kind == "dynamics" and cfg.route == "volterra-pm" \
-            and cfg.delta != 0.0:
-        raise ConfigError("route volterra-pm: the +/- decomposition "
-                          "requires delta = 0")
-    sweep_keys = (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step)
-    if cfg.kind in ("kappa-sweep",) and any(v is None for v in sweep_keys):
-        raise ConfigError("kappa-sweep requires kappa_min, kappa_max, kappa_step")
-    if cfg.kappa_step is not None and cfg.kappa_step <= 0:
-        raise ConfigError("config key kappa_step: must be positive")
-    if None not in sweep_keys and not sweep_grid_values(cfg).size:
-        raise ConfigError("empty sweep")
-    if cfg.kind in ("kappa-sweep", "perturbation"):
-        kappa_lo = sweep_grid_values(_default_sweep(cfg))[0]
-        if kappa_lo <= 0:
-            raise ConfigError(f"config key kappa_min: every sweep coupling "
-                              f"must be positive, the grid starts at "
-                              f"{kappa_lo:g}")
-    if cfg.kind in ("asymptotic", "nonresonant") \
-            and cfg.n_offsets % _SAMPLES_PER_PERIOD:
-        raise ConfigError(
-            f"config key n_offsets: must be a multiple of {_SAMPLES_PER_PERIOD}")
-    schedule = resolve_schedule(cfg)
-    advice = ""
-    try:  # the solvers' own protocol checks, before any work is done
-        if cfg.kind in ("dynamics", "asymptotic"):
-            advice = "; " + _step_advice(cfg)
-            step = _trace_step(cfg, resolve_system(cfg),
-                               resolve_environment(cfg), schedule)
-            _, n_steps, _ = _build_grid(schedule, schedule.period, step)
-            # the trace samples must land on the modes' T/n_offsets offsets
-            if cfg.kind == "asymptotic" and n_steps != _SAMPLES_PER_PERIOD:
-                raise ValueError(
-                    f"the trace step T/{_SAMPLES_PER_PERIOD} snaps to "
-                    f"T/{n_steps} on the drive segments, so the trace is not "
-                    "aligned with the mode samples")
-            # an exact trace must end on t_max, in n_samples steps if set
-            if cfg.kind == "dynamics" and cfg.route == "exact":
-                t_max = _t_max(cfg, schedule)
-                h, n_steps, _ = _build_grid(schedule, t_max, step)
-                if cfg.n_samples not in (0, n_steps) \
-                        or abs(n_steps * h - t_max) > 1e-9 * schedule.period:
-                    raise ValueError(
-                        f"the trace step {step:.6g} snaps to T/"
-                        f"{round(schedule.period / h)} on the drive segments, "
-                        f"so the trace is not aligned with t_max: "
-                        f"{n_steps} steps to t = {n_steps * h:.6g}")
-        elif cfg.kind == "nonresonant":
-            _check_protocol(cfg.kappa, schedule)
-        elif cfg.kind == "perturbation":
-            for kappa in sweep_grid_values(_default_sweep(cfg)):
-                _check_protocol(float(kappa), resolve_schedule(cfg, kappa))
-    except ValueError as exc:
-        raise ConfigError(f"kind {cfg.kind}: {exc}{advice}") from None
-    # the lattice kinds check the memory estimate of what they build, before
-    # any of it is built; a spectrum needs at least as much as propagation
-    env = resolve_environment(cfg)
     try:
-        if cfg.kind in _SPECTRUM_KINDS:
-            check_memory(env, cfg.delta)
-        elif cfg.kind == "dynamics" and cfg.route == "exact":
-            check_memory(env)
+        return _KIND_STEPS[cfg.kind][0](cfg)
     except MemoryCapError as exc:
         raise ConfigError(f"kind {cfg.kind}: {exc}; lower n_side") from None
-    if cfg.kind == "markov" and cfg.gamma is None:
-        # the rates the runner computes, which the sidecar must hold as
-        # finite numbers
-        try:
-            rates = markov_rates(env, cfg.omega_0)
-        except ValueError as exc:
-            raise ConfigError(f"kind markov: {exc}; set gamma") from None
-        if not all(map(math.isfinite, (rates.gamma, rates.lamb_shift))):
-            raise ConfigError(
-                f"kind markov: the Markovian rates at omega_0 = {cfg.omega_0} "
-                f"are not finite (gamma = {rates.gamma}, lamb_shift = "
-                f"{rates.lamb_shift}): omega_0 lies on a band edge; set gamma")
+    except ValueError as exc:
+        raise ConfigError(f"kind {cfg.kind}: {exc}") from None
 
 
 def sweep_grid_values(cfg: ExperimentConfig) -> np.ndarray:
@@ -335,49 +243,139 @@ def _schedule_meta(schedule: ProtocolSchedule) -> dict:
             "omega_T": schedule.omega_T}
 
 
-def _default_sweep(cfg: ExperimentConfig) -> ExperimentConfig:
-    """A perturbation run without a full sweep grid covers kappa = 5..15."""
+# ---------------------------------------------------------------------------
+# plans: everything a kind's runner uses, resolved from the config with no
+# lattice linear algebra.  Each kind-specific rule lives in its kind's plan
+# and raises ValueError, MemoryCapError or ConfigError there, so validation
+# and the run apply it alike.
+
+@dataclass(frozen=True)
+class _Plan:
+    cfg: ExperimentConfig       # with the kind's defaults filled in
+    params: SystemParams        # params, env and schedule at cfg.kappa
+    env: LatticeEnvironment
+    schedule: ProtocolSchedule
+    t_max: float | None         # trace horizon, of the kinds that have one
+    step: float | None = None   # trace step: whole steps to t_max
+    times: np.ndarray | None = None  # nonresonant sample times
+    points: tuple = ()          # (kappa, params, schedule) per sweep point
+    rates: dict | None = None   # markov gamma and lamb_shift
+
+
+def _resolve(cfg: ExperimentConfig, **fields) -> _Plan:
+    """The plan of a kind with no rules of its own; every plan starts here."""
+    schedule = resolve_schedule(cfg)
+    periods = _DEFAULT_PERIODS.get(cfg.kind)
+    t_max = cfg.t_max if cfg.t_max is not None or periods is None \
+        else periods * schedule.period
+    return _Plan(cfg, resolve_system(cfg), resolve_environment(cfg),
+                 schedule, t_max, **fields)
+
+
+def _check_grid(schedule, t_max, step, source):
+    """``_build_grid``, with the alignment error naming what set the step."""
+    try:
+        return _build_grid(schedule, t_max, step)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; the step is {source}") from None
+
+
+def _sweep_points(cfg):
+    """(kappa, params, schedule) at every sweep grid point."""
+    grid = sweep_grid_values(cfg).tolist()
+    if not grid:
+        raise ConfigError("empty sweep")
+    if grid[0] <= 0:
+        raise ConfigError(f"config key kappa_min: every sweep coupling must "
+                          f"be positive, the grid starts at {grid[0]:g}")
+    return tuple((k, resolve_system(cfg, k), resolve_schedule(cfg, k))
+                 for k in grid)
+
+
+def _plan_markov(cfg):
+    if cfg.delta != 0.0:
+        raise ValueError("its formulas hold only at delta = 0")
+    rates = {"gamma": cfg.gamma, "lamb_shift": None}
+    if cfg.gamma is None:
+        # the sidecar must hold them as finite numbers
+        try:
+            rates = dataclasses.asdict(
+                markov_rates(resolve_environment(cfg), cfg.omega_0))
+            if not all(map(math.isfinite, rates.values())):
+                raise ValueError(
+                    f"the Markovian rates at omega_0 = {cfg.omega_0} are not "
+                    f"finite ({rates}): omega_0 lies on a band edge")
+        except ValueError as exc:
+            raise ValueError(f"{exc}; set gamma") from None
+    return _resolve(cfg, rates=rates)
+
+
+def _plan_dynamics(cfg):
+    if cfg.route == "volterra-pm" and cfg.delta != 0.0:
+        raise ValueError("route volterra-pm: the +/- decomposition requires "
+                         "delta = 0")
+    plan = _resolve(cfg)
+    if cfg.route != "exact":
+        step, source = (cfg.dt, "dt") if cfg.dt is not None else (
+            default_time_step(plan.params, plan.env, plan.schedule),
+            "the solver's default; set dt")
+    elif cfg.n_samples:
+        step, source = plan.t_max / cfg.n_samples, "t_max/n_samples"
+    else:
+        step = plan.schedule.period / _SAMPLES_PER_PERIOD
+        source = (f"T/{_SAMPLES_PER_PERIOD}; set n_samples to step by "
+                  "t_max/n_samples")
+    _check_grid(plan.schedule, plan.t_max, step, source)
+    if cfg.route == "exact":  # the memory routes build no propagators
+        check_memory(plan.env)
+    return dataclasses.replace(plan, step=step)
+
+
+def _plan_spectrum(cfg):
+    """kappa-sweep at each grid point, spectrum at cfg.kappa."""
+    plan = _resolve(cfg, points=_sweep_points(cfg)
+                    if cfg.kind == "kappa-sweep" else ())
+    check_memory(plan.env, cfg.delta)
+    return plan
+
+
+def _plan_bound_states(cfg):
+    """asymptotic and nonresonant: a T/24 trace, modes at T/n_offsets."""
+    n = _SAMPLES_PER_PERIOD
+    if cfg.kind == "nonresonant":  # the zeroth-order modes' protocol
+        _check_protocol(cfg.kappa, resolve_schedule(cfg))
+    if cfg.n_offsets % n:
+        raise ConfigError(f"config key n_offsets: must be a multiple of {n}")
+    plan = _resolve(cfg)
+    h, n_steps, _ = _check_grid(
+        plan.schedule, plan.t_max, plan.schedule.period / n,
+        f"T/{n}, so the segments and t_max must be multiples of T/{n}")
+    check_memory(plan.env, cfg.delta)
+    return dataclasses.replace(plan, step=plan.schedule.period / n,
+                               times=np.arange(n_steps + 1) * h)
+
+
+def _plan_perturbation(cfg):
+    if cfg.delta != 0.0:
+        raise ValueError("its formulas hold only at delta = 0")
     if None in (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step):
-        return dataclasses.replace(cfg, kappa_min=5.0, kappa_max=15.0,
-                                   kappa_step=0.5)
-    return cfg
-
-
-def _t_max(cfg: ExperimentConfig, schedule: ProtocolSchedule) -> float:
-    return cfg.t_max if cfg.t_max is not None \
-        else _DEFAULT_PERIODS[cfg.kind] * schedule.period
-
-
-def _step_advice(cfg) -> str:
-    """What sets the trace step of ``_trace_step``, for alignment errors."""
-    if cfg.kind == "dynamics" and cfg.route != "exact":
-        return "set dt to a step that divides every segment"
-    if cfg.kind == "dynamics":
-        return ("set t_max and n_samples so that t_max/n_samples divides "
-                "every segment" + ("" if cfg.n_samples else
-                                   f", or t_max to whole steps of "
-                                   f"T/{_SAMPLES_PER_PERIOD}"))
-    return f"segments must be multiples of T/{_SAMPLES_PER_PERIOD}"
-
-
-def _trace_step(cfg, params, env, schedule) -> float:
-    """Trace step of the runners and of validation: T/24, t_max/n_samples
-    (``dynamics``), or ``dt`` or the default step (memory-kernel routes)."""
-    if cfg.kind == "dynamics" and cfg.route != "exact":
-        return cfg.dt if cfg.dt is not None \
-            else default_time_step(params, env, schedule)
-    if cfg.kind == "dynamics" and cfg.n_samples:
-        return _t_max(cfg, schedule) / cfg.n_samples
-    return schedule.period / _SAMPLES_PER_PERIOD
+        # without a full sweep grid it covers kappa = 5..15
+        cfg = dataclasses.replace(cfg, kappa_min=5.0, kappa_max=15.0,
+                                  kappa_step=0.5)
+    plan = _resolve(cfg, points=_sweep_points(cfg))
+    for kappa, _, schedule in plan.points:
+        _check_protocol(kappa, schedule)
+    check_memory(plan.env, cfg.delta)
+    return plan
 
 
 # ---------------------------------------------------------------------------
-# runners, one per kind: each gets the config and the params, env and
-# schedule resolved at cfg.kappa, and returns (tables, sidecar entries,
-# summary fragment); a table is (stem suffix, header, columns).
-# run_experiment writes the tables in order as <stem><suffix>.csv, then one
-# <stem>.meta.json: config, resolved, version, the runner's entries (which
-# may replace the first two) and columns; the summary starts kind, label.
+# runners, one per kind: each takes the kind's plan and returns (tables,
+# sidecar entries, summary fragment); a table is (stem suffix, header,
+# columns).  run_experiment writes the tables in order as
+# <stem><suffix>.csv, then one <stem>.meta.json: config, resolved, version,
+# the runner's entries (which may replace resolved) and columns; the
+# summary starts kind, label.
 
 _SPECTRUM_HEADER = ["index", "quasienergy", "system_weight", "is_fbs"]
 _TRACE_COLUMNS = {"t": "time", "energy": "battery energy (hbar = 1)"}
@@ -413,38 +411,34 @@ _COLUMNS = {
 }
 
 
-def _run_ideal_cycle(cfg, params, env, schedule):
-    ts = np.linspace(0.0, _t_max(cfg, schedule), (cfg.n_samples or 720) + 1)
-    return ([("", ["t", "energy"], [ts, ideal_energy(params, schedule, ts)])],
-            {}, {"peak_energy": ideal_peak_energy(params),
-                 "period": schedule.period})
+def _run_ideal_cycle(plan):
+    ts = np.linspace(0.0, plan.t_max, (plan.cfg.n_samples or 720) + 1)
+    return ([("", ["t", "energy"],
+              [ts, ideal_energy(plan.params, plan.schedule, ts)])],
+            {}, {"peak_energy": ideal_peak_energy(plan.params),
+                 "period": plan.schedule.period})
 
 
-def _run_markov(cfg, params, env, schedule):
-    found = {"gamma": cfg.gamma, "lamb_shift": None}
-    if cfg.gamma is None:
-        rates = markov_rates(env, params.omega_0)
-        found = {"gamma": rates.gamma, "lamb_shift": rates.lamb_shift}
-    ts = np.linspace(0.0, _t_max(cfg, schedule), (cfg.n_samples or 720) + 1)
-    energies = markov_energy(params, schedule, found["gamma"], ts)
-    return [("", ["t", "energy"], [ts, energies])], found, found
+def _run_markov(plan):
+    ts = np.linspace(0.0, plan.t_max, (plan.cfg.n_samples or 720) + 1)
+    energies = markov_energy(plan.params, plan.schedule, plan.rates["gamma"],
+                             ts)
+    return [("", ["t", "energy"], [ts, energies])], plan.rates, plan.rates
 
 
-def _run_dynamics(cfg, params, env, schedule):
-    T = schedule.period
-    t_max = _t_max(cfg, schedule)
-    step = _trace_step(cfg, params, env, schedule)
+def _run_dynamics(plan):
+    cfg, T = plan.cfg, plan.schedule.period
+    args = (plan.params, plan.env, plan.schedule)
     if cfg.route == "exact":
-        trace = propagate_exact(params, env, schedule, t_max=t_max,
-                                sample_dt=step)
+        trace = propagate_exact(*args, t_max=plan.t_max, sample_dt=plan.step)
     else:
         solve = solve_volterra if cfg.route == "volterra" \
             else solve_volterra_pm
-        trace = solve(params, env, schedule, t_max=t_max, dt=step,
+        trace = solve(*args, t_max=plan.t_max, dt=plan.step,
                       kernel=cfg.kernel)
     solver = {k: v for k, v in trace.metadata.items()
               if isinstance(v, (int, float, str))}
-    tail = trace.times >= t_max - T - 1e-9 * T
+    tail = trace.times >= plan.t_max - T - 1e-9 * T
     return ([("", ["t", "energy"], [trace.times, trace.energies])],
             {"solver": solver},
             {"route": cfg.route,
@@ -452,10 +446,8 @@ def _run_dynamics(cfg, params, env, schedule):
              "final_period_peak": float(np.max(trace.energies[tail]))})
 
 
-def _spectrum_rows(cfg, env, kappa):
+def _spectrum_rows(cfg, env, kappa, params, schedule):
     """One sweep point: the spectrum columns and summary point at ``kappa``."""
-    params = resolve_system(cfg, kappa)
-    schedule = resolve_schedule(cfg, kappa)
     spec = compute_spectrum(params, env, schedule,
                             weight_threshold=cfg.weight_threshold,
                             gap_tolerance=cfg.gap_tolerance)
@@ -472,26 +464,28 @@ def _spectrum_rows(cfg, env, kappa):
             spec.system_weights, flags], point
 
 
-def _run_kappa_sweep(cfg, params, env, schedule):
-    grid = sweep_grid_values(cfg)
+def _run_kappa_sweep(plan):
     blocks, points = [], []
-    for kappa in grid:
-        cols, point = _spectrum_rows(cfg, env, float(kappa))
-        blocks.append([np.full(cols[0].size, kappa)] + cols)
+    for sweep_point in plan.points:
+        cols, point = _spectrum_rows(plan.cfg, plan.env, *sweep_point)
+        blocks.append([np.full(cols[0].size, sweep_point[0])] + cols)
         points.append(point)
     return ([("", ["kappa"] + _SPECTRUM_HEADER,
               [np.concatenate(c) for c in zip(*blocks)])],
-            {"sweep": {"kappa": grid.tolist()}}, {"points": points})
+            {"sweep": {"kappa": [k for k, _, _ in plan.points]}},
+            {"points": points})
 
 
-def _run_spectrum(cfg, params, env, schedule):
-    cols, point = _spectrum_rows(cfg, env, cfg.kappa)
+def _run_spectrum(plan):
+    cols, point = _spectrum_rows(plan.cfg, plan.env, plan.cfg.kappa,
+                                 plan.params, plan.schedule)
     return [("", _SPECTRUM_HEADER, cols)], {}, point
 
 
-def _bound_state_energy(cfg, params, env, schedule, ts):
+def _bound_state_energy(plan, ts):
     """Bound states, their energy terms over ``ts``, diag_j/interference;
     the spectrum and its modes share one eigensystem."""
+    cfg, params, env, schedule = plan.cfg, plan.params, plan.env, plan.schedule
     props = SegmentPropagators(params, env)
     spec = compute_spectrum(params, env, schedule,
                             weight_threshold=cfg.weight_threshold,
@@ -504,18 +498,16 @@ def _bound_state_energy(cfg, params, env, schedule, ts):
     return spec, modes, decomp, header, cols
 
 
-def _run_asymptotic(cfg, params, env, schedule):
-    T = schedule.period
-    t_max = _t_max(cfg, schedule)
-    trace = propagate_exact(params, env, schedule, t_max=t_max,
-                            sample_dt=_trace_step(cfg, params, env, schedule))
-    spec, modes, decomp, header, cols = _bound_state_energy(
-        cfg, params, env, schedule, trace.times)
+def _run_asymptotic(plan):
+    T, t_max = plan.schedule.period, plan.t_max
+    trace = propagate_exact(plan.params, plan.env, plan.schedule, t_max=t_max,
+                            sample_dt=plan.step)
+    spec, modes, decomp, header, cols = _bound_state_energy(plan, trace.times)
     m = len(modes)
     tail = trace.times >= t_max - min(20.0 * T, t_max) - 1e-9 * T
     diff = np.abs(trace.energies[tail] - decomp.total[tail])
     summary = {"m_fbs": m, "tail_mean_abs_diff_over_omega0":
-               float(diff.mean() / params.omega_0)}
+               float(diff.mean() / plan.params.omega_0)}
     if m == 2:
         summary["delta_eps0"] = float(circular_distance(
             modes[0].epsilon, modes[1].epsilon, spec.omega_T))
@@ -528,19 +520,15 @@ def _run_asymptotic(cfg, params, env, schedule):
             summary)
 
 
-def _run_perturbation(cfg, params, env, schedule):
-    cfg = _default_sweep(cfg)
-    grid = sweep_grid_values(cfg)
+def _run_perturbation(plan):
+    cfg, env = plan.cfg, plan.env
     header = ["kappa", "eps0", "eps2_plus", "eps2_minus",
               "splitting_perturbative", "splitting_exact",
               "splitting_main_sum", "splitting_large_kappa"]
     rows, points = [], []
-    for kappa in grid:
-        kappa = float(kappa)
-        params = resolve_system(cfg, kappa)
-        schedule = resolve_schedule(cfg, kappa)
+    for kappa, params, schedule in plan.points:
         res = second_order_corrections(params, env, schedule)
-        _, point = _spectrum_rows(cfg, env, kappa)
+        _, point = _spectrum_rows(cfg, env, kappa, params, schedule)
         exact = point.get("delta_eps0", math.nan)
         rows.append((kappa, res.eps0, res.eps2_plus, res.eps2_minus,
                      res.splitting, exact,
@@ -557,20 +545,17 @@ def _run_perturbation(cfg, params, env, schedule):
         res.splitting, kappa, schedule, ts)
     return ([("", header, [np.asarray(c) for c in zip(*rows)]),
              ("-closed-form", ["t", "energy_closed_form"], [ts, curve])],
-            {"config": config_to_dict(cfg),
-             "resolved": _schedule_meta(schedule),
-             "sweep": {"kappa": grid.tolist()},
+            {"resolved": _schedule_meta(schedule),
+             "sweep": {"kappa": [k for k, _, _ in plan.points]},
              "f0_sq": float(abs(phase_fourier_coeff(kappa, schedule, 0))**2)},
             {"points": points})
 
 
-def _run_nonresonant(cfg, params, env, schedule):
-    step = _trace_step(cfg, params, env, schedule)
-    ts = np.arange(0.0, _t_max(cfg, schedule) + 1e-12, step)
-    spec, modes, decomp, header, cols = _bound_state_energy(
-        cfg, params, env, schedule, ts)
+def _run_nonresonant(plan):
+    params, ts = plan.params, plan.times
+    spec, modes, decomp, header, cols = _bound_state_energy(plan, ts)
     m = len(modes)
-    zeroth = nonresonant_zeroth_order(params, schedule)
+    zeroth = nonresonant_zeroth_order(params, plan.schedule)
     weights = {
         "weight_battery": [float(abs(mode.phi0[0])**2) for mode in modes],
         "weight_charger": [float(abs(mode.phi0[1])**2) for mode in modes],
@@ -599,35 +584,37 @@ def _run_nonresonant(cfg, params, env, schedule):
             summary)
 
 
-_RUNNERS = {
-    "ideal-cycle": _run_ideal_cycle,
-    "markov": _run_markov,
-    "dynamics": _run_dynamics,
-    "kappa-sweep": _run_kappa_sweep,
-    "spectrum": _run_spectrum,
-    "asymptotic": _run_asymptotic,
-    "perturbation": _run_perturbation,
-    "nonresonant": _run_nonresonant,
+# kind -> (plan, runner), for every kind
+_KIND_STEPS = {
+    "ideal-cycle": (_resolve, _run_ideal_cycle),
+    "markov": (_plan_markov, _run_markov),
+    "dynamics": (_plan_dynamics, _run_dynamics),
+    "kappa-sweep": (_plan_spectrum, _run_kappa_sweep),
+    "spectrum": (_plan_spectrum, _run_spectrum),
+    "asymptotic": (_plan_bound_states, _run_asymptotic),
+    "perturbation": (_plan_perturbation, _run_perturbation),
+    "nonresonant": (_plan_bound_states, _run_nonresonant),
 }
+KINDS = tuple(_KIND_STEPS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
-    """Run one configured experiment; returns (files, summary fragment).
+    """Run one configured experiment: its plan (``validate_config``), then
+    its runner; returns (files, summary fragment).
 
     Runs in one process.  ``jobs`` is accepted for existing callers and
     must be 1.
     """
     if jobs != 1:
         raise ConfigError(f"jobs must be 1, got {jobs!r}")
-    validate_config(cfg)
+    plan = validate_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    schedule = resolve_schedule(cfg)
-    tables, entries, fragment = _RUNNERS[cfg.kind](
-        cfg, resolve_system(cfg), resolve_environment(cfg), schedule)
+    tables, entries, fragment = _KIND_STEPS[cfg.kind][1](plan)
     stem = cfg.label or cfg.kind
     files = [write_csv(csv_path(out_dir, stem + suffix), header, columns)
              for suffix, header, columns in tables]
-    meta = {"config": config_to_dict(cfg), "resolved": _schedule_meta(schedule),
+    meta = {"config": config_to_dict(plan.cfg),
+            "resolved": _schedule_meta(plan.schedule),
             "version": __version__, **entries, "columns": _COLUMNS[cfg.kind]}
     files.append(write_metadata(meta_path(out_dir, stem), meta))
     return files, {"kind": cfg.kind, "label": stem, **fragment}

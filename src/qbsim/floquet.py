@@ -466,10 +466,10 @@ def floquet_mode(
     ``phi0`` is the eigenvector on the bright shells, of size 2 + 2S (a
     stored column of ``QuasienergySpectrum.vectors``); any other size
     raises ValueError.  The samples are the steps of the ``_build_grid``
-    grid at T / n_samples, which must take exactly n_samples steps per
-    period: every drive segment a multiple of T / n_samples, else
-    ValueError.  One ``march`` over the period gives the battery and
-    charger amplitudes at the offsets and phi(T) for the closure residual.
+    grid at T / n_samples, which raises ValueError unless every drive
+    segment is a whole number of them.  One ``march`` over the period
+    gives the battery and charger amplitudes at the offsets and phi(T) for
+    the closure residual.
     """
     if props is None:
         props = SegmentPropagators(params, env)
@@ -479,10 +479,7 @@ def floquet_mode(
     if phi0.shape != (n,):
         raise ValueError(f"phi0 must be a shell vector of size 2 + 2S = {n}, "
                          f"got shape {phi0.shape}")
-    h, n_steps, f_step = _build_grid(schedule, T, T / n_samples)
-    if n_steps != n_samples:
-        raise ValueError(f"{n_samples} samples per period do not fit the "
-                         f"drive segments: the grid has {n_steps} steps")
+    h, _, f_step = _build_grid(schedule, T, T / n_samples)
     pair, end = props.march(phi0, h, f_step)
     lam = np.exp(-1j * epsilon * T)
     residual = float(np.linalg.norm(end - lam * phi0))

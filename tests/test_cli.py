@@ -57,35 +57,49 @@ class TestValidate:
         assert "kappa_min" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unrunnable_protocol(self, tmp_path, capsys):
+    @pytest.mark.parametrize("body, reason", [
         # T/24 sampling cannot resolve tau_s = 0.5 next to the half-swap
-        # segments: a config error up front, not a numerical failure later
-        cfg = tmp_path / "asy.cfg"
-        cfg.write_text("kind = asymptotic\nn_side = 4\ntau_s = 0.5\n")
-        assert run_cli("validate", str(cfg)) == 1
-        out = tmp_path / "out"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
-        assert "aligned" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_snapped_exact_trace(self, tmp_path, capsys):
+        # segments
+        ("kind = asymptotic\ntau_s = 0.5\n", "multiples of T/24"),
+        # the perturbative formulas need equal segments and resonance
+        ("kind = perturbation\ntau_s = 0.3\n", "equal protocol segments"),
+        ("kind = perturbation\ndelta = 0.5\n", "delta = 0"),
+        ("kind = nonresonant\ndelta = 0.5\nkappa = 8\ntau_s = 0.5\n",
+         "equal protocol segments"),
+        ("kind = dynamics\nroute = volterra-pm\ndelta = 0.5\n", "delta = 0"),
         # T = pi/2 on the half-swap segments.  t_max/n_samples = 0.2805
-        # snaps to T/6: the run used to write 9 rows of T/6 to t = 2.094,
-        # past t_max and off the 7 samples asked for.  Without n_samples
-        # the step is T/24, and t_max = 2 used to end at t = 2.029.
-        cfg = tmp_path / "dyn.cfg"
+        # used to snap to T/6 and write 9 rows to t = 2.094; t_max = 2 is
+        # no whole number of T/24 (used to end at t = 2.029), of the
+        # default memory-route step (t = 2.00277) or of the asymptotic
+        # trace step (t = 2.02895)
+        ("kind = dynamics\nroute = exact\nn_samples = 7\nt_max = 1.9635\n",
+         "whole steps; the step is t_max/n_samples"),
+        ("kind = dynamics\nt_max = 2.0\n",
+         "t_max = 2: it must divide each into whole steps; the step is T/24"),
+        ("kind = dynamics\nroute = volterra\nt_max = 2.0\n",
+         "t_max = 2: it must divide each into whole steps; the step is the "
+         "solver's default"),
+        ("kind = dynamics\nroute = volterra-pm\nt_max = 2.0\n",
+         "t_max = 2: it must divide each into whole steps; the step is the "
+         "solver's default"),
+        ("kind = asymptotic\nt_max = 2.0\nn_offsets = 24\n",
+         "t_max = 2: it must divide each into whole steps; the step is T/24"),
+    ], ids=["asymptotic-tau_s", "perturbation-tau_s", "perturbation-delta",
+            "nonresonant-tau_s", "volterra-pm-delta", "exact-n_samples",
+            "exact-t_max", "volterra-t_max", "volterra-pm-t_max",
+            "asymptotic-t_max"])
+    def test_rejected_config(self, tmp_path, capsys, body, reason):
+        # each of these used to validate and then fail the run, or run and
+        # write rows off the requested grid: now both commands reject it
+        # before any work is done, and say why
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(body + "n_side = 4\n")
         out = tmp_path / "out"
-        for body in ("route = exact\nn_samples = 7\nt_max = 1.9635\n",
-                     "t_max = 2.0\n"):
-            cfg.write_text(f"kind = dynamics\nn_side = 4\n{body}")
-            assert run_cli("validate", str(cfg)) == 1
-            assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
-            assert "not aligned with t_max" in capsys.readouterr().err
-            assert not out.exists()
-        # six samples of T/6 over one period fit
-        cfg.write_text("kind = dynamics\nroute = exact\nn_side = 4\n"
-                       f"n_samples = 6\nt_max = {np.pi / 2!r}\n")
-        assert run_cli("validate", str(cfg)) == 0
+        assert run_cli("validate", str(cfg)) == 1
+        assert reason in capsys.readouterr().err
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("omega_0, reason", [
         (1.0, "band center"), (3.0, "band edge")])
@@ -224,10 +238,10 @@ class TestRun:
 
     def test_asymptotic_beyond_full_basis_cap(self, tmp_path):
         # d = 9802 at n_side = 70: the full-basis eigenbases alone would
-        # exceed the cap, the bright shells (2 + 2 * 649) do not
+        # exceed the cap, the bright shells (2 + 2 * 649) do not; t_max = 2T
         cfg = tmp_path / "big.cfg"
-        cfg.write_text("kind = asymptotic\nn_side = 70\nt_max = 2.0\n"
-                       "n_offsets = 24\n")
+        cfg.write_text("kind = asymptotic\nn_side = 70\n"
+                       f"t_max = {np.pi!r}\nn_offsets = 24\n")
         assert run_cli("validate", str(cfg)) == 0
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0

@@ -22,6 +22,7 @@ from qbsim.dynamics import (
     build_sector_hamiltonian,
 )
 from qbsim.errors import ConvergenceError, MemoryCapError
+from qbsim.experiments import ExperimentConfig, run_experiment
 from qbsim.floquet import compute_spectrum, floquet_mode
 from qbsim.ideal import ideal_evolve
 
@@ -252,7 +253,7 @@ class TestExactPropagation:
 
     def test_norm_conserved(self):
         trace = propagate_exact(PARAMS, ENV10, SCHEDULE, t_max=2 * SCHEDULE.period,
-                                sample_dt=0.05)
+                                sample_dt=SCHEDULE.period / 30)
         assert trace.metadata["final_norm"] == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_contains_switch_times(self):
@@ -265,7 +266,9 @@ class TestExactPropagation:
             assert np.min(np.abs(trace.times - edge)) < 1e-9
 
     def test_energy_column_identity(self):
-        trace = propagate_exact(PARAMS, ENV10, SCHEDULE, t_max=1.0, sample_dt=0.05)
+        trace = propagate_exact(PARAMS, ENV10, SCHEDULE,
+                                t_max=2 * SCHEDULE.period / 3,
+                                sample_dt=SCHEDULE.period / 30)
         np.testing.assert_allclose(trace.energies,
                                    PARAMS.omega_b * np.abs(trace.u_b) ** 2, atol=0)
 
@@ -520,7 +523,8 @@ class TestPlusMinusRoute:
         assert np.max(np.abs(pm.u_c - std.u_c)) < 1e-6
 
     def test_carries_split_components(self):
-        trace = solve_volterra_pm(PARAMS, ENV10, SCHEDULE, t_max=1.0)
+        trace = solve_volterra_pm(PARAMS, ENV10, SCHEDULE,
+                                  t_max=2 * SCHEDULE.period / 3)
         v_p = trace.metadata["v_plus"]
         v_m = trace.metadata["v_minus"]
         rot = np.exp(-1j * PARAMS.omega_0 * trace.times)
@@ -538,3 +542,53 @@ class TestDefaultTimeStep:
         assert default_time_step(PARAMS, ENV10, schedule) == pytest.approx(
             0.01 / 40.0, rel=1e-15
         )
+
+    def test_divides_unequal_segments(self):
+        schedule = ProtocolSchedule(tau_c=0.3, tau_s=0.5, tau_d=0.2)
+        h = default_time_step(PARAMS, ENV10, schedule)
+        for s in (0.3, 0.5, 0.2):
+            assert abs(s / h - round(s / h)) < 1e-9
+        dynamics._build_grid(schedule, 3 * schedule.period, h)
+
+
+class TestGridContract:
+    """A grid is whole steps: ``_build_grid`` raises where it used to snap."""
+
+    SCHEDULE = ProtocolSchedule(tau_c=0.3, tau_s=0.5, tau_d=0.2)  # T = 1
+
+    @pytest.mark.parametrize("t_max, dt", [
+        (2.0, 0.1),
+        # both within 1e-9 T: tau_s is off by 0.5e-9 T, t_max by 0.9e-9 T
+        (2.0 + 0.9e-9, 0.1 * (1 + 1e-9)),
+    ], ids=["whole", "within-tolerance"])
+    def test_accepts_whole_steps(self, t_max, dt):
+        h, n_steps, f_step = dynamics._build_grid(self.SCHEDULE, t_max, dt)
+        assert h == 1.0 / 10 and n_steps == 20
+        np.testing.assert_array_equal(f_step[:10], [1, 1, 1, 0, 0, 0, 0, 0,
+                                                    1, 1])
+
+    @pytest.mark.parametrize("t_max, dt", [
+        (2.0, 0.03),                # 0.5 / 0.03 = 16.7 steps
+        (2.0, 0.1 * (1 + 3e-9)),    # tau_s off by 1.5e-9 T
+        (2.05, 0.1),                # 20.5 steps
+        (2.0 + 2e-9, 0.1),          # t_max off by 2e-9 T
+    ], ids=["segment", "segment-tolerance", "t_max", "t_max-tolerance"])
+    def test_rejects_partial_steps(self, t_max, dt):
+        with pytest.raises(ValueError, match=r"not aligned with the drive "
+                           r"segments \(0.3, 0.5, 0.2\) and t_max"):
+            dynamics._build_grid(self.SCHEDULE, t_max, dt)
+
+    @pytest.mark.parametrize("keys", [
+        dict(kind="dynamics", route="exact", n_samples=12),
+        dict(kind="dynamics", route="volterra"),
+        dict(kind="dynamics", route="volterra-pm"),
+        dict(kind="asymptotic", n_offsets=24),
+    ], ids=["exact", "volterra", "volterra-pm", "asymptotic"])
+    def test_trace_ends_on_t_max(self, tmp_path, keys):
+        # kappa = 3: T = pi/2, and t_max = 2T is whole steps of T/6 (exact,
+        # t_max/n_samples), T/120 (the memory routes' default) and T/24
+        period = np.pi / 2
+        cfg = ExperimentConfig(n_side=4, t_max=2 * period, **keys)
+        files, _ = run_experiment(cfg, tmp_path)
+        last = np.loadtxt(files[0], delimiter=",", skiprows=1)[-1, 0]
+        assert abs(last - 2 * period) <= 1e-9 * period

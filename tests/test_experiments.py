@@ -29,7 +29,8 @@ from qbsim.output import format_float, write_csv, write_metadata
 class TestConfigParsing:
     def test_round_trip(self):
         cfg = ExperimentConfig(kind="dynamics", label="demo", kappa=4.5,
-                               n_side=12, route="volterra", dt=0.001)
+                               n_side=12, route="volterra",
+                               dt=np.pi / 9 / 350)
         assert parse_config_text(config_to_text(cfg)) == cfg
 
     def test_comments_and_blanks(self):
@@ -104,7 +105,8 @@ class TestValidation:
             "threshold-above-one", "negative-tolerance"])
     def test_classification_ranges(self, keys):
         # each of these flags dark or in-band modes as bound states
-        cfg = dict(kind="asymptotic", n_side=4, kappa=8.0, t_max=1.0)
+        cfg = dict(kind="asymptotic", n_side=4, kappa=8.0,
+                   t_max=2 * 3 * 0.5 * np.pi / 8.0)
         validate_config(ExperimentConfig(weight_threshold=1.0,
                                          gap_tolerance=0.0, **cfg))
         with pytest.raises(ConfigError,

@@ -517,14 +517,14 @@ class TestFloquetMode:
     @pytest.mark.parametrize("taus", [None, (0.3, 0.45, 0.15)],
                              ids=["equal", "unequal"])
     def test_rejects_unaligned_samples(self, taus):
-        # T/7 fits neither schedule: the grid would snap to T/6 on both
+        # T/7 divides neither schedule's segments into whole steps
         env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
         par = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=4.8)
         tau = 0.5 * np.pi / 4.8
         sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
-        with pytest.raises(ValueError, match="grid has 6 steps"):
+        with pytest.raises(ValueError, match="not aligned"):
             floquet_mode(par, env, sch, _shell_vector(spec, j),
                          spec.quasienergies[j], n_samples=7)
 
