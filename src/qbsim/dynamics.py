@@ -164,9 +164,21 @@ def _steps(length: float, dt: float) -> int:
 
 
 def _whole_step(schedule: ProtocolSchedule, dt: float) -> float:
-    """T over _steps(s, dt) per drive segment s: dt in whole steps per
-    segment, a step that divides them all if they have one near dt."""
-    return schedule.period / sum(_steps(s, dt) for s, _ in schedule.segments())
+    """T / k, k steps per period: the sum of _steps(s, dt) over the drive
+    segments s if its step divides them all to ``_build_grid``'s 1e-9 T,
+    else the count nearest T / dt, up to twice that sum, whose step does
+    (the sum if none does: ``_build_grid`` rejects it)."""
+    period, segs = schedule.period, [s for s, _ in schedule.segments()]
+
+    def divides(k):  # T / k into whole steps of each segment s
+        return all(round(x) >= 1 and abs(x - round(x)) <= 1e-9 * k
+                   for x in (k * s / period for s in segs))
+
+    first = sum(_steps(s, dt) for s in segs)
+    if divides(first):
+        return period / first
+    near = sorted(range(1, 2 * first + 1), key=lambda k: abs(k - period / dt))
+    return period / next((k for k in near if divides(k)), first)
 
 
 def _build_grid(schedule: ProtocolSchedule, t_max: float, dt: float):
@@ -245,20 +257,22 @@ class SegmentPropagators:
     of the pair matrix M(f) = [[omega_b, kappa f], [kappa f, omega_c]]
     splits the shell Hamiltonian H_f into two (1 + S) arrowhead blocks:
     block sigma is diag(x_sigma, omega_s) with the g_s in its first row and
-    column, x_sigma the eigenvalues of M(f) (``levels``).  Hence
-    H_f = V_f diag(w_f) V_f^T with V_f = (R_f x I) diag(Q_f0, Q_f1).  Only
-    R_f (``rotation``) and the block eigenpairs (w_fsigma, Q_fsigma)
-    (``blocks``) are stored, and ``coefficients`` (V_f^T b), ``expand``
-    (V_f c) and the pair read-out apply V_f block by block.  At zero
-    detuning M(0) = omega_0 I, so R_0 = R_1 is taken: the blocks are the
-    symmetric/antisymmetric sectors at both drive values, they never mix,
-    and the two f = 0 blocks coincide (one ``eigh`` serves both).
+    column, x_sigma the eigenvalues of M(f).  Hence H_f = V_f diag(w_f)
+    V_f^T with V_f = (R_f x I) diag(Q_f0, Q_f1).  Only R_f (``rotation``)
+    and the block eigenpairs (w_fsigma, Q_fsigma) (``blocks``) are stored,
+    and ``coefficients`` (V_f^T b), ``expand`` (V_f c, or V_f[:, cols] c
+    for the columns of whole blocks) and the pair read-out apply V_f block
+    by block.  At zero detuning M(0) = omega_0 I, so R_0 = R_1 is taken:
+    the blocks are the symmetric/antisymmetric sectors at both drive
+    values, they never mix, and the two f = 0 blocks coincide (one
+    ``eigh`` serves both).
 
     ``overlap`` holds the real V_0^T V_1, which takes f = 1 coefficients
-    to f = 0 ones: the block products Q_0a^T Q_1b weighted by
-    (R_0^T R_1)_ab, only the two diagonal blocks at zero detuning.  The
-    spectrum (``floquet.compute_spectrum``) is built on the same eigenpairs
-    and overlap as the march that samples its modes.
+    to f = 0 ones, as (columns, block) pairs, two diagonal blocks at zero
+    detuning and one n x n block otherwise; nothing else knows this layout.
+    The spectrum (``floquet.compute_spectrum``) diagonalizes U_T once per
+    block, on the same eigenpairs and overlap as the march that samples
+    its modes, and expands each block's modes through its columns.
 
     ``march`` steps a shell vector on a uniform grid (``_build_grid``) run
     by run: within a run of constant drive it multiplies the coefficients
@@ -277,7 +291,7 @@ class SegmentPropagators:
         self.dimension = 2 + 2 * env.n_modes
         self.shells = env.shells()
         bath = _bath_arrays(env, self.shells)
-        self.levels, self.rotation, self.blocks, self.evals = {}, {}, {}, {}
+        self.rotation, self.blocks, self.evals = {}, {}, {}
         self._readout = {}
         by_apex = {}
         for f in (1.0, 0.0):
@@ -288,7 +302,7 @@ class SegmentPropagators:
                 if apex not in by_apex:
                     by_apex[apex] = np.linalg.eigh(_arrowhead(apex, bath))
             blocks = [by_apex[apex] for apex in x]
-            self.levels[f], self.rotation[f], self.blocks[f] = x, r, blocks
+            self.rotation[f], self.blocks[f] = r, blocks
             self.evals[f] = np.concatenate([w for w, _ in blocks])
             self._readout[f] = np.concatenate(
                 [np.outer(r[:, a], q[0]) for a, (_, q) in enumerate(blocks)],
@@ -305,14 +319,17 @@ class SegmentPropagators:
                                             + r[1, a] * charger)
                                for a, (_, q) in enumerate(self.blocks[f])])
 
-    def expand(self, f: float, c: np.ndarray, block: int | None = None,
+    def expand(self, f: float, c: np.ndarray, cols: slice = slice(None),
                out: np.ndarray | None = None) -> np.ndarray:
-        """V_f c: shell vector(s) from coefficients on both blocks or, given
-        ``block``, from the 1 + S coefficients of that block alone; written
-        to ``out`` when given."""
+        """V_f[:, cols] c: shell vector(s) from the coefficients c on the
+        f eigenvectors in ``cols``, whole blocks such as the columns of an
+        ``overlap`` block (all of them by default); written to ``out`` when
+        given."""
         r, n_sh = self.rotation[f], self.shells.frequencies.size
-        parts = [(block, c)] if block is not None else \
-            [(a, c[a * (1 + n_sh):(a + 1) * (1 + n_sh)]) for a in (0, 1)]
+        lo, hi, _ = cols.indices(2 + 2 * n_sh)
+        m = 1 + n_sh
+        parts = [(a, c[a * m - lo:(a + 1) * m - lo])
+                 for a in range(lo // m, hi // m)]
         if out is None:
             out = np.empty((2 + 2 * n_sh,) + c.shape[1:], dtype=complex)
         # each side: its pair level, then its bath's shells
@@ -330,26 +347,24 @@ class SegmentPropagators:
         return out
 
     def overlap(self) -> list:
-        """The nonzero blocks of V_0^T V_1, which takes f = 1 coefficients
-        to f = 0 ones, as (rows, columns, block) triples, built on first use
-        from the products Q_0a^T Q_1b weighted by (R_0^T R_1)_ab: the two
-        diagonal blocks at zero detuning (R_0 = R_1), else one n x n
-        block."""
+        """V_0^T V_1 as (columns, block) pairs, zero outside the blocks,
+        each block's rows its columns; built on first use from the products
+        Q_0a^T Q_1b weighted by (R_0^T R_1)_ab: the two diagonal blocks at
+        zero detuning (R_0 = R_1), else one n x n block."""
         if self._overlap is None:
             r0, r1 = self.rotation[0.0], self.rotation[1.0]
             q0, q1 = ([q for _, q in self.blocks[f]] for f in (0.0, 1.0))
             m = q1[0].shape[0]
             part = (slice(0, m), slice(m, 2 * m))
             if r0 is r1:
-                self._overlap = [(part[a], part[a], q0[a].T @ q1[a])
-                                 for a in (0, 1)]
+                self._overlap = [(part[a], q0[a].T @ q1[a]) for a in (0, 1)]
             else:
                 weight = r0.T @ r1
                 ovl = np.empty((2 * m, 2 * m))
                 for a in (0, 1):
                     for b in (0, 1):
                         ovl[part[a], part[b]] = weight[a, b] * (q0[a].T @ q1[b])
-                self._overlap = [(slice(None), slice(None), ovl)]
+                self._overlap = [(slice(0, 2 * m), ovl)]
         return self._overlap
 
     def apply(self, state: np.ndarray, f: float, dt: float) -> np.ndarray:
@@ -384,12 +399,10 @@ class SegmentPropagators:
         for a, b in zip(starts, stops):
             f = 1.0 if drive[a] else 0.0
             if f != f_now:
-                switched = np.zeros_like(c)
-                for rows, cols, ovl in self.overlap():
-                    if f == 0.0:
-                        switched[rows] += _real_matmul(ovl, c[cols])
-                    else:
-                        switched[cols] += _real_matmul(ovl.T, c[rows])
+                switched = np.empty_like(c)
+                for cols, ovl in self.overlap():
+                    switched[cols] = _real_matmul(ovl if f == 0.0 else ovl.T,
+                                                  c[cols])
                 c, f_now = switched, f
             p = powers[f][:b - a]
             pair[a + 1:b + 1] = p @ (self._readout[f].T * c[:, None])

@@ -17,12 +17,12 @@ shell as a_s / sqrt(m_s).
 The spectrum is built on the eigensystem that samples its modes: the
 ``dynamics.SegmentPropagators`` of the run, whose (1 + S) arrowhead
 blocks diagonalize the shell Hamiltonian at f = 1 and f = 0, and whose
-overlap V_0^T V_1 is assembled from those blocks.  At zero detuning the
-blocks are the symmetric/antisymmetric sectors, which ``resonant_spectrum``
-diagonalizes one at a time, so every bound state is exactly sector-pure,
-even when the two bound-state quasienergies are degenerate.  A detuned
-spectrum (``_detuned_spectrum``) diagonalizes U_T on the whole 2 + 2S
-overlap.
+overlap V_0^T V_1 is assembled from those blocks.  One path serves every
+detuning: U_T is diagonalized once per block of that overlap.  At zero
+detuning the blocks are the symmetric/antisymmetric sectors, so every
+bound state is exactly sector-pure, even when the two bound-state
+quasienergies are degenerate; a detuned overlap is one 2 + 2S block.
+``resonant_spectrum`` is the zero-detuning entry to the same path.
 
 Each spectrum block is diagonalized through one real symmetric
 eigenproblem (``_cayley_spectrum``).  The 1-0-1 drive makes U_T similar
@@ -243,21 +243,21 @@ def _full_basis_spectrum(eps, vecs, shells, schedule, env):
                                shells=shells)
 
 
-def _cayley_shift(m1, m0, frequencies, schedule):
+def _cayley_shift(params, frequencies, schedule):
     """Angle theta of the Cayley shift z = e^{i theta}.
 
     z lambda = -1 falls in the middle of the widest gap of the uncoupled
     (g = 0) levels lambda of U'': the shells' e^{-i omega_s T} for the
     shell ``frequencies``, and the eigenvalues of the bare pair's own U''
-    from its matrices m1 at f = 1 and m0 at f = 0 (M(f), or the 1 x 1
-    level of a sector), so no level, and no bound state grown from one,
-    sits near the pole.
+    from its matrices M(f), so no level, and no bound state grown from
+    one, sits near the pole.  At zero detuning these are the levels of
+    both sectors, so the one shift serves each sector's block.
     """
-    def step(m, t):
-        w, v = np.linalg.eigh(m)
+    def step(f, t):
+        w, v = np.linalg.eigh(_pair_matrix(params, f))
         return (v * np.exp(-1j * w * t)) @ v.T
-    p = step(m0, 0.5 * schedule.tau_s)
-    pair = p @ step(m1, schedule.tau_c + schedule.tau_d) @ p
+    p = step(0.0, 0.5 * schedule.tau_s)
+    pair = p @ step(1.0, schedule.tau_c + schedule.tau_d) @ p
     levels = np.sort(np.mod(np.concatenate([
         np.angle(np.linalg.eigvals(pair)), -schedule.period * frequencies]),
         2.0 * math.pi))
@@ -323,47 +323,29 @@ def resonant_spectrum(
     schedule: ProtocolSchedule,
     props: SegmentPropagators | None = None,
 ) -> QuasienergySpectrum:
-    """Spectrum from the two decoupled sectors at zero detuning.
-
-    Each sector is one (1 + S) block of ``props`` (built here if not
-    given): its U_T is diagonalized from the block eigenpairs and the
-    block's diagonal part of the overlap, and its modes are expanded
-    through that block alone, (a_0, a_shells) -> pair (r_b a_0, r_c a_0)
-    and baths (r_b a_shells, r_c a_shells) with (r_b, r_c) = (1, +-1) /
-    sqrt 2 the sector's column of R_1.
-    """
+    """``_shell_spectrum`` at zero detuning; ValueError at any other."""
     if params.delta != 0.0:
         raise ValueError("resonant_spectrum requires zero detuning")
+    return _shell_spectrum(params, env, schedule, props)
+
+
+def _shell_spectrum(params, env, schedule, props):
+    """Spectrum on the bright shells at any detuning: U_T diagonalized once
+    per block of ``props.overlap()`` (``props`` built here if None), each
+    block's modes expanded through its own columns alone."""
     if props is None:
         props = SegmentPropagators(params, env)
-    m = props.evals[1.0].size // 2
-    eps = np.empty(2 * m)
-    vecs = np.empty((2 * m, 2 * m), dtype=complex)
-    # the symmetric sector (level omega_0 + kappa) first
-    for cols, a in ((slice(0, m), 1), (slice(m, 2 * m), 0)):
-        theta = _cayley_shift(props.levels[1.0][a:a + 1, None],
-                              props.levels[0.0][a:a + 1, None],
-                              props.shells.frequencies, schedule)
-        eps[cols], coeffs = _cayley_spectrum(
-            props.blocks[1.0][a][0], props.blocks[0.0][a][0],
-            props.overlap()[a][2], theta, schedule)
-        props.expand(1.0, coeffs, block=a, out=vecs[:, cols])
+    theta = _cayley_shift(params, props.shells.frequencies, schedule)
+    n = props.evals[1.0].size
+    eps, vecs = np.empty(n), None
+    for cols, ovl in props.overlap():
+        w1, w0 = (props.evals[f][cols] for f in (1.0, 0.0))
+        eps[cols], coeffs = _cayley_spectrum(w1, w0, ovl, theta, schedule)
+        if vecs is None:  # after the first solve, outside its peak
+            vecs = np.empty((n, n), dtype=complex)
+        props.expand(1.0, coeffs, cols, out=vecs[:, cols])
         del coeffs
     return _full_basis_spectrum(eps, vecs, props.shells, schedule, env)
-
-
-def _detuned_spectrum(params, env, schedule, props=None):
-    """Spectrum at any detuning on the bright shells (2 + 2S), from the
-    eigenpairs of both blocks of ``props`` and the assembled overlap."""
-    if props is None:
-        props = SegmentPropagators(params, env)
-    theta = _cayley_shift(_pair_matrix(params, 1.0), _pair_matrix(params, 0.0),
-                          props.shells.frequencies, schedule)
-    (_, _, ovl), = props.overlap()
-    eps, coeffs = _cayley_spectrum(props.evals[1.0], props.evals[0.0], ovl,
-                                   theta, schedule)
-    return _full_basis_spectrum(eps, props.expand(1.0, coeffs), props.shells,
-                                schedule, env)
 
 
 def compute_spectrum(
@@ -379,10 +361,7 @@ def compute_spectrum(
     ``fbs_floquet_modes`` can then reuse; MemoryCapError, before any
     matrix is built, if they would not fit."""
     check_memory(env, params.delta)
-    if params.delta == 0.0:
-        spec = resonant_spectrum(params, env, schedule, props=props)
-    else:
-        spec = _detuned_spectrum(params, env, schedule, props=props)
+    spec = _shell_spectrum(params, env, schedule, props)
     idx = identify_fbs(spec, weight_threshold=weight_threshold,
                        gap_tolerance=gap_tolerance)
     return replace(spec, fbs_indices=idx)

@@ -211,8 +211,8 @@ class TestBlockEigensystem:
         n = props.evals[1.0].size
         v1, v0 = (props.expand(f, np.eye(n)).real for f in (1.0, 0.0))
         dense = np.zeros((n, n))
-        for rows, cols, block in props.overlap():
-            dense[rows, cols] = block
+        for cols, block in props.overlap():
+            dense[cols, cols] = block
         np.testing.assert_allclose(dense, v0.T @ v1, rtol=0, atol=1e-13)
 
     def test_resonant_blocks_are_the_sectors(self):
@@ -225,8 +225,8 @@ class TestBlockEigensystem:
         m = props.evals[1.0].size // 2
         assert props.rotation[0.0] is props.rotation[1.0]
         assert props.blocks[0.0][0] is props.blocks[0.0][1]
-        assert [(rows, cols) for rows, cols, _ in props.overlap()] \
-            == [(slice(0, m), slice(0, m)), (slice(m, 2 * m), slice(m, 2 * m))]
+        assert [cols for cols, _ in props.overlap()] \
+            == [slice(0, m), slice(m, 2 * m)]
         bath = dynamics._bath_arrays(env, env.shells())
         for f in (1.0, 0.0):
             for a, sector in ((0, -1), (1, +1)):
@@ -544,11 +544,17 @@ class TestDefaultTimeStep:
         )
 
     def test_divides_unequal_segments(self):
+        # at kappa 15 the per-segment rounding gives 67/111/45 steps, which
+        # share no step; T/220 divides every segment
         schedule = ProtocolSchedule(tau_c=0.3, tau_s=0.5, tau_d=0.2)
-        h = default_time_step(PARAMS, ENV10, schedule)
-        for s in (0.3, 0.5, 0.2):
-            assert abs(s / h - round(s / h)) < 1e-9
-        dynamics._build_grid(schedule, 3 * schedule.period, h)
+        for kappa in (3.0, 15.0):
+            params = SystemParams.from_center(omega_0=2.0, delta=0.0,
+                                              kappa=kappa)
+            h = default_time_step(params, ENV10, schedule)
+            for s in (0.3, 0.5, 0.2):
+                assert abs(s / h - round(s / h)) < 1e-9
+            dynamics._build_grid(schedule, 3 * schedule.period, h)
+        assert h == schedule.period / 220  # the kappa 15 step
 
 
 class TestGridContract:

@@ -256,8 +256,9 @@ class TestShellSpectrum:
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_allocates_no_dense_modes(self, delta):
         # a d x d complex array at d = 3202 alone takes 16 d^2 = 164 MB; the
-        # shell spectrum (n = 444) peaks at four complex n x n matrices
-        # when detuned (13 MB) and under three at delta = 0 (7 MB)
+        # shell spectrum (n = 444) peaks at 4.6 n^2 floats at delta = 0 and
+        # 8.0 detuned (n^2 floats = 1.6 MB), so one more complex n x n
+        # array (2 n^2 floats) breaks the bound
         env = LatticeEnvironment(n_side=40, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=15.0)
         tau = 0.5 * np.pi / params.rabi
@@ -268,10 +269,10 @@ class TestShellSpectrum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        d = spec.dimension
-        assert d == 3202
+        n = 2 + 2 * env.shells().frequencies.size
+        assert spec.dimension == 3202 and n == 444
         assert len(spec.fbs_indices) == 2
-        assert peak < 16 * d**2 / 4
+        assert peak < (8.5 if delta else 5.0) * 8 * n**2
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_memory_cap(self, monkeypatch, delta):

@@ -5,8 +5,9 @@
 runs each preset of the qbsim package found in PARENT_SRC and in
 CHANGE_SRC (the directories that hold ``qbsim/``) into gate/parent/<preset>
 and gate/change/<preset> under the repository root, and beside them the
-runs of ``MEMORY_RUNS``, which take the memory-kernel routes that no preset
-uses.  It then prints two verdicts:
+runs of ``EXTRA_RUNS``, which take paths that no preset reaches: the
+memory-kernel routes, and spectra on unequal drive segments.  It then
+prints two verdicts:
 
 * byte mode: the CSV files and summary.json must be byte-identical, and
   the sidecars equal once ``created_at`` is removed;
@@ -32,10 +33,14 @@ import sys
 
 TOLERANCE = 1e-10
 GATE = pathlib.Path(__file__).resolve().parent.parent / "gate"
-# (output directory, preset, overrides) of the memory-kernel route runs
-MEMORY_RUNS = [
+UNEQUAL = ["tau_c=0.3", "tau_s=0.45", "tau_d=0.15"]
+# (output directory, preset, overrides) of the runs on paths no preset takes
+EXTRA_RUNS = [
     ("fig2a-volterra-continuum", "fig2a", ["route=volterra", "kernel=continuum"]),
     ("fig2a-volterra-pm", "fig2a", ["route=volterra-pm"]),
+    ("fig3b-unequal", "fig3b", UNEQUAL),
+    ("fig4c-unequal", "fig4c", UNEQUAL),
+    ("fig4d-unequal", "fig4d", [*UNEQUAL, "t_max=4.5"]),
 ]
 
 
@@ -46,14 +51,14 @@ def _cli(src, *args):
 
 
 def run_presets(src, out) -> list[str]:
-    """Every preset and every memory run at n_side = 6 from the code in
+    """Every preset and every extra run at n_side = 6 from the code in
     src; the failed ones."""
     listed = _cli(src, "list-presets")
     if listed.returncode:
         return [f"list-presets: {listed.stderr.strip()}"]
     presets = [line.split()[0] for line in listed.stdout.splitlines()]
     failed = []
-    for name, preset, overrides in [(p, p, []) for p in presets] + MEMORY_RUNS:
+    for name, preset, overrides in [(p, p, []) for p in presets] + EXTRA_RUNS:
         sets = [a for o in ["n_side=6", *overrides] for a in ("--set", o)]
         run = _cli(src, "run", "--preset", preset, *sets,
                    "--out", str(out / name))
