@@ -151,7 +151,7 @@ def default_time_step(
     params: SystemParams, env: LatticeEnvironment, schedule: ProtocolSchedule
 ) -> float:
     """Resolve the fastest phase and the shortest drive segment, /40, in
-    whole steps per segment (``_whole_step``)."""
+    whole steps of every segment (``_whole_step``)."""
     fastest = 2.0 * math.pi / (env.varpi + 4.0 * env.q + params.omega_0
                                + 2.0 * params.kappa)
     shortest = min(s for s, _ in schedule.segments())
@@ -164,21 +164,24 @@ def _steps(length: float, dt: float) -> int:
 
 
 def _whole_step(schedule: ProtocolSchedule, dt: float) -> float:
-    """T / k, k steps per period: the sum of _steps(s, dt) over the drive
-    segments s if its step divides them all to ``_build_grid``'s 1e-9 T,
-    else the count nearest T / dt, up to twice that sum, whose step does
-    (the sum if none does: ``_build_grid`` rejects it)."""
+    """T / k for the fewest steps k >= T / dt - S / 2 per period, S drive
+    segments, whose step divides every segment to ``_build_grid``'s 1e-9 T.
+
+    No coarser than dt by more than half a step per segment, the bound of
+    rounding each segment to _steps(s, dt); and that rounding's sum itself
+    whenever its step divides, barring exact half-step ties (it is within
+    S / 2 of T / dt, and valid counts are multiples of T / g >= S, g the
+    segments' common step).  The sum if no k up to twice it divides:
+    ``_build_grid`` rejects it.
+    """
     period, segs = schedule.period, [s for s, _ in schedule.segments()]
-
-    def divides(k):  # T / k into whole steps of each segment s
-        return all(round(x) >= 1 and abs(x - round(x)) <= 1e-9 * k
-                   for x in (k * s / period for s in segs))
-
     first = sum(_steps(s, dt) for s in segs)
-    if divides(first):
-        return period / first
-    near = sorted(range(1, 2 * first + 1), key=lambda k: abs(k - period / dt))
-    return period / next((k for k in near if divides(k)), first)
+    low = max(1, math.ceil(period / dt - len(segs) / 2.0))
+    return period / next(
+        (k for k in range(low, 2 * first + 1)
+         if all(round(x) >= 1 and abs(x - round(x)) <= 1e-9 * k
+                for x in (k * s / period for s in segs))),
+        first)
 
 
 def _build_grid(schedule: ProtocolSchedule, t_max: float, dt: float):

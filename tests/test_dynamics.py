@@ -545,7 +545,8 @@ class TestDefaultTimeStep:
 
     def test_divides_unequal_segments(self):
         # at kappa 15 the per-segment rounding gives 67/111/45 steps, which
-        # share no step; T/220 divides every segment
+        # share no step; T/230 is the finest common step no coarser than
+        # T / 222.8 by more than half a step per segment
         schedule = ProtocolSchedule(tau_c=0.3, tau_s=0.5, tau_d=0.2)
         for kappa in (3.0, 15.0):
             params = SystemParams.from_center(omega_0=2.0, delta=0.0,
@@ -554,7 +555,7 @@ class TestDefaultTimeStep:
             for s in (0.3, 0.5, 0.2):
                 assert abs(s / h - round(s / h)) < 1e-9
             dynamics._build_grid(schedule, 3 * schedule.period, h)
-        assert h == schedule.period / 220  # the kappa 15 step
+        assert h == schedule.period / 230  # the kappa 15 step
 
 
 class TestGridContract:
