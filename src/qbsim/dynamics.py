@@ -41,6 +41,9 @@ from .model import ProtocolSchedule, SystemParams
 
 # bytes; the largest allocation a lattice propagation may request
 MEMORY_CAP = 3e9
+# check_memory's estimate in bytes per n^2, by (detuned, spectrum)
+_BYTES_PER_N2 = {(False, False): 20, (True, False): 32,
+                 (False, True): 48, (True, True): 92}
 # steps per chunk of a constant-drive run in SegmentPropagators.march
 _MARCH_CHUNK = 128
 
@@ -223,23 +226,28 @@ def _real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out.view(complex).reshape((m.shape[0],) + z.shape[1:])
 
 
-def check_memory(env: LatticeEnvironment, delta: float | None = None
-                 ) -> None:
+def check_memory(env: LatticeEnvironment, delta: float,
+                 spectrum: bool = False) -> None:
     """Raise MemoryCapError if a lattice run on env would exceed MEMORY_CAP.
 
-    n = 2 + 2S for S shells.  ``delta`` None estimates propagation alone:
-    4 n^2 floats for the block eigenbases, the overlap and the eigh
-    workspace of one (1 + S) block.  A spectrum at detuning ``delta`` also
-    holds its propagators and eigenvectors: 6 n^2 floats at zero detuning,
-    11.5 when detuned, where U'' and the inverse of I + zU'' are complex
-    n x n matrices and numpy.linalg.inv keeps two complex n x n work
-    copies besides.  Measured peaks at n_side 60 and 100, in n^2 floats
-    (tracemalloc, then RSS): propagation 1.4 and 1.3, 2.1 and 1.9;
-    resonant spectrum 4.5 and 4.5, 6.0 and 5.4; detuned spectrum 8.0 and
-    8.0, 11.3 and 11.2 (tracemalloc does not see inv's work copies).
+    n = 2 + 2S for S shells.  Propagation (``spectrum`` False) holds the
+    block eigenbases and the overlap that ``SegmentPropagators`` builds, and
+    the eigh workspace of one (1 + S) block: 2.5 n^2 floats at zero
+    detuning, where one f = 0 block serves both sectors and the overlap is
+    two diagonal blocks, and 4 when detuned, with four distinct blocks and
+    one n x n overlap.  A spectrum also holds its propagators and
+    eigenvectors: 6 n^2 floats at zero detuning, 11.5 when detuned, where
+    U'' and the inverse of I + zU'' are complex n x n matrices and
+    numpy.linalg.inv keeps two complex n x n work copies besides.  Measured
+    RSS peaks above the RSS before construction, in n^2 floats at n_side
+    60, 100 and 140: propagation 2.30, 1.88 and 1.79 at zero detuning,
+    3.84, 3.21 and 2.57 detuned; and at n_side 60 and 100 (tracemalloc,
+    then RSS): resonant spectrum 4.5 and 4.5, 6.0 and 5.4; detuned spectrum
+    8.0 and 8.0, 11.3 and 11.2 (tracemalloc does not see inv's work
+    copies).
     """
     n = 2 + 2 * env.shells().frequencies.size
-    estimate = (32 if delta is None else 92 if delta else 48) * n * n
+    estimate = _BYTES_PER_N2[delta != 0.0, spectrum] * n * n
     if estimate > MEMORY_CAP:
         raise MemoryCapError(required=estimate, cap=int(MEMORY_CAP))
 
@@ -290,7 +298,7 @@ class SegmentPropagators:
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment):
-        check_memory(env)
+        check_memory(env, params.delta)
         self.dimension = 2 + 2 * env.n_modes
         self.shells = env.shells()
         bath = _bath_arrays(env, self.shells)

@@ -327,7 +327,7 @@ def _plan_dynamics(cfg):
                   "t_max/n_samples")
     _check_grid(plan.schedule, plan.t_max, step, source)
     if cfg.route == "exact":  # the memory routes build no propagators
-        check_memory(plan.env)
+        check_memory(plan.env, cfg.delta)
     return dataclasses.replace(plan, step=step)
 
 
@@ -335,7 +335,7 @@ def _plan_spectrum(cfg):
     """kappa-sweep at each grid point, spectrum at cfg.kappa."""
     plan = _resolve(cfg, points=_sweep_points(cfg)
                     if cfg.kind == "kappa-sweep" else ())
-    check_memory(plan.env, cfg.delta)
+    check_memory(plan.env, cfg.delta, spectrum=True)
     return plan
 
 
@@ -350,7 +350,7 @@ def _plan_bound_states(cfg):
     h, n_steps, _ = _check_grid(
         plan.schedule, plan.t_max, plan.schedule.period / n,
         f"T/{n}, so the segments and t_max must be multiples of T/{n}")
-    check_memory(plan.env, cfg.delta)
+    check_memory(plan.env, cfg.delta, spectrum=True)
     return dataclasses.replace(plan, step=plan.schedule.period / n,
                                times=np.arange(n_steps + 1) * h)
 
@@ -365,7 +365,7 @@ def _plan_perturbation(cfg):
     plan = _resolve(cfg, points=_sweep_points(cfg))
     for kappa, _, schedule in plan.points:
         _check_protocol(kappa, schedule)
-    check_memory(plan.env, cfg.delta)
+    check_memory(plan.env, cfg.delta, spectrum=True)
     return plan
 
 

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg as sla
 
 from .dynamics import (SegmentPropagators, _build_grid, _pair_matrix,
                        _real_matmul, build_hamiltonian, check_memory)
@@ -170,6 +169,9 @@ def one_period_operator(
 
 def _folded_schur(u, schedule):
     """Schur vectors of a one-period operator and their folded quasienergies."""
+    # imported here: no shell path needs scipy.linalg, and loading it costs
+    # every run about 6 MiB and 50 ms of start-up
+    from scipy import linalg as sla
     t_mat, q_mat = sla.schur(u, output="complex")
     lam = np.diag(t_mat)
     eps = fold_quasienergy(-np.angle(lam) / schedule.period, schedule.omega_T)
@@ -360,7 +362,7 @@ def compute_spectrum(
     from the eigensystem of ``props`` (built here if not given), which
     ``fbs_floquet_modes`` can then reuse; MemoryCapError, before any
     matrix is built, if they would not fit."""
-    check_memory(env, params.delta)
+    check_memory(env, params.delta, spectrum=True)
     spec = _shell_spectrum(params, env, schedule, props)
     idx = identify_fbs(spec, weight_threshold=weight_threshold,
                        gap_tolerance=gap_tolerance)

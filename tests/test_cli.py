@@ -127,8 +127,10 @@ class TestValidate:
     ])
     def test_memory_cap(self, tmp_path, capsys, monkeypatch, body):
         # the kinds that propagate states check the propagator estimate up
-        # front, as run would; nothing large is built here
-        monkeypatch.setattr(dynamics, "MEMORY_CAP", 1e4)
+        # front, as run would; nothing large is built here.  The cap lies
+        # under the smallest estimate at n_side 6 (n = 20): 20 n^2 = 8000
+        # bytes for resonant propagation
+        monkeypatch.setattr(dynamics, "MEMORY_CAP", 5e3)
         cfg = tmp_path / "big.cfg"
         cfg.write_text(body + "n_side = 6\n")
         assert run_cli("validate", str(cfg)) == 1
@@ -145,9 +147,14 @@ class TestValidate:
         ("kind = kappa-sweep\nn_side = 300\nkappa_min = 3\nkappa_max = 6\n"
          "kappa_step = 0.05\n", 1),
         ("kind = spectrum\ndelta = 0.5\nkappa = 15\nn_side = 100\n", 0),
-    ], ids=["detuned-250", "sweep-300", "detuned-100"])
+        # exact propagation, n = 10,204: 20 n^2 bytes (2.08 GB) at zero
+        # detuning, 32 n^2 (3.33 GB) detuned
+        ("kind = dynamics\nn_side = 200\n", 0),
+        ("kind = dynamics\ndelta = 0.5\nn_side = 200\n", 1),
+    ], ids=["detuned-250", "sweep-300", "detuned-100", "exact-200",
+            "exact-200-detuned"])
     def test_spectrum_memory_cap(self, tmp_path, capsys, body, expected):
-        # the spectrum estimate is checked without building any matrix
+        # each estimate is checked without building any matrix
         cfg = tmp_path / "spec.cfg"
         cfg.write_text(body)
         tracemalloc.start()

@@ -147,9 +147,19 @@ class TestSegmentPropagators:
         np.testing.assert_allclose(p @ end, expected[-1], rtol=0, atol=1e-11)
 
     def test_memory_cap(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "MEMORY_CAP", 1000)
-        with pytest.raises(MemoryCapError):
-            SegmentPropagators(PARAMS, ENV10)
+        # the estimate, 2.5 n^2 floats at zero detuning and 4 detuned, lies
+        # above the RSS peaks measured at n_side 100 and 140 (1.88 and 1.79;
+        # 3.21 and 2.57 n^2 floats)
+        n = 2 + 2 * ENV10.shells().frequencies.size
+        for delta, bytes_per_n2 in ((0.0, 20), (0.5, 32)):
+            params = SystemParams.from_center(omega_0=2.0, delta=delta,
+                                              kappa=3.0)
+            estimate = bytes_per_n2 * n * n
+            monkeypatch.setattr(dynamics, "MEMORY_CAP", estimate - 1)
+            with pytest.raises(MemoryCapError):
+                SegmentPropagators(params, ENV10)
+            monkeypatch.setattr(dynamics, "MEMORY_CAP", estimate)
+            SegmentPropagators(params, ENV10)  # admitted at its estimate
 
     def test_march_longer_than_a_chunk(self):
         # runs of 200, 300, 300 and 100 steps on a T/600 grid, cut into

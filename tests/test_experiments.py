@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from qbsim import (dynamics, environment, errors, floquet, ideal, markovian,
                    model, perturbation)
 from qbsim.errors import ConfigError
 from qbsim.experiments import (
+    KINDS,
     PRESETS,
     ExperimentConfig,
     config_to_dict,
@@ -200,6 +203,57 @@ class TestPackageSurface:
         with pytest.raises(ConfigError, match="jobs"):
             run_experiment(cfg, tmp_path, jobs=2)
         assert not list(tmp_path.iterdir())
+
+    def test_runs_without_scipy_linalg(self, tmp_path):
+        # only the full-basis Schur oracle needs scipy.linalg, so importing
+        # the package and running every kind leaves it unloaded; the oracle
+        # loads it on demand
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qbsim.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY_LINALG, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        loaded, dimension = json.loads(done.stdout.splitlines()[-1])
+        oracle = loaded.pop("quasienergy_spectrum")
+        assert len(loaded) == 3 + len(KINDS)
+        assert not any(loaded.values()), loaded
+        assert oracle and dimension == 2 + 2 * 2**2
+
+
+# run in a fresh interpreter: every kind at n_side 4, one period (or a
+# two-point sweep) each, then the full-basis oracle at n_side 2; prints
+# whether scipy.linalg was loaded after each step
+_WITHOUT_SCIPY_LINALG = """
+import json, math, sys
+loaded = {}
+def step(name):
+    loaded[name] = "scipy.linalg" in sys.modules
+import qbsim
+step("import qbsim")
+import qbsim.cli
+step("import qbsim.cli")
+import qbsim.experiments as ex
+step("import qbsim.experiments")
+T = 0.5 * math.pi  # kappa = 3, half-swap segments
+extra = {"ideal-cycle": {}, "markov": {}, "dynamics": dict(t_max=T),
+         "kappa-sweep": dict(kappa_min=3.0, kappa_max=4.0, kappa_step=1.0),
+         "spectrum": {}, "asymptotic": dict(t_max=T),
+         "perturbation": dict(kappa_min=5.0, kappa_max=6.0, kappa_step=1.0),
+         "nonresonant": dict(delta=0.5, t_max=T)}
+assert sorted(extra) == sorted(ex.KINDS)
+for kind in ex.KINDS:
+    ex.run_experiment(ex.ExperimentConfig(kind=kind, n_side=4, **extra[kind]),
+                      sys.argv[1])
+    step(kind)
+env = qbsim.LatticeEnvironment(n_side=2, varpi=1.0, q=0.5, g=0.5)
+params = qbsim.SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=3.0)
+sched = qbsim.ProtocolSchedule(tau_c=T / 3, tau_s=T / 3, tau_d=T / 3)
+spec = qbsim.quasienergy_spectrum(
+    qbsim.one_period_operator(params, env, sched), sched, env)
+step("quasienergy_spectrum")
+print(json.dumps([loaded, spec.dimension]))
+"""
 
 
 class TestScheduleResolution:
