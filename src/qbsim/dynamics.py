@@ -43,7 +43,7 @@ from .model import ProtocolSchedule, SystemParams
 MEMORY_CAP = 3e9
 # check_memory's estimate in bytes per n^2, by (detuned, spectrum)
 _BYTES_PER_N2 = {(False, False): 20, (True, False): 32,
-                 (False, True): 48, (True, True): 92}
+                 (False, True): 28, (True, True): 92}
 # steps per chunk of a constant-drive run in SegmentPropagators.march
 _MARCH_CHUNK = 128
 
@@ -235,16 +235,16 @@ def check_memory(env: LatticeEnvironment, delta: float,
     the eigh workspace of one (1 + S) block: 2.5 n^2 floats at zero
     detuning, where one f = 0 block serves both sectors and the overlap is
     two diagonal blocks, and 4 when detuned, with four distinct blocks and
-    one n x n overlap.  A spectrum also holds its propagators and
-    eigenvectors: 6 n^2 floats at zero detuning, 11.5 when detuned, where
-    U'' and the inverse of I + zU'' are complex n x n matrices and
-    numpy.linalg.inv keeps two complex n x n work copies besides.  Measured
-    RSS peaks above the RSS before construction, in n^2 floats at n_side
-    60, 100 and 140: propagation 2.30, 1.88 and 1.79 at zero detuning,
-    3.84, 3.21 and 2.57 detuned; and at n_side 60 and 100 (tracemalloc,
-    then RSS): resonant spectrum 4.5 and 4.5, 6.0 and 5.4; detuned spectrum
-    8.0 and 8.0, 11.3 and 11.2 (tracemalloc does not see inv's work
-    copies).
+    one n x n overlap.  A spectrum also holds its propagators and the
+    work of one Cayley solve per overlap block, where U'' and the inverse
+    of I + zU'' are complex matrices and numpy.linalg.inv keeps two
+    complex work copies besides: 3.5 n^2 floats at zero detuning, with two
+    blocks of n/2, and 11.5 when detuned, with one block of n.  It stores
+    eigenvectors only for the few modes at or above its weight threshold.
+    Measured RSS peaks above the RSS before construction, in n^2 floats
+    at n_side 60, 100 and 140: propagation 2.30, 1.88 and 1.79 at zero
+    detuning, 3.84, 3.21 and 2.57 detuned; resonant spectrum 4.30, 3.42
+    and 3.32; detuned spectrum 11.56, 11.24 and 10.1 (kappa = 10).
     """
     n = 2 + 2 * env.shells().frequencies.size
     estimate = _BYTES_PER_N2[delta != 0.0, spectrum] * n * n
@@ -271,19 +271,19 @@ class SegmentPropagators:
     column, x_sigma the eigenvalues of M(f).  Hence H_f = V_f diag(w_f)
     V_f^T with V_f = (R_f x I) diag(Q_f0, Q_f1).  Only R_f (``rotation``)
     and the block eigenpairs (w_fsigma, Q_fsigma) (``blocks``) are stored,
-    and ``coefficients`` (V_f^T b), ``expand`` (V_f c, or V_f[:, cols] c
-    for the columns of whole blocks) and the pair read-out apply V_f block
-    by block.  At zero detuning M(0) = omega_0 I, so R_0 = R_1 is taken:
-    the blocks are the symmetric/antisymmetric sectors at both drive
-    values, they never mix, and the two f = 0 blocks coincide (one
-    ``eigh`` serves both).
+    and ``coefficients`` (V_f^T b), ``expand`` (V_f c) and ``readout``
+    (the battery and charger rows of V_f) apply V_f block by block.  At
+    zero detuning M(0) = omega_0 I, so R_0 = R_1 is taken: the blocks are
+    the symmetric/antisymmetric sectors at both drive values, they never
+    mix, and the two f = 0 blocks coincide (one ``eigh`` serves both).
 
     ``overlap`` holds the real V_0^T V_1, which takes f = 1 coefficients
     to f = 0 ones, as (columns, block) pairs, two diagonal blocks at zero
     detuning and one n x n block otherwise; nothing else knows this layout.
     The spectrum (``floquet.compute_spectrum``) diagonalizes U_T once per
     block, on the same eigenpairs and overlap as the march that samples
-    its modes, and expands each block's modes through its columns.
+    its modes; it weighs each mode through ``readout`` and expands only
+    the modes it keeps.
 
     ``march`` steps a shell vector on a uniform grid (``_build_grid``) run
     by run: within a run of constant drive it multiplies the coefficients
@@ -303,7 +303,7 @@ class SegmentPropagators:
         self.shells = env.shells()
         bath = _bath_arrays(env, self.shells)
         self.rotation, self.blocks, self.evals = {}, {}, {}
-        self._readout = {}
+        self.readout = {}
         by_apex = {}
         for f in (1.0, 0.0):
             x, r = np.linalg.eigh(_pair_matrix(params, f))
@@ -315,7 +315,7 @@ class SegmentPropagators:
             blocks = [by_apex[apex] for apex in x]
             self.rotation[f], self.blocks[f] = r, blocks
             self.evals[f] = np.concatenate([w for w, _ in blocks])
-            self._readout[f] = np.concatenate(
+            self.readout[f] = np.concatenate(
                 [np.outer(r[:, a], q[0]) for a, (_, q) in enumerate(blocks)],
                 axis=1).astype(complex)
         self._overlap = None
@@ -330,32 +330,18 @@ class SegmentPropagators:
                                             + r[1, a] * charger)
                                for a, (_, q) in enumerate(self.blocks[f])])
 
-    def expand(self, f: float, c: np.ndarray, cols: slice = slice(None),
-               out: np.ndarray | None = None) -> np.ndarray:
-        """V_f[:, cols] c: shell vector(s) from the coefficients c on the
-        f eigenvectors in ``cols``, whole blocks such as the columns of an
-        ``overlap`` block (all of them by default); written to ``out`` when
-        given."""
+    def expand(self, f: float, c: np.ndarray) -> np.ndarray:
+        """V_f c: shell vector(s) from the coefficients c on the f
+        eigenvectors, block 0's rows, then block 1's."""
         r, n_sh = self.rotation[f], self.shells.frequencies.size
-        lo, hi, _ = cols.indices(2 + 2 * n_sh)
         m = 1 + n_sh
-        parts = [(a, c[a * m - lo:(a + 1) * m - lo])
-                 for a in range(lo // m, hi // m)]
-        if out is None:
-            out = np.empty((2 + 2 * n_sh,) + c.shape[1:], dtype=complex)
-        # each side: its pair level, then its bath's shells
-        sides = [(out[p:p + 1], out[2 + p * n_sh:2 + (p + 1) * n_sh])
-                 for p in (0, 1)]
-        for i, (a, part) in enumerate(parts):
-            y = _real_matmul(self.blocks[f][a][1], part)
-            for p, (level, shells) in enumerate(sides):
-                if i == 0:  # no temporary: a spectrum's modes are n x n
-                    np.multiply(y[:1], r[p, a], out=level)
-                    np.multiply(y[1:], r[p, a], out=shells)
-                else:
-                    level += r[p, a] * y[:1]
-                    shells += r[p, a] * y[1:]
-        return out
+        y0, y1 = (_real_matmul(q, c[a * m:(a + 1) * m])
+                  for a, (_, q) in enumerate(self.blocks[f]))
+        # battery and charger levels, then the battery and charger shells
+        return np.concatenate([r[0, 0] * y0[:1] + r[0, 1] * y1[:1],
+                               r[1, 0] * y0[:1] + r[1, 1] * y1[:1],
+                               r[0, 0] * y0[1:] + r[0, 1] * y1[1:],
+                               r[1, 0] * y0[1:] + r[1, 1] * y1[1:]])
 
     def overlap(self) -> list:
         """V_0^T V_1 as (columns, block) pairs, zero outside the blocks,
@@ -416,7 +402,7 @@ class SegmentPropagators:
                                                   c[cols])
                 c, f_now = switched, f
             p = powers[f][:b - a]
-            pair[a + 1:b + 1] = p @ (self._readout[f].T * c[:, None])
+            pair[a + 1:b + 1] = p @ (self.readout[f].T * c[:, None])
             c = p[-1] * c
         return pair, self.expand(f_now, c)
 

@@ -7,12 +7,13 @@ couples with the same g/N, so within a frequency shell (a set of
 degenerate modes, ``LatticeEnvironment.shells``) only the uniform
 superposition couples to the pair: U_T is diagonalized on these bright
 shell modes, 2 + 2S dimensions for S shells (124 instead of 802 at
-N = 20).  The spectrum keeps these coupled eigenvectors on the shells and
-lists all d quasienergies: the m_s - 1 dark combinations of each shell
-and bath are uncoupled, with quasienergy fold(omega_s) and system weight
-0, and no vector is stored for them.  ``QuasienergySpectrum.mode`` expands
-a coupled mode to the full basis, spreading a bright amplitude over its
-shell as a_s / sqrt(m_s).
+N = 20).  The spectrum lists all d quasienergies: the m_s - 1 dark
+combinations of each shell and bath are uncoupled, with quasienergy
+fold(omega_s) and system weight 0.  It stores an eigenvector, on the
+shells, only for a coupled mode whose weight reaches its threshold, a
+superset of the bound states.  ``QuasienergySpectrum.mode`` expands a
+stored mode to the full basis, a bright amplitude spread over its shell
+as a_s / sqrt(m_s).
 
 The spectrum is built on the eigensystem that samples its modes: the
 ``dynamics.SegmentPropagators`` of the run, whose (1 + S) arrowhead
@@ -62,7 +63,6 @@ __all__ = [
     "identify_fbs",
     "floquet_mode",
     "fbs_floquet_modes",
-    "asymptotic_energy",
     "decompose_energy_terms",
 ]
 
@@ -118,15 +118,15 @@ class QuasienergySpectrum:
     ``vectors`` holds the eigenvectors in the basis they were computed in:
     the shell basis (battery, charger, the S battery-bath shells, the S
     charger-bath shells) when ``shells`` is set, the full basis otherwise.
-    ``columns[j]`` is the column of sorted mode j, or -1 for a dark mode,
-    which has no stored vector.
+    ``columns[j]`` is the column of sorted mode j, or -1 if it has no
+    stored vector: a dark mode, or one below the spectrum's threshold.
     """
 
     quasienergies: np.ndarray  # (d,)
     system_weights: np.ndarray
     omega_T: float
     band: BandSupport
-    vectors: np.ndarray        # (n, n_coupled)
+    vectors: np.ndarray        # (n, n_stored)
     columns: np.ndarray        # (d,) column of each mode in vectors, or -1
     shells: Shells | None = None
     fbs_indices: np.ndarray | None = None
@@ -136,14 +136,15 @@ class QuasienergySpectrum:
         return self.quasienergies.size
 
     def mode(self, j: int) -> np.ndarray:
-        """Full-basis eigenvector of the coupled mode j.
+        """Full-basis eigenvector of the stored mode j.
 
         A shell amplitude a_s spreads over the m_s members of its shell as
         a_s / sqrt(m_s), in the layout of ``build_hamiltonian``.
         """
         col = self.columns[j]
         if col < 0:
-            raise ValueError(f"mode {j} is dark: it has no stored vector")
+            raise ValueError(f"mode {j} is dark or below the spectrum's "
+                             "threshold: it has no stored vector")
         v = self.vectors[:, col]
         if self.shells is None:
             return v
@@ -220,28 +221,29 @@ def _small_period_operator(hamiltonian, schedule):
     return u
 
 
-def _full_basis_spectrum(eps, vecs, shells, schedule, env):
+def _full_basis_spectrum(eps, weights, kept, vecs, shells, schedule, env):
     """Full-basis spectrum from the bright-shell eigenpairs.
 
-    ``vecs`` holds eigenvectors in the shell basis (battery, charger, the
-    S battery-bath shells, the S charger-bath shells) and stays there.
-    Each bath adds m_s - 1 dark modes per shell at fold(omega_s) with
-    weight 0.  Modes come out sorted by quasienergy, as in
-    ``quasienergy_spectrum``.
+    ``vecs`` holds the eigenvectors of the ``kept`` modes in the shell
+    basis (battery, charger, the S battery-bath shells, the S charger-bath
+    shells) and stays there.  Each bath adds m_s - 1 dark modes per shell
+    at fold(omega_s) with weight 0.  Modes come out sorted by quasienergy,
+    as in ``quasienergy_spectrum``.
     """
     dark_eps = fold_quasienergy(
         np.repeat(shells.frequencies, shells.multiplicities - 1),
         schedule.omega_T)
     all_eps = np.concatenate([eps, dark_eps, dark_eps])
     order = np.argsort(all_eps, kind="stable")
-    weights = np.zeros(all_eps.size)
-    weights[:eps.size] = np.abs(vecs[0]) ** 2 + np.abs(vecs[1]) ** 2
+    all_weights = np.zeros(all_eps.size)
+    all_weights[:eps.size] = weights
+    columns = np.full(all_eps.size, -1)
+    columns[np.flatnonzero(kept)] = np.arange(vecs.shape[1])
     return QuasienergySpectrum(quasienergies=all_eps[order],
-                               system_weights=weights[order],
+                               system_weights=all_weights[order],
                                omega_T=schedule.omega_T,
                                band=_folded_band(env, schedule),
-                               vectors=vecs,
-                               columns=np.where(order < eps.size, order, -1),
+                               vectors=vecs, columns=columns[order],
                                shells=shells)
 
 
@@ -268,8 +270,9 @@ def _cayley_shift(params, frequencies, schedule):
     return math.pi - levels[k] - 0.5 * gaps[k]
 
 
-def _cayley_spectrum(w1, w0, ovl, theta, schedule):
-    """Folded quasienergies and eigenvectors of U_T from one real ``eigh``.
+def _cayley_spectrum(w1, w0, ovl, theta, schedule, readout, keep):
+    """Folded quasienergies, system weights and kept modes of U_T from one
+    real ``eigh``.
 
     ``w1`` and ``w0`` are the eigenvalues of a real symmetric shell block
     at f = 1 and f = 0, ``ovl`` = V_0^T V_1 the real overlap of their
@@ -280,10 +283,12 @@ def _cayley_spectrum(w1, w0, ovl, theta, schedule):
     Its Cayley transform K = i(I - zU'')(I + zU'')^-1 is real symmetric
     with eigenvalues tan(phi_j / 2), z lambda_j = e^{i phi_j}.  U'' is
     assembled in the f = 0 eigenbasis as D_0 W D_1 W^T D_0 with W = ovl,
-    and the modes are phi_j(0) = Y^-1 V_0 o_j = V_1 c_j; the coefficients
-    c_j on the f = 1 eigenvectors are returned as columns.  An eigenpair
-    residual ||U'' o_j - lambda_j o_j|| above ``_CLOSURE_TOL`` raises
-    NotAnEigenpairError.
+    and the modes are phi_j(0) = Y^-1 V_0 o_j = V_1 c_j.  The weights come
+    from the pair rows ``readout`` c_j (``readout``: the battery and
+    charger rows of V_1), formed as (m x 2) products; the coefficients c_j
+    on the f = 1 eigenvectors are returned, with their boolean mask, only
+    for weights >= ``keep``.  An eigenpair residual ||U'' o_j - lambda_j
+    o_j|| above ``_CLOSURE_TOL`` raises NotAnEigenpairError.
     """
     half = np.exp(-0.5j * schedule.tau_s * w0)
     u = _real_matmul(ovl, np.exp(-1j * (schedule.tau_c + schedule.tau_d)
@@ -314,9 +319,14 @@ def _cayley_spectrum(w1, w0, ovl, theta, schedule):
     if residual > _CLOSURE_TOL:
         raise NotAnEigenpairError(residual=residual, tol=_CLOSURE_TOL)
     eps = fold_quasienergy((theta - phi) / schedule.period, schedule.omega_T)
-    vecs = _real_matmul(ovl.T, np.conj(half)[:, None] * o)
-    vecs *= np.exp(1j * schedule.tau_c * w1)[:, None]
-    return eps, vecs
+    start = np.exp(1j * schedule.tau_c * w1)
+    pair = _real_matmul(o.T, np.conj(half)[:, None]  # row j: mode j's pair
+                        * _real_matmul(ovl, start[:, None] * readout.T))
+    weights = np.abs(pair[:, 0]) ** 2 + np.abs(pair[:, 1]) ** 2
+    kept = weights >= keep
+    coeffs = _real_matmul(ovl.T, np.conj(half)[:, None] * o[:, kept])
+    coeffs *= start[:, None]
+    return eps, weights, kept, coeffs
 
 
 def resonant_spectrum(
@@ -325,29 +335,31 @@ def resonant_spectrum(
     schedule: ProtocolSchedule,
     props: SegmentPropagators | None = None,
 ) -> QuasienergySpectrum:
-    """``_shell_spectrum`` at zero detuning; ValueError at any other."""
+    """``_shell_spectrum`` at zero detuning, keeping the vectors of weight
+    >= 0.05; ValueError at any other detuning."""
     if params.delta != 0.0:
         raise ValueError("resonant_spectrum requires zero detuning")
-    return _shell_spectrum(params, env, schedule, props)
+    return _shell_spectrum(params, env, schedule, props, keep=0.05)
 
 
-def _shell_spectrum(params, env, schedule, props):
+def _shell_spectrum(params, env, schedule, props, keep):
     """Spectrum on the bright shells at any detuning: U_T diagonalized once
-    per block of ``props.overlap()`` (``props`` built here if None), each
-    block's modes expanded through its own columns alone."""
+    per block of ``props.overlap()`` (``props`` built here if None), and
+    the modes with system weight >= ``keep`` expanded in one ``expand``."""
     if props is None:
         props = SegmentPropagators(params, env)
     theta = _cayley_shift(params, props.shells.frequencies, schedule)
     n = props.evals[1.0].size
-    eps, vecs = np.empty(n), None
+    eps, weights, kept, parts = np.empty(n), np.empty(n), np.empty(n, bool), []
     for cols, ovl in props.overlap():
         w1, w0 = (props.evals[f][cols] for f in (1.0, 0.0))
-        eps[cols], coeffs = _cayley_spectrum(w1, w0, ovl, theta, schedule)
-        if vecs is None:  # after the first solve, outside its peak
-            vecs = np.empty((n, n), dtype=complex)
-        props.expand(1.0, coeffs, cols, out=vecs[:, cols])
-        del coeffs
-    return _full_basis_spectrum(eps, vecs, props.shells, schedule, env)
+        eps[cols], weights[cols], kept[cols], c = _cayley_spectrum(
+            w1, w0, ovl, theta, schedule, props.readout[1.0][:, cols], keep)
+        parts.append(np.zeros((n, c.shape[1]), dtype=complex))
+        parts[-1][cols] = c  # zero on the other blocks' rows
+    vecs = props.expand(1.0, np.hstack(parts))
+    return _full_basis_spectrum(eps, weights, kept, vecs, props.shells,
+                                schedule, env)
 
 
 def compute_spectrum(
@@ -361,9 +373,10 @@ def compute_spectrum(
     """Full-basis spectrum with FBS classification, built on the shells
     from the eigensystem of ``props`` (built here if not given), which
     ``fbs_floquet_modes`` can then reuse; MemoryCapError, before any
-    matrix is built, if they would not fit."""
+    matrix is built, if they would not fit.  Only modes of system weight
+    >= ``weight_threshold`` keep their eigenvectors."""
     check_memory(env, params.delta, spectrum=True)
-    spec = _shell_spectrum(params, env, schedule, props)
+    spec = _shell_spectrum(params, env, schedule, props, weight_threshold)
     idx = identify_fbs(spec, weight_threshold=weight_threshold,
                        gap_tolerance=gap_tolerance)
     return replace(spec, fbs_indices=idx)
@@ -483,10 +496,15 @@ def fbs_floquet_modes(
     props: SegmentPropagators | None = None,
 ) -> list[FloquetMode]:
     """FloquetMode objects for every classified bound state of a shell
-    spectrum (``compute_spectrum``), sampled from its stored vectors."""
+    spectrum (``compute_spectrum``), sampled from its stored vectors;
+    ValueError for a bound state with none (flagged by ``identify_fbs``
+    below the threshold the spectrum was built with)."""
     if spectrum.fbs_indices is None:
         raise ValueError("spectrum has no FBS classification; "
                          "run identify_fbs/compute_spectrum first")
+    if np.any(spectrum.columns[spectrum.fbs_indices] < 0):
+        raise ValueError("a bound state has no stored vector: build the "
+                         "spectrum at a threshold no higher than identify_fbs")
     if props is None:
         props = SegmentPropagators(params, env)
     return [
@@ -495,38 +513,6 @@ def fbs_floquet_modes(
                      spectrum.quasienergies[j], n_samples=n_samples, props=props)
         for j in spectrum.fbs_indices
     ]
-
-
-def _mode_battery_terms(modes, ts):
-    """c_j and c_j e^{-i eps_j t} <battery|phi_j(t mod T)> for each mode.
-
-    c_j = <phi_j(0)|charger> is the overlap with the charger-excited start.
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    amps = np.empty((len(modes), ts.size), dtype=complex)
-    coeffs = np.empty(len(modes), dtype=complex)
-    for j, mode in enumerate(modes):
-        c = np.conj(mode.phi0[1])
-        coeffs[j] = c
-        idx = mode.offset_index(ts)
-        amps[j] = c * np.exp(-1j * mode.epsilon * ts) * mode.battery_amplitudes[idx]
-    return coeffs, amps
-
-
-def asymptotic_energy(modes: list[FloquetMode], ts):
-    """Long-time battery energy carried by the bound states.
-
-    E(t) = omega_b * |sum_j c_j e^{-i eps_j t} <battery|phi_j(t)>|^2 with
-    c_j the overlaps with the charger-excited start; an empty mode list
-    gives zero (complete discharge into the band).
-    """
-    ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
-    if not modes:
-        out = np.zeros(ts_arr.size)
-        return float(out[0]) if np.ndim(ts) == 0 else out
-    _, amps = _mode_battery_terms(modes, ts_arr)
-    e = modes[0].omega_b * np.abs(amps.sum(axis=0)) ** 2
-    return float(e[0]) if np.ndim(ts) == 0 else e
 
 
 @dataclass
@@ -548,7 +534,13 @@ class EnergyDecomposition:
 
 def decompose_energy_terms(modes: list[FloquetMode], ts
                            ) -> EnergyDecomposition:
-    """Split the asymptotic energy into j=j' and j!=j' contributions."""
+    """Split the asymptotic energy into j=j' and j!=j' contributions.
+
+    The energy carried by the bound states is E(t) = omega_b |sum_j
+    c_j e^{-i eps_j t} <battery|phi_j(t)>|^2 (``total``), with c_j =
+    <phi_j(0)|charger> the overlap with the charger-excited start; an
+    empty mode list gives zero (complete discharge into the band).
+    """
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
     if not modes:
         z = np.zeros(ts_arr.size)
@@ -556,15 +548,18 @@ def decompose_energy_terms(modes: list[FloquetMode], ts
                                    interference=z, total=z.copy(),
                                    elements=np.zeros((0, ts_arr.size)),
                                    coefficients=np.zeros(0, dtype=complex))
-    coeffs, amps = _mode_battery_terms(modes, ts_arr)
+    coeffs = np.empty(len(modes), dtype=complex)
+    amps = np.empty((len(modes), ts_arr.size), dtype=complex)
+    elements = np.empty((len(modes), ts_arr.size))
+    for j, mode in enumerate(modes):
+        battery = mode.battery_amplitudes[mode.offset_index(ts_arr)]
+        coeffs[j] = np.conj(mode.phi0[1])
+        amps[j] = coeffs[j] * np.exp(-1j * mode.epsilon * ts_arr) * battery
+        elements[j] = np.abs(battery) ** 2
     omega_b = modes[0].omega_b
     diagonal = omega_b * np.abs(amps) ** 2
     total = omega_b * np.abs(amps.sum(axis=0)) ** 2
     interference = total - diagonal.sum(axis=0)
-    elements = np.empty((len(modes), ts_arr.size))
-    for j, mode in enumerate(modes):
-        idx = mode.offset_index(ts_arr)
-        elements[j] = np.abs(mode.battery_amplitudes[idx]) ** 2
     return EnergyDecomposition(times=ts_arr, diagonal=diagonal,
                                interference=interference, total=total,
                                elements=elements, coefficients=coeffs)

@@ -117,7 +117,10 @@ def second_order_corrections(
 ) -> SecondOrderResult:
     """Degenerate-pair corrections summed over bath modes and harmonics.
 
-    eps2_(+/-) = sum_{k,n} g_k^2 |f_n|^2 / (omega_0 - omega_k -/+ (n - 1/2) omega_T).
+    eps2_(+/-) = sum_{k,n} g_k^2 |f_n|^2 / (omega_0 - omega_k -/+ (n - 1/2) omega_T),
+
+    summed over the frequency shells omega_s with g_s^2 = m_s g_k^2 for
+    the m_s modes of shell s.
 
     The harmonic range grows until the Parseval remainder divided by the
     smallest out-of-range denominator bounds the tail below ``_TAIL_TOL``;
@@ -127,9 +130,10 @@ def second_order_corrections(
         raise ValueError("second-order corrections assume zero detuning")
     _check_protocol(params.kappa, schedule)
     w_t = schedule.omega_T
-    omega_k = env.mode_frequencies()
-    gk2 = env.coupling_per_mode**2
-    detune_max = float(np.max(np.abs(params.omega_0 - omega_k)))
+    shells = env.shells()
+    omega_s = shells.frequencies
+    gs2 = env.coupling_per_mode**2 * shells.multiplicities
+    detune_max = float(np.max(np.abs(params.omega_0 - omega_s)))
 
     n_max = 8
     while True:
@@ -145,18 +149,21 @@ def second_order_corrections(
                 estimate=tail)
         n_max *= 2
 
-    base = params.omega_0 - omega_k[:, None]          # (N^2, 1)
+    base = params.omega_0 - omega_s[:, None]          # (S, 1)
     shift = (ns[None, :] - 0.5) * w_t                 # (1, 2 n_max + 1)
     d_plus = base - shift
     d_minus = base + shift
     for name, den in (("plus", d_plus), ("minus", d_minus)):
         bad = np.abs(den) < 1e-12 * w_t
         if np.any(bad):
-            k_idx, n_idx = np.argwhere(bad)[0]
-            raise ResonantDenominatorError(mode_index=int(k_idx),
-                                           harmonic=int(ns[n_idx]))
-    eps2_plus = float(np.sum(gk2 * fn2[None, :] / d_plus))
-    eps2_minus = float(np.sum(gk2 * fn2[None, :] / d_minus))
+            s_idx, n_idx = np.argwhere(bad)[0]
+            # the shell's first lattice mode names it
+            raise ResonantDenominatorError(
+                mode_index=int(np.argmax(shells.index == s_idx)),
+                harmonic=int(ns[n_idx]))
+    weights = gs2[:, None] * fn2[None, :]
+    eps2_plus = float(np.sum(weights / d_plus))
+    eps2_minus = float(np.sum(weights / d_minus))
     return SecondOrderResult(eps0=params.omega_0 - 0.5 * w_t,
                              eps2_plus=eps2_plus, eps2_minus=eps2_minus,
                              n_max=n_max, tail_bound=tail)
@@ -177,12 +184,12 @@ def splitting_main_sum(
         raise ValueError("splitting sum assumes zero detuning")
     _check_protocol(params.kappa, schedule)
     w_t = schedule.omega_T
-    omega_k = env.mode_frequencies()
-    gk2 = env.coupling_per_mode**2
+    shells = env.shells()
+    gs2 = env.coupling_per_mode**2 * shells.multiplicities
     ns, fn2 = _harmonic_weights(params.kappa, schedule, n_max)
-    num = (1.0 - 2.0 * ns)[None, :] * gk2 * fn2[None, :]
+    num = gs2[:, None] * ((1.0 - 2.0 * ns) * fn2)[None, :]
     den = ((0.5 - ns) ** 2 * w_t)[None, :] \
-        - ((params.omega_0 - omega_k) ** 2 / w_t)[:, None]
+        - ((params.omega_0 - shells.frequencies) ** 2 / w_t)[:, None]
     return float(abs(np.sum(num / den)))
 
 

@@ -269,9 +269,9 @@ def test_criterion_07_dynamical_regimes():
     tr45 = _trace_100(4.5)
     modes45 = _modes(4.5)
     t_last = tr45.times[-per - 1:]
-    asym45 = qb.asymptotic_energy(modes45, t_last)
-    asym45_prev = qb.asymptotic_energy(modes45,
-                                       t_last - _schedule(4.5).period)
+    asym45 = qb.decompose_energy_terms(modes45, t_last).total
+    asym45_prev = qb.decompose_energy_terms(
+        modes45, t_last - _schedule(4.5).period).total
     periodic_ok = float(np.max(np.abs(asym45 - asym45_prev))) < 1e-9 * omega_b
     mean45 = float(np.mean(tr45.energies[-per - 1:])) / omega_b
     asym_mean45 = float(np.mean(asym45)) / omega_b
@@ -301,7 +301,7 @@ def test_criterion_08_asymptotic_agreement():
 
     # kappa = 4.8: two bound states carry the whole late battery energy.
     trace, sel, ts = late(4.8)
-    asym = qb.asymptotic_energy(_modes(4.8), ts)
+    asym = qb.decompose_energy_terms(_modes(4.8), ts).total
     gap48 = float(np.mean(np.abs(asym - trace.energies[sel]))) / OMEGA_0
 
     # kappa = 4.5: the bound state lies in one sector (u_c + s u_b)/sqrt(2);
@@ -365,7 +365,7 @@ def test_criterion_10_splitting_closure_and_stabilization():
 
     closed = qb.asymptotic_energy_closed_form(_splitting_exact(15.0), 15.0,
                                               sched, ts)
-    asym = qb.asymptotic_energy(modes15, ts) / OMEGA_0
+    asym = dec.total / OMEGA_0
     mismatch = float(np.max(np.abs(closed - asym)))
     scale = float(np.max(np.abs(asym)))
     closed_ok = mismatch < 0.10 * scale
@@ -396,7 +396,7 @@ def test_criterion_11_detuned_reactivation():
     sched = _schedule(15.0)
     per = SAMPLES_PER_PERIOD
     ts = np.arange(0, 5 * per + 1) * (sched.period / per)
-    energy = qb.asymptotic_energy(modes, ts)
+    energy = qb.decompose_energy_terms(modes, ts).total
     defect = float(np.max(np.abs(energy[per:] - energy[:-per])))
     periodic_ok = defect < 0.05 * float(np.max(energy))
 

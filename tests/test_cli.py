@@ -147,11 +147,16 @@ class TestValidate:
         ("kind = kappa-sweep\nn_side = 300\nkappa_min = 3\nkappa_max = 6\n"
          "kappa_step = 0.05\n", 1),
         ("kind = spectrum\ndelta = 0.5\nkappa = 15\nn_side = 100\n", 0),
+        # resonant spectra, 28 n^2 bytes: n = 10,304 at n_side 201 (2.97 GB)
+        # is admitted, n = 10,408 at n_side 202 (3.03 GB) is not
+        ("kind = spectrum\nkappa = 15\nn_side = 201\n", 0),
+        ("kind = spectrum\nkappa = 15\nn_side = 202\n", 1),
         # exact propagation, n = 10,204: 20 n^2 bytes (2.08 GB) at zero
         # detuning, 32 n^2 (3.33 GB) detuned
         ("kind = dynamics\nn_side = 200\n", 0),
         ("kind = dynamics\ndelta = 0.5\nn_side = 200\n", 1),
-    ], ids=["detuned-250", "sweep-300", "detuned-100", "exact-200",
+    ], ids=["detuned-250", "sweep-300", "detuned-100", "resonant-201",
+            "resonant-202", "exact-200",
             "exact-200-detuned"])
     def test_spectrum_memory_cap(self, tmp_path, capsys, body, expected):
         # each estimate is checked without building any matrix

@@ -1,6 +1,7 @@
 """Stroboscopic-analysis tests: folding, spectra, bound states, asymptotics."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from qbsim.errors import MemoryCapError, NotAnEigenpairError
 from qbsim.floquet import (
     BandSupport,
     QuasienergySpectrum,
-    asymptotic_energy,
     circular_distance,
     compute_spectrum,
     decompose_energy_terms,
@@ -48,9 +48,19 @@ def _coupled_modes(spec):
     return idx, np.stack([spec.mode(j) for j in idx], axis=1)
 
 
+def _all_modes(params, env, schedule):
+    """The shell spectrum with the vector of every coupled mode stored."""
+    return floquet._shell_spectrum(params, env, schedule, None, keep=0.0)
+
+
 @pytest.fixture(scope="module")
 def spectrum4():
     return compute_spectrum(PARAMS, ENV4, SCHEDULE)
+
+
+@pytest.fixture(scope="module")
+def all_modes4():
+    return _all_modes(PARAMS, ENV4, SCHEDULE)
 
 
 @pytest.fixture(scope="module")
@@ -156,26 +166,53 @@ class TestSpectrum:
             atol=1e-9,
         )
 
-    def test_modes_orthonormal(self, spectrum4):
-        _, v = _coupled_modes(spectrum4)
+    def test_modes_orthonormal(self, all_modes4):
+        _, v = _coupled_modes(all_modes4)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-12)
 
-    def test_modes_are_eigenvectors(self, spectrum4):
+    def test_modes_are_eigenvectors(self, all_modes4):
         u = one_period_operator(PARAMS, ENV4, SCHEDULE)
-        idx, v = _coupled_modes(spectrum4)
-        lam = np.exp(-1j * spectrum4.quasienergies[idx] * SCHEDULE.period)
+        idx, v = _coupled_modes(all_modes4)
+        lam = np.exp(-1j * all_modes4.quasienergies[idx] * SCHEDULE.period)
         resid = u @ v - lam[None, :] * v
         assert np.abs(resid).max() < 1e-10
 
-    def test_dark_modes_have_no_vector(self, spectrum4):
+    def test_dark_modes_have_no_vector(self, all_modes4):
         shells = ENV4.shells()
-        idx, _ = _coupled_modes(spectrum4)
+        idx, _ = _coupled_modes(all_modes4)
         assert idx.size == 2 + 2 * shells.frequencies.size
-        dark = np.flatnonzero(spectrum4.columns < 0)
+        dark = np.flatnonzero(all_modes4.columns < 0)
         assert dark.size == 2 * np.sum(shells.multiplicities - 1) > 0
-        np.testing.assert_array_equal(spectrum4.system_weights[dark], 0.0)
+        np.testing.assert_array_equal(all_modes4.system_weights[dark], 0.0)
         with pytest.raises(ValueError, match="dark"):
-            spectrum4.mode(dark[0])
+            all_modes4.mode(dark[0])
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_stores_the_vectors_at_or_above_threshold(self, delta):
+        # compute_spectrum keeps the columns of the keep = 0 spectrum whose
+        # pair-row weight reaches the threshold, and those weights are the
+        # battery and charger norms of the vectors
+        env = LatticeEnvironment(n_side=12, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta,
+                                          kappa=4.8)
+        tau = 0.5 * np.pi / params.rabi
+        sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        spec = compute_spectrum(params, env, sch, weight_threshold=0.01)
+        full = _all_modes(params, env, sch)
+        np.testing.assert_array_equal(spec.quasienergies, full.quasienergies)
+        np.testing.assert_array_equal(spec.system_weights,
+                                      full.system_weights)
+        idx, v = _coupled_modes(full)
+        np.testing.assert_allclose(
+            full.system_weights[idx],
+            np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2, rtol=0, atol=1e-14)
+        stored = np.flatnonzero(spec.columns >= 0)
+        assert spec.vectors.shape[1] == stored.size == np.count_nonzero(
+            spec.system_weights >= 0.01)
+        assert 0 < stored.size < idx.size
+        np.testing.assert_allclose(
+            spec.vectors[:, spec.columns[stored]],
+            full.vectors[:, full.columns[stored]], rtol=0, atol=1e-14)
 
     def test_system_weight_completeness(self, spectrum4):
         assert spectrum4.system_weights.sum() == pytest.approx(2.0, abs=1e-12)
@@ -212,6 +249,7 @@ class TestShellSpectrum:
         u = one_period_operator(params, env, sch)
         ref = quasienergy_spectrum(u, sch, env)
         ref_idx = identify_fbs(ref)
+        full = _all_modes(params, env, sch)
         assert spec.dimension == ref.dimension == 2 + 2 * n_side**2
         np.testing.assert_allclose(spec.quasienergies, ref.quasienergies,
                                    rtol=0, atol=1e-10)
@@ -219,9 +257,10 @@ class TestShellSpectrum:
         np.testing.assert_array_equal(spec.fbs_indices, ref_idx)
         np.testing.assert_allclose(spec.system_weights[spec.fbs_indices],
                                    ref.system_weights[ref_idx], rtol=0, atol=1e-9)
-        idx, v = _coupled_modes(spec)
+        idx, v = _coupled_modes(full)
+        assert idx.size == 2 + 2 * env.shells().frequencies.size
         assert np.abs(v.conj().T @ v - np.eye(idx.size)).max() < 1e-10
-        lam = np.exp(-1j * spec.quasienergies[idx] * sch.period)
+        lam = np.exp(-1j * full.quasienergies[idx] * sch.period)
         assert np.abs(u @ v - lam * v).max() < 1e-10
         if delta == 0.0:
             # every bound state lies in one sector: charger side = s * battery side
@@ -256,9 +295,10 @@ class TestShellSpectrum:
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_allocates_no_dense_modes(self, delta):
         # a d x d complex array at d = 3202 alone takes 16 d^2 = 164 MB; the
-        # shell spectrum (n = 444) peaks at 4.6 n^2 floats at delta = 0 and
-        # 8.0 detuned (n^2 floats = 1.6 MB), so one more complex n x n
-        # array (2 n^2 floats) breaks the bound
+        # shell spectrum (n = 444), propagators included, peaks at 2.6 n^2
+        # floats at delta = 0 and 7.1 detuned (n^2 floats = 1.6 MB).
+        # Storing the vectors of all n coupled modes, a complex n x n array,
+        # raised the peaks to 4.6 and 8.0 and breaks either bound
         env = LatticeEnvironment(n_side=40, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=15.0)
         tau = 0.5 * np.pi / params.rabi
@@ -272,18 +312,19 @@ class TestShellSpectrum:
         n = 2 + 2 * env.shells().frequencies.size
         assert spec.dimension == 3202 and n == 444
         assert len(spec.fbs_indices) == 2
-        assert peak < (8.5 if delta else 5.0) * 8 * n**2
+        assert peak < (7.5 if delta else 3.0) * 8 * n**2
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_memory_cap(self, monkeypatch, delta):
-        # the estimate, 6 n^2 floats resonant and 11.5 detuned, lies above
-        # the RSS peaks measured at n_side 100 (5.4 and 11.2 n^2 floats)
+        # the estimate, 3.5 n^2 floats resonant and 11.5 detuned, lies above
+        # the RSS peaks measured at n_side 100 (3.42 and 11.24 n^2 floats)
+        # and 140 (3.32 and 10.1)
         env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
         tau = 0.5 * np.pi / 4.8
         sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
         n = 2 + 2 * env.shells().frequencies.size
-        estimate = (92 if delta else 48) * n * n
+        estimate = (92 if delta else 28) * n * n
         monkeypatch.setattr(dynamics, "MEMORY_CAP", estimate - 1)
         with pytest.raises(MemoryCapError):
             compute_spectrum(params, env, sch)
@@ -291,14 +332,18 @@ class TestShellSpectrum:
         compute_spectrum(params, env, sch)  # admitted at its estimate
 
 
-def _schur_block(w1, w0, ovl, theta, schedule):
-    """Quasienergies and Schur vectors of a shell block's U_T, on its f = 1
-    eigenvectors: U_T = D_1(tau_d) W^T D_0(tau_s) W D_1(tau_c) with
-    D_f(t) = exp(-i w_f t) and the overlap W; ``theta`` is not used."""
+def _schur_block(w1, w0, ovl, theta, schedule, readout, keep):
+    """Quasienergies, weights and kept Schur vectors of a shell block's
+    U_T, on its f = 1 eigenvectors: U_T = D_1(tau_d) W^T D_0(tau_s) W
+    D_1(tau_c) with D_f(t) = exp(-i w_f t) and the overlap W; ``theta`` is
+    not used."""
     u = ((np.exp(-1j * w1 * schedule.tau_d)[:, None] * ovl.T)
          @ (np.exp(-1j * w0 * schedule.tau_s)[:, None] * ovl)
          * np.exp(-1j * w1 * schedule.tau_c))
-    return floquet._folded_schur(u, schedule)
+    eps, q = floquet._folded_schur(u, schedule)
+    weights = np.sum(np.abs(readout @ q) ** 2, axis=0)
+    kept = weights >= keep
+    return eps, weights, kept, q[:, kept]
 
 
 class TestCayleySpectrum:
@@ -343,9 +388,11 @@ class TestCayleySpectrum:
                                    ref.system_weights[ref.fbs_indices],
                                    rtol=0, atol=1e-10)
         u = one_period_operator(params, env, sch)
-        idx, v = _coupled_modes(spec)
+        full = _all_modes(params, env, sch)
+        idx, v = _coupled_modes(full)
+        assert idx.size == 2 + 2 * env.shells().frequencies.size
         assert np.abs(v.conj().T @ v - np.eye(idx.size)).max() < 1e-12
-        lam = np.exp(-1j * spec.quasienergies[idx] * sch.period)
+        lam = np.exp(-1j * full.quasienergies[idx] * sch.period)
         assert np.abs(u @ v - lam * v).max() < 1e-12
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
@@ -584,9 +631,20 @@ class TestAsymptoticEnergy:
         with pytest.raises(ValueError):
             fbs_floquet_modes(PARAMS, ENV4, SCHEDULE, spec)
 
+    def test_requires_stored_vectors(self):
+        # built at threshold 1, the spectrum stores no vector for the two
+        # bound states that identify_fbs flags at its default 0.05
+        spec = compute_spectrum(PARAMS, ENV4, SCHEDULE, weight_threshold=1.0)
+        low = identify_fbs(spec)
+        assert spec.vectors.shape[1] == 0 and low.size == 2
+        with pytest.raises(ValueError, match="no stored vector"):
+            fbs_floquet_modes(PARAMS, ENV4, SCHEDULE,
+                              replace(spec, fbs_indices=low))
+
     def test_empty_modes_discharge(self):
-        assert asymptotic_energy([], 3.7) == 0.0
-        out = asymptotic_energy([], np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(
+            decompose_energy_terms([], 3.7).total, [0.0])
+        out = decompose_energy_terms([], np.array([0.0, 1.0])).total
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_zone_shift_invariance(self, spectrum4, modes4):
@@ -599,8 +657,8 @@ class TestAsymptoticEnergy:
         )
         ts = np.arange(0, 24 * 8) * (SCHEDULE.period / 24)
         np.testing.assert_allclose(
-            asymptotic_energy([modes4[0]], ts),
-            asymptotic_energy([shifted], ts),
+            decompose_energy_terms([modes4[0]], ts).total,
+            decompose_energy_terms([shifted], ts).total,
             atol=1e-10,
         )
 
@@ -610,7 +668,7 @@ class TestAsymptoticEnergy:
         t_beat = 2 * np.pi / abs(eps[1] - eps[0])
         n_per = round(t_beat / SCHEDULE.period)
         ts = np.arange(0, 24 * (n_per + 1)) * (SCHEDULE.period / 24)
-        e = asymptotic_energy(modes4, ts)
+        e = decompose_energy_terms(modes4, ts).total
         # energy returns near its initial value after one beat
         k = 24 * n_per
         assert abs(e[k] - e[0]) < 0.05 * e.max()
@@ -625,7 +683,7 @@ class TestAsymptoticEnergy:
         trace = propagate_exact(PARAMS, ENV4, SCHEDULE, t_max,
                                 sample_dt=SCHEDULE.period / 24)
         sel = trace.times >= 20 * SCHEDULE.period
-        asym = asymptotic_energy(modes4, trace.times[sel])
+        asym = decompose_energy_terms(modes4, trace.times[sel]).total
         err = np.mean(np.abs(asym - trace.energies[sel])) / PARAMS.omega_0
         assert err < 0.02
 
@@ -644,7 +702,7 @@ class TestAsymptoticEnergy:
         spec = compute_spectrum(params, env, schedule)
         modes = fbs_floquet_modes(params, env, schedule, spec)
         sel = trace.times >= 30 * T - 1e-9 * T
-        asym = asymptotic_energy(modes, trace.times[sel])
+        asym = decompose_energy_terms(modes, trace.times[sel]).total
         assert np.mean(np.abs(asym - trace.energies[sel])) < 1e-3
 
 
@@ -655,8 +713,11 @@ class TestDecomposition:
         np.testing.assert_allclose(
             dec.diagonal.sum(axis=0) + dec.interference, dec.total, atol=1e-12
         )
+        # total = omega_b |sum_j c_j e^{-i eps_j t} <battery|phi_j(t)>|^2
+        amp = sum(np.conj(m.phi0[1]) * np.exp(-1j * m.epsilon * ts)
+                  * m.battery_amplitudes[m.offset_index(ts)] for m in modes4)
         np.testing.assert_allclose(
-            dec.total, asymptotic_energy(modes4, ts), atol=1e-12
+            dec.total, PARAMS.omega_0 * np.abs(amp) ** 2, atol=1e-12
         )
         # diagonal terms are |c_j|^2-weighted periodic elements
         for j in range(2):

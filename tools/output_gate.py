@@ -6,7 +6,8 @@ runs each preset of the qbsim package found in PARENT_SRC and in
 CHANGE_SRC (the directories that hold ``qbsim/``) into gate/parent/<preset>
 and gate/change/<preset> under the repository root, and beside them the
 runs of ``EXTRA_RUNS``, which take paths that no preset reaches: the
-memory-kernel routes, and spectra on unequal drive segments.  It then
+memory-kernel routes, spectra on unequal drive segments, and a spectrum
+that stores the vectors of fewer modes than the default threshold would.  It then
 prints two verdicts:
 
 * byte mode: the CSV files and summary.json must be byte-identical, and
@@ -41,6 +42,9 @@ EXTRA_RUNS = [
     ("fig3b-unequal", "fig3b", UNEQUAL),
     ("fig4c-unequal", "fig4c", UNEQUAL),
     ("fig4d-unequal", "fig4d", [*UNEQUAL, "t_max=4.5"]),
+    # at n_side 6 only the weight-0.95 mode of the two bound states (0.86,
+    # 0.95) keeps its vector, and the looser gap flags and samples it
+    ("fig3b-threshold", "fig3b", ["weight_threshold=0.9", "gap_tolerance=0.1"]),
 ]
 
 
