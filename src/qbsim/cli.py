@@ -74,6 +74,12 @@ def _load_configs(args):
         configs = [dataclasses.replace(cfg, **overrides) for cfg in configs]
     for cfg in configs:
         validate_config(cfg)
+    stems = [cfg.label or cfg.kind for cfg in configs]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise ConfigError(f"config key label: {stems.count(stem)} runs "
+                              f"share the output stem {stem!r}; give each "
+                              "a distinct label")
     return configs
 
 

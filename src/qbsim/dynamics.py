@@ -21,10 +21,10 @@ Two independent routes are provided and cross-validated:
 
   with a second-order predictor-corrector and trapezoidal memory sums.
   Step n costs one O(n) dot of the history against the kernel table and
-  O(1) scalar work, so a run of m steps costs O(m^2).
-
-``solve_volterra_pm`` integrates the decoupled symmetric/antisymmetric
-combinations available at zero detuning.
+  O(1) scalar work, so a run of m steps costs O(m^2).  With
+  ``rotating=True`` it marches the same equations in the frame rotating
+  at omega_0, at any detuning: kernel nu(x) exp(i omega_0 x), levels
+  M(f) - omega_0 I.
 
 Every route starts from the charger-excited state (u_c = 1, all else 0).
 """
@@ -55,7 +55,6 @@ __all__ = [
     "default_time_step",
     "propagate_exact",
     "solve_volterra",
-    "solve_volterra_pm",
 ]
 
 
@@ -506,33 +505,41 @@ def solve_volterra(
     dt: float | None = None,
     kernel: str = "discrete",
     tol: float | None = None,
+    rotating: bool = False,
 ) -> EnergyTrace:
     """Integrate the reduced battery/charger memory equations.
 
     With the 'discrete' kernel this is an independent route to the same
     finite-lattice dynamics as ``propagate_exact``; with 'continuum' it
     targets the infinite-lattice limit.  Step n costs one O(n) history dot
-    plus O(1) scalar work (``_volterra_march``).  When ``tol`` is given
-    the solver repeats at dt/2 and raises ConvergenceError if the
-    Richardson error estimate exceeds tol (the finer solution is returned
-    otherwise).
+    plus O(1) scalar work (``_volterra_march``).  ``rotating`` marches
+    w = u exp(i omega_0 t) instead, with the kernel nu(x) exp(i omega_0 x)
+    and M(f) - omega_0 I, and rotates the amplitudes back: the same
+    equations, with the fast carrier phase taken out of the march.  When
+    ``tol`` is given the solver repeats at dt/2 in the same frame and
+    raises ConvergenceError if the Richardson error estimate exceeds tol
+    (the finer solution is returned otherwise).
     """
     if dt is None:
         dt = default_time_step(params, env, schedule)
     h, n_steps, f_step = _build_grid(schedule, t_max, dt)
-    lags = np.arange(n_steps + 1) * h
-    kern = _kernel_table(env, kernel, lags)
+    times = np.arange(n_steps + 1) * h
+    kern = _kernel_table(env, kernel, times)
+    shift = params.omega_0 if rotating else 0.0
+    if rotating:
+        phase = np.exp(1j * shift * times)
+        kern = kern * phase
 
     def m_of_f(f):
-        return np.array([[params.omega_b, params.kappa * f],
-                         [params.kappa * f, params.omega_c]], dtype=complex)
+        return (_pair_matrix(params, f) - shift * np.eye(2)).astype(complex)
 
     u = _volterra_march(h, f_step, kern, m_of_f, np.array([0.0, 1.0], dtype=complex))
-    times = np.arange(n_steps + 1) * h
+    if rotating:
+        u *= phase.conj()[:, None]
 
     if tol is not None:
         fine = solve_volterra(params, env, schedule, t_max, dt=h / 2.0,
-                              kernel=kernel, tol=None)
+                              kernel=kernel, tol=None, rotating=rotating)
         est = np.max(np.abs(fine.u_b[::2] - u[:, 0])) / 3.0
         if est > tol:
             raise ConvergenceError("Volterra step-halving estimate above tolerance",
@@ -544,44 +551,3 @@ def solve_volterra(
     return EnergyTrace(times=times,
                        energies=params.omega_b * np.abs(u[:, 0]) ** 2,
                        metadata=meta, u_b=u[:, 0].copy(), u_c=u[:, 1].copy())
-
-
-def solve_volterra_pm(
-    params: SystemParams,
-    env: LatticeEnvironment,
-    schedule: ProtocolSchedule,
-    t_max: float,
-    dt: float | None = None,
-    kernel: str = "discrete",
-) -> EnergyTrace:
-    """Resonant-only route through the decoupled +/- combinations.
-
-    v_pm = (u_c +/- u_b) exp(i omega_0 t) obey scalar memory equations with
-    the rotated kernel nu(x) exp(i omega_0 x); u_b and u_c are reconstructed
-    afterwards.  The returned trace carries v_plus / v_minus in metadata
-    arrays for inspection.
-    """
-    if params.delta != 0.0:
-        raise ValueError("the +/- decomposition requires zero detuning "
-                         "(omega_b == omega_c)")
-    if dt is None:
-        dt = default_time_step(params, env, schedule)
-    h, n_steps, f_step = _build_grid(schedule, t_max, dt)
-    lags = np.arange(n_steps + 1) * h
-    kern = _kernel_table(env, kernel, lags) * np.exp(1j * params.omega_0 * lags)
-
-    def m_of_f(f):
-        return np.array([[params.kappa * f, 0.0],
-                         [0.0, -params.kappa * f]], dtype=complex)
-
-    v = _volterra_march(h, f_step, kern, m_of_f, np.array([1.0, 1.0], dtype=complex))
-    times = np.arange(n_steps + 1) * h
-    rot = np.exp(-1j * params.omega_0 * times)
-    u_b = 0.5 * (v[:, 0] - v[:, 1]) * rot
-    u_c = 0.5 * (v[:, 0] + v[:, 1]) * rot
-    meta = {"route": "volterra-pm", "kernel": kernel, "dt": h, "t_max": times[-1]}
-    trace = EnergyTrace(times=times, energies=params.omega_b * np.abs(u_b) ** 2,
-                        metadata=meta, u_b=u_b, u_c=u_c)
-    trace.metadata["v_plus"] = v[:, 0].copy()
-    trace.metadata["v_minus"] = v[:, 1].copy()
-    return trace

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (SegmentPropagators, _build_grid, check_memory,
-                       default_time_step, propagate_exact, solve_volterra,
-                       solve_volterra_pm)
+                       default_time_step, propagate_exact, solve_volterra)
 from .environment import LatticeEnvironment
 from .errors import ConfigError, MemoryCapError
 from .floquet import (
@@ -179,6 +178,10 @@ def validate_config(cfg: ExperimentConfig) -> "_Plan":
             raise ConfigError(f"config key {key}: must be positive")
         if key in _NONNEGATIVE_KEYS and v < 0:
             raise ConfigError(f"config key {key}: must be nonnegative")
+    if cfg.label in (".", "..") or os.path.basename(cfg.label) != cfg.label:
+        raise ConfigError(f"config key label: {cfg.label!r} is not a bare "
+                          "file name; outputs are written into the output "
+                          "directory itself")
     if cfg.omega_0 <= abs(cfg.delta):
         raise ConfigError("config keys omega_0, delta: omega_0 must exceed "
                           "|delta| so both level splittings are positive")
@@ -311,9 +314,6 @@ def _plan_markov(cfg):
 
 
 def _plan_dynamics(cfg):
-    if cfg.route == "volterra-pm" and cfg.delta != 0.0:
-        raise ValueError("route volterra-pm: the +/- decomposition requires "
-                         "delta = 0")
     plan = _resolve(cfg)
     if cfg.route != "exact":
         step, source = (cfg.dt, "dt") if cfg.dt is not None else (
@@ -432,12 +432,11 @@ def _run_dynamics(plan):
     if cfg.route == "exact":
         trace = propagate_exact(*args, t_max=plan.t_max, sample_dt=plan.step)
     else:
-        solve = solve_volterra if cfg.route == "volterra" \
-            else solve_volterra_pm
-        trace = solve(*args, t_max=plan.t_max, dt=plan.step,
-                      kernel=cfg.kernel)
-    solver = {k: v for k, v in trace.metadata.items()
-              if isinstance(v, (int, float, str))}
+        # volterra-pm is the march in the frame rotating at omega_0
+        trace = solve_volterra(*args, t_max=plan.t_max, dt=plan.step,
+                               kernel=cfg.kernel,
+                               rotating=cfg.route == "volterra-pm")
+    solver = {**trace.metadata, "route": cfg.route}
     tail = trace.times >= plan.t_max - T - 1e-9 * T
     return ([("", ["t", "energy"], [trace.times, trace.energies])],
             {"solver": solver},

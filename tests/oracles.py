@@ -1,7 +1,10 @@
 """References that the fast paths are tested against: the full-basis
-isometry for the shell-basis tests, and the two-sum Volterra march."""
+isometry for the shell-basis tests, the two-sum Volterra march, and the
+resonant +/- memory route."""
 
 import numpy as np
+
+from qbsim import dynamics
 
 
 def bright_isometry(env) -> np.ndarray:
@@ -59,3 +62,32 @@ def _volterra_march(h, f_step, kern, m_of_f, init):
         f_next = -1j * (m @ u_corr) - c_next
         u_hist[n + 1] = u_n + 0.5 * h * (f_n + f_next)
     return u_hist
+
+
+def solve_volterra_pm(params, env, schedule, t_max, dt=None,
+                      kernel="discrete"):
+    """The resonant +/- memory route, the reference for the rotating frame.
+
+    v_pm = (u_c +/- u_b) exp(i omega_0 t) obey decoupled scalar memory
+    equations with the kernel nu(x) exp(i omega_0 x) and levels +/- kappa f
+    at delta = 0; u_b and u_c are rebuilt from them.  Returns (times, u_b,
+    u_c).
+    """
+    if params.delta != 0.0:
+        raise ValueError("the +/- decomposition requires zero detuning")
+    if dt is None:
+        dt = dynamics.default_time_step(params, env, schedule)
+    h, n_steps, f_step = dynamics._build_grid(schedule, t_max, dt)
+    lags = np.arange(n_steps + 1) * h
+    kern = dynamics._kernel_table(env, kernel, lags) \
+        * np.exp(1j * params.omega_0 * lags)
+
+    def m_of_f(f):
+        return np.array([[params.kappa * f, 0.0],
+                         [0.0, -params.kappa * f]], dtype=complex)
+
+    v = dynamics._volterra_march(h, f_step, kern, m_of_f,
+                                 np.array([1.0, 1.0], dtype=complex))
+    rot = np.exp(-1j * params.omega_0 * lags)
+    return (lags, 0.5 * (v[:, 0] - v[:, 1]) * rot,
+            0.5 * (v[:, 0] + v[:, 1]) * rot)

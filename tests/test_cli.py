@@ -66,7 +66,6 @@ class TestValidate:
         ("kind = perturbation\ndelta = 0.5\n", "delta = 0"),
         ("kind = nonresonant\ndelta = 0.5\nkappa = 8\ntau_s = 0.5\n",
          "equal protocol segments"),
-        ("kind = dynamics\nroute = volterra-pm\ndelta = 0.5\n", "delta = 0"),
         # T = pi/2 on the half-swap segments.  t_max/n_samples = 0.2805
         # used to snap to T/6 and write 9 rows to t = 2.094; t_max = 2 is
         # no whole number of T/24 (used to end at t = 2.029), of the
@@ -85,7 +84,7 @@ class TestValidate:
         ("kind = asymptotic\nt_max = 2.0\nn_offsets = 24\n",
          "t_max = 2: it must divide each into whole steps; the step is T/24"),
     ], ids=["asymptotic-tau_s", "perturbation-tau_s", "perturbation-delta",
-            "nonresonant-tau_s", "volterra-pm-delta", "exact-n_samples",
+            "nonresonant-tau_s", "exact-n_samples",
             "exact-t_max", "volterra-t_max", "volterra-pm-t_max",
             "asymptotic-t_max"])
     def test_rejected_config(self, tmp_path, capsys, body, reason):
@@ -244,6 +243,36 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
         assert "numerical failure: injected" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_volterra_pm_runs_detuned(self, tmp_path):
+        # the rotating-frame march holds at any detuning; t_max = 2T
+        cfg = tmp_path / "pm.cfg"
+        cfg.write_text("kind = dynamics\nroute = volterra-pm\ndelta = 0.5\n"
+                       f"n_side = 4\nt_max = {np.pi!r}\n")
+        assert run_cli("validate", str(cfg)) == 0
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        meta = json.loads((out / "dynamics.meta.json").read_text())
+        assert meta["solver"]["route"] == "volterra-pm"
+        assert sorted(meta["solver"]) == ["dt", "kernel", "route", "t_max"]
+
+    def test_label_stays_in_out(self, tmp_path, capsys):
+        # a label with a path in it used to write ../escaped.csv beside out
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("kind = ideal-cycle\nlabel = ../escaped\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert "config key label" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
+
+    def test_shared_stem_rejected(self, tmp_path, capsys):
+        # one label over fig2a's three runs used to write x.csv three
+        # times and list it three times in summary.json
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "fig2a", "--set", "n_side=4",
+                       "--set", "label=x", "--out", str(out)) == 1
+        assert "output stem 'x'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_subcommand(self):
         assert run_cli() == 1

@@ -1,5 +1,7 @@
-"""Propagation-route tests: exact spectral, memory-kernel Volterra, +/- split."""
+"""Propagation-route tests: exact spectral, memory-kernel Volterra in the
+lab and the rotating frame."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,6 @@ from qbsim import (
     default_time_step,
     propagate_exact,
     solve_volterra,
-    solve_volterra_pm,
 )
 from qbsim import dynamics
 from qbsim.dynamics import (
@@ -469,29 +470,32 @@ class TestVolterraRoute:
         with pytest.raises(ConvergenceError):
             solve_volterra(params, env, schedule, t_max=1.5, dt=0.01, tol=1e-14)
 
-    @pytest.mark.parametrize("solve, delta, kernel, taus, periods, kw", [
-        (solve_volterra, 0.0, "discrete", None, 2, {}),
-        (solve_volterra, 0.5, "discrete", None, 2, {}),
-        (solve_volterra, 0.0, "continuum", None, 2, {}),
-        (solve_volterra_pm, 0.0, "discrete", None, 2, {}),
-        (solve_volterra_pm, 0.0, "continuum", None, 2, {}),
-        (solve_volterra, 0.5, "discrete", (0.3, 0.5, 0.2), 3, {"dt": 0.005}),
+    @pytest.mark.parametrize("delta, kernel, taus, periods, kw", [
+        (0.0, "discrete", None, 2, {}),
+        (0.5, "discrete", None, 2, {}),
+        (0.0, "continuum", None, 2, {}),
+        (0.0, "discrete", None, 2, {"rotating": True}),
+        (0.0, "continuum", None, 2, {"rotating": True}),
+        (0.5, "discrete", None, 2, {"rotating": True}),
+        (0.5, "discrete", (0.3, 0.5, 0.2), 3, {"dt": 0.005}),
         # T = 1 and a step of T/10: t_max = T/10 is one step
-        (solve_volterra, 0.0, "discrete", (0.3, 0.5, 0.2), 0.1, {"dt": 0.1}),
-        (solve_volterra, 0.0, "continuum", (0.3, 0.5, 0.2), 1,
-         {"dt": 0.01, "tol": 1e-2}),
+        (0.0, "discrete", (0.3, 0.5, 0.2), 0.1, {"dt": 0.1}),
+        (0.0, "continuum", (0.3, 0.5, 0.2), 1, {"dt": 0.01, "tol": 1e-2}),
+        (0.5, "continuum", (0.3, 0.5, 0.2), 1,
+         {"dt": 0.01, "tol": 1e-2, "rotating": True}),
     ], ids=["discrete-0", "discrete-0.5", "continuum", "pm-discrete",
-            "pm-continuum", "unequal-segments", "one-step", "tol"])
-    def test_march_matches_two_sum_oracle(self, monkeypatch, solve, delta,
-                                          kernel, taus, periods, kw):
+            "pm-continuum", "pm-detuned", "unequal-segments", "one-step",
+            "tol", "pm-tol"])
+    def test_march_matches_two_sum_oracle(self, monkeypatch, delta, kernel,
+                                          taus, periods, kw):
         # the one-sum scalar march against the march that recomputes both
         # trapezoidal history sums with numpy on every step
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=3.0)
         schedule = SCHEDULE if taus is None else ProtocolSchedule(*taus)
         args = (params, ENV10, schedule, periods * schedule.period)
-        fast = solve(*args, kernel=kernel, **kw)
+        fast = solve_volterra(*args, kernel=kernel, **kw)
         monkeypatch.setattr(dynamics, "_volterra_march", oracles._volterra_march)
-        ref = solve(*args, kernel=kernel, **kw)
+        ref = solve_volterra(*args, kernel=kernel, **kw)
         assert fast.times.size == ref.times.size
         for name in ("u_b", "u_c"):
             np.testing.assert_allclose(getattr(fast, name), getattr(ref, name),
@@ -515,30 +519,60 @@ class TestVolterraRoute:
 
 
 class TestPlusMinusRoute:
-    def test_requires_resonance(self):
-        detuned = SystemParams.from_center(omega_0=2.0, delta=0.3, kappa=3.0)
-        with pytest.raises(ValueError):
-            solve_volterra_pm(detuned, ENV10, SCHEDULE, t_max=1.0)
+    """``rotating=True``, route volterra-pm: the march in the frame
+    rotating at omega_0."""
+
+    rotating = staticmethod(functools.partial(solve_volterra, rotating=True))
 
     def test_decoupled_matches_two_level(self):
-        # measures 1.5e-7 at dt = h0/8
-        assert _closed_pair_error(solve_volterra_pm, 0.0) < 1e-6
+        # at dt = h0/8 the error measures 1.5e-7 resonant and 1.9e-7 at
+        # delta = 0.3 (the lab frame's 6.7e-6 there)
+        for delta in (0.0, 0.3):
+            assert _closed_pair_error(self.rotating, delta) < 1e-6
 
     def test_matches_standard_volterra(self):
         h0 = default_time_step(PARAMS, ENV10, SCHEDULE)
         t_max = SCHEDULE.period
-        pm = solve_volterra_pm(PARAMS, ENV10, SCHEDULE, t_max, dt=h0 / 64)
+        pm = self.rotating(PARAMS, ENV10, SCHEDULE, t_max, dt=h0 / 64)
         std = solve_volterra(PARAMS, ENV10, SCHEDULE, t_max, dt=h0 / 64)
         assert np.max(np.abs(pm.u_b - std.u_b)) < 1e-6
         assert np.max(np.abs(pm.u_c - std.u_c)) < 1e-6
 
-    def test_carries_split_components(self):
-        trace = solve_volterra_pm(PARAMS, ENV10, SCHEDULE,
-                                  t_max=2 * SCHEDULE.period / 3)
-        v_p = trace.metadata["v_plus"]
-        v_m = trace.metadata["v_minus"]
-        rot = np.exp(-1j * PARAMS.omega_0 * trace.times)
-        np.testing.assert_allclose(0.5 * (v_p - v_m) * rot, trace.u_b, atol=1e-13)
+    @pytest.mark.parametrize("kernel", ["discrete", "continuum"])
+    def test_matches_plus_minus_oracle(self, kernel):
+        # at delta = 0 the pair equations in the rotating frame are the
+        # decoupled +/- ones in another basis: 5T at the default step
+        # measures 1.2e-15 (discrete) and 7.6e-16 (continuum)
+        t_max = 5 * SCHEDULE.period
+        trace = self.rotating(PARAMS, ENV10, SCHEDULE, t_max, kernel=kernel)
+        times, u_b, u_c = oracles.solve_volterra_pm(PARAMS, ENV10, SCHEDULE,
+                                                    t_max, kernel=kernel)
+        np.testing.assert_array_equal(trace.times, times)
+        np.testing.assert_allclose(trace.u_b, u_b, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace.u_c, u_c, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_side, kappa, delta, bound", [
+        (10, 3.0, 0.5, 1.1e-3),
+        (12, 8.0, 1.0, 1.8e-3),
+    ], ids=["N10-k3-d0.5", "N12-k8-d1"])
+    def test_detuned_closer_to_exact_than_lab_frame(self, n_side, kappa,
+                                                    delta, bound):
+        # max |u_b - exact| over 5T at the default step: 1.02e-3 against
+        # the lab frame's 3.65e-3, and 1.68e-3 against 1.99e-3
+        env = LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=delta,
+                                          kappa=kappa)
+        tau = 0.5 * np.pi / kappa
+        schedule = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        t_max = 5 * schedule.period
+        rot = self.rotating(params, env, schedule, t_max)
+        lab = solve_volterra(params, env, schedule, t_max)
+        exact = propagate_exact(params, env, schedule, t_max,
+                                sample_dt=rot.metadata["dt"])
+        err_rot = np.max(np.abs(rot.u_b - exact.u_b))
+        err_lab = np.max(np.abs(lab.u_b - exact.u_b))
+        assert err_rot < err_lab
+        assert err_rot < bound
 
 
 class TestDefaultTimeStep:

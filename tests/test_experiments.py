@@ -131,14 +131,31 @@ class TestValidation:
         dict(kind="perturbation", tau_s=0.3),
         dict(kind="nonresonant", delta=0.5, kappa=8.0, tau_s=0.5),
         dict(kind="perturbation", delta=0.5),
-        dict(kind="dynamics", route="volterra-pm", delta=0.5),
     ], ids=["asymptotic", "dynamics-exact", "dynamics-volterra",
-            "perturbation", "nonresonant", "perturbation-detuned",
-            "volterra-pm-detuned"])
+            "perturbation", "nonresonant", "perturbation-detuned"])
     def test_solver_protocol(self, keys):
         # each of these used to validate and then fail the run
         with pytest.raises(ConfigError, match="aligned|equal|delta = 0"):
             validate_config(ExperimentConfig(n_side=4, **keys))
+
+    def test_volterra_pm_detuned_accepted(self, tmp_path):
+        # route volterra-pm marches in the rotating frame at any detuning
+        cfg = ExperimentConfig(kind="dynamics", route="volterra-pm",
+                               delta=0.5, n_side=4, t_max=np.pi)
+        validate_config(cfg)
+        _, summary = run_experiment(cfg, tmp_path)
+        assert summary["route"] == "volterra-pm"
+
+    @pytest.mark.parametrize("label", ["../escaped", "a/b", "/abs", ".",
+                                       ".."])
+    def test_label_is_a_bare_file_name(self, label):
+        with pytest.raises(ConfigError, match="config key label"):
+            validate_config(ExperimentConfig(kind="ideal-cycle", label=label))
+
+    def test_bare_labels_accepted(self):
+        for label in ("", "x", "dynamics-k4.8", "..x", "asymptotic-trace",
+                      "detuned-sweep", "continuum-memory"):
+            validate_config(ExperimentConfig(kind="ideal-cycle", label=label))
 
     @pytest.mark.parametrize("keys, advice", [
         (dict(kind="asymptotic"), "multiples of T/24"),

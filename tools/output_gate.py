@@ -6,7 +6,7 @@ runs each preset of the qbsim package found in PARENT_SRC and in
 CHANGE_SRC (the directories that hold ``qbsim/``) into gate/parent/<preset>
 and gate/change/<preset> under the repository root, and beside them the
 runs of ``EXTRA_RUNS``, which take paths that no preset reaches: the
-memory-kernel routes, spectra on unequal drive segments, and a spectrum
+memory-kernel routes (the lab frame at and off resonance), spectra on unequal drive segments, and a spectrum
 that stores the vectors of fewer modes than the default threshold would.  It then
 prints two verdicts:
 
@@ -39,6 +39,8 @@ UNEQUAL = ["tau_c=0.3", "tau_s=0.45", "tau_d=0.15"]
 EXTRA_RUNS = [
     ("fig2a-volterra-continuum", "fig2a", ["route=volterra", "kernel=continuum"]),
     ("fig2a-volterra-pm", "fig2a", ["route=volterra-pm"]),
+    # the lab-frame memory route off resonance
+    ("fig2a-volterra-detuned", "fig2a", ["route=volterra", "delta=0.5"]),
     ("fig3b-unequal", "fig3b", UNEQUAL),
     ("fig4c-unequal", "fig4c", UNEQUAL),
     ("fig4d-unequal", "fig4d", [*UNEQUAL, "t_max=4.5"]),
