@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .dynamics import (SegmentPropagators, _build_grid, check_memory,
-                       default_time_step, propagate_exact, solve_volterra)
+from .dynamics import (MEMORY_CAP, SegmentPropagators, _build_grid,
+                       check_memory, default_time_step, propagate_exact,
+                       solve_volterra)
 from .environment import LatticeEnvironment
 from .errors import ConfigError, MemoryCapError
 from .floquet import (
@@ -41,6 +42,10 @@ ROUTES = ("exact", "volterra", "volterra-pm")
 KERNELS = ("discrete", "continuum")
 # samples per drive period used by the trace-producing kinds
 _SAMPLES_PER_PERIOD = 24
+# ideal-cycle and markov samples over t_max when n_samples is unset
+_CYCLE_SAMPLES = 720
+# bytes per output row, charged against MEMORY_CAP (_check_rows)
+_BYTES_PER_ROW = 1000
 _DEFAULT_PERIODS = {"ideal-cycle": 3.0, "markov": 3.0,  # t_max / T if unset
                     "dynamics": 100.0, "asymptotic": 100.0, "nonresonant": 5.0}
 
@@ -83,15 +88,14 @@ class ExperimentConfig:
     # spectral classification
     weight_threshold: float = 0.05
     gap_tolerance: float | None = None
-    n_offsets: int = 96
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _STR_KEYS = ("kind", "label", "route", "kernel")
-_INT_KEYS = ("n_side", "n_samples", "n_offsets")
+_INT_KEYS = ("n_side", "n_samples")
 _FLOAT_KEYS = tuple(k for k in _FIELDS if k not in _STR_KEYS + _INT_KEYS)
 _POSITIVE_KEYS = ("kappa", "n_side", "varpi", "q", "tau_c", "tau_d", "dt",
-                  "t_max", "n_offsets", "kappa_step")
+                  "t_max", "kappa_step")
 _NONNEGATIVE_KEYS = ("g", "tau_s", "n_samples", "gamma", "gap_tolerance")
 
 
@@ -195,10 +199,16 @@ def validate_config(cfg: ExperimentConfig) -> "_Plan":
         raise ConfigError(f"kind {cfg.kind}: {exc}") from None
 
 
-def sweep_grid_values(cfg: ExperimentConfig) -> np.ndarray:
+def _sweep_steps(cfg: ExperimentConfig) -> float:
+    """(kappa_max - kappa_min) / kappa_step: the grid has its floor + 1
+    points."""
     if None in (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step):
         raise ConfigError("sweep requires kappa_min, kappa_max, kappa_step")
-    n = math.floor((cfg.kappa_max - cfg.kappa_min) / cfg.kappa_step + 1e-9) + 1
+    return (cfg.kappa_max - cfg.kappa_min) / cfg.kappa_step
+
+
+def sweep_grid_values(cfg: ExperimentConfig) -> np.ndarray:
+    n = math.floor(_sweep_steps(cfg) + 1e-9) + 1
     return cfg.kappa_min + cfg.kappa_step * np.arange(max(n, 0))
 
 
@@ -275,16 +285,33 @@ def _resolve(cfg: ExperimentConfig, **fields) -> _Plan:
                  schedule, t_max, **fields)
 
 
-def _check_grid(schedule, t_max, step, source):
-    """``_build_grid``, with the alignment error naming what set the step."""
+def _check_rows(rows: float, key: str) -> None:
+    """ConfigError naming ``key`` if ``rows`` output rows, counted as a
+    float before anything is allocated, exceed MEMORY_CAP at
+    _BYTES_PER_ROW each.  A row is held as floats, formatted cells and a
+    CSV line until its file is written: measured tracemalloc peaks at 1e5
+    rows are 263 bytes a row for the two-column traces, 415 for
+    kappa-sweep and 690 for asymptotic with two bound states."""
+    required = rows * _BYTES_PER_ROW
+    if required > MEMORY_CAP:
+        raise ConfigError(f"config key {key}: {rows:.3g} output rows need "
+                          f"an estimated {required / 1e9:.3g} GB, over the "
+                          f"cap of {MEMORY_CAP / 1e9:.3g} GB")
+
+
+def _check_grid(schedule, t_max, step, source, key):
+    """``_build_grid`` after ``_check_rows`` on its rows, or one period's
+    steps if more, with the alignment error naming what set the step."""
+    _check_rows(max(t_max, schedule.period) / step + 1, key)
     try:
         return _build_grid(schedule, t_max, step)
     except ValueError as exc:
         raise ValueError(f"{exc}; the step is {source}") from None
 
 
-def _sweep_points(cfg):
+def _sweep_points(cfg, rows_per_point):
     """(kappa, params, schedule) at every sweep grid point."""
+    _check_rows((_sweep_steps(cfg) + 1) * rows_per_point, "kappa_step")
     grid = sweep_grid_values(cfg).tolist()
     if not grid:
         raise ConfigError("empty sweep")
@@ -295,9 +322,16 @@ def _sweep_points(cfg):
                  for k in grid)
 
 
+def _plan_cycle(cfg):
+    """ideal-cycle, and markov's start: n_samples + 1 rows."""
+    _check_rows((cfg.n_samples or _CYCLE_SAMPLES) + 1, "n_samples")
+    return _resolve(cfg)
+
+
 def _plan_markov(cfg):
     if cfg.delta != 0.0:
         raise ValueError("its formulas hold only at delta = 0")
+    plan = _plan_cycle(cfg)
     rates = {"gamma": cfg.gamma, "lamb_shift": None}
     if cfg.gamma is None:
         # the sidecar must hold them as finite numbers
@@ -310,46 +344,47 @@ def _plan_markov(cfg):
                     f"finite ({rates}): omega_0 lies on a band edge")
         except ValueError as exc:
             raise ValueError(f"{exc}; set gamma") from None
-    return _resolve(cfg, rates=rates)
+    return dataclasses.replace(plan, rates=rates)
 
 
 def _plan_dynamics(cfg):
     plan = _resolve(cfg)
-    if cfg.route != "exact":
-        step, source = (cfg.dt, "dt") if cfg.dt is not None else (
-            default_time_step(plan.params, plan.env, plan.schedule),
-            "the solver's default; set dt")
+    if cfg.route != "exact" and cfg.dt is not None:
+        step, source, rows_key = cfg.dt, "dt", "dt"
+    elif cfg.route != "exact":
+        step = default_time_step(plan.params, plan.env, plan.schedule)
+        source, rows_key = "the solver's default; set dt", "t_max"
     elif cfg.n_samples:
-        step, source = plan.t_max / cfg.n_samples, "t_max/n_samples"
+        step, rows_key = plan.t_max / cfg.n_samples, "n_samples"
+        source = "t_max/n_samples"
     else:
-        step = plan.schedule.period / _SAMPLES_PER_PERIOD
+        step, rows_key = plan.schedule.period / _SAMPLES_PER_PERIOD, "t_max"
         source = (f"T/{_SAMPLES_PER_PERIOD}; set n_samples to step by "
                   "t_max/n_samples")
-    _check_grid(plan.schedule, plan.t_max, step, source)
+    _check_grid(plan.schedule, plan.t_max, step, source, rows_key)
     if cfg.route == "exact":  # the memory routes build no propagators
         check_memory(plan.env, cfg.delta)
     return dataclasses.replace(plan, step=step)
 
 
 def _plan_spectrum(cfg):
-    """kappa-sweep at each grid point, spectrum at cfg.kappa."""
-    plan = _resolve(cfg, points=_sweep_points(cfg)
+    """kappa-sweep at each grid point, d = 2 + 2 n_side^2 rows each;
+    spectrum at cfg.kappa."""
+    check_memory(resolve_environment(cfg), cfg.delta, spectrum=True)
+    return _resolve(cfg, points=_sweep_points(cfg, 2 + 2 * cfg.n_side**2)
                     if cfg.kind == "kappa-sweep" else ())
-    check_memory(plan.env, cfg.delta, spectrum=True)
-    return plan
 
 
 def _plan_bound_states(cfg):
-    """asymptotic and nonresonant: a T/24 trace, modes at T/n_offsets."""
+    """asymptotic and nonresonant: a T/24 trace, the modes on its grid."""
     n = _SAMPLES_PER_PERIOD
     if cfg.kind == "nonresonant":  # the zeroth-order modes' protocol
         _check_protocol(cfg.kappa, resolve_schedule(cfg))
-    if cfg.n_offsets % n:
-        raise ConfigError(f"config key n_offsets: must be a multiple of {n}")
     plan = _resolve(cfg)
     h, n_steps, _ = _check_grid(
         plan.schedule, plan.t_max, plan.schedule.period / n,
-        f"T/{n}, so the segments and t_max must be multiples of T/{n}")
+        f"T/{n}, so the segments and t_max must be multiples of T/{n}",
+        "t_max")
     check_memory(plan.env, cfg.delta, spectrum=True)
     return dataclasses.replace(plan, step=plan.schedule.period / n,
                                times=np.arange(n_steps + 1) * h)
@@ -362,7 +397,7 @@ def _plan_perturbation(cfg):
         # without a full sweep grid it covers kappa = 5..15
         cfg = dataclasses.replace(cfg, kappa_min=5.0, kappa_max=15.0,
                                   kappa_step=0.5)
-    plan = _resolve(cfg, points=_sweep_points(cfg))
+    plan = _resolve(cfg, points=_sweep_points(cfg, 1))
     for kappa, _, schedule in plan.points:
         _check_protocol(kappa, schedule)
     check_memory(plan.env, cfg.delta, spectrum=True)
@@ -412,7 +447,8 @@ _COLUMNS = {
 
 
 def _run_ideal_cycle(plan):
-    ts = np.linspace(0.0, plan.t_max, (plan.cfg.n_samples or 720) + 1)
+    ts = np.linspace(0.0, plan.t_max,
+                     (plan.cfg.n_samples or _CYCLE_SAMPLES) + 1)
     return ([("", ["t", "energy"],
               [ts, ideal_energy(plan.params, plan.schedule, ts)])],
             {}, {"peak_energy": ideal_peak_energy(plan.params),
@@ -420,7 +456,8 @@ def _run_ideal_cycle(plan):
 
 
 def _run_markov(plan):
-    ts = np.linspace(0.0, plan.t_max, (plan.cfg.n_samples or 720) + 1)
+    ts = np.linspace(0.0, plan.t_max,
+                     (plan.cfg.n_samples or _CYCLE_SAMPLES) + 1)
     energies = markov_energy(plan.params, plan.schedule, plan.rates["gamma"],
                              ts)
     return [("", ["t", "energy"], [ts, energies])], plan.rates, plan.rates
@@ -490,7 +527,7 @@ def _bound_state_energy(plan, ts):
                             weight_threshold=cfg.weight_threshold,
                             gap_tolerance=cfg.gap_tolerance, props=props)
     modes = fbs_floquet_modes(params, env, schedule, spec,
-                              n_samples=cfg.n_offsets, props=props)
+                              n_samples=_SAMPLES_PER_PERIOD, props=props)
     decomp = decompose_energy_terms(modes, ts)
     header = [f"diag_{j + 1}" for j in range(len(modes))] + ["interference"]
     cols = list(decomp.elements) + [decomp.interference / params.omega_b]
@@ -538,8 +575,9 @@ def _run_perturbation(plan):
         if math.isfinite(exact):
             entry["relative_error"] = abs(res.splitting - exact) / exact
         points.append(entry)
-    # closed-form beating curve at the stiffest grid point, the last one
-    ts = np.linspace(0.0, 5.0 * schedule.period, 5 * cfg.n_offsets + 1)
+    # closed-form beating curve at the stiffest grid point, the last one,
+    # over 5T at T/96: a formula, so finer than the T/24 traces costs nothing
+    ts = np.linspace(0.0, 5.0 * schedule.period, 5 * 96 + 1)
     curve = cfg.omega_0 * asymptotic_energy_closed_form(
         res.splitting, kappa, schedule, ts)
     return ([("", header, [np.asarray(c) for c in zip(*rows)]),
@@ -585,7 +623,7 @@ def _run_nonresonant(plan):
 
 # kind -> (plan, runner), for every kind
 _KIND_STEPS = {
-    "ideal-cycle": (_resolve, _run_ideal_cycle),
+    "ideal-cycle": (_plan_cycle, _run_ideal_cycle),
     "markov": (_plan_markov, _run_markov),
     "dynamics": (_plan_dynamics, _run_dynamics),
     "kappa-sweep": (_plan_spectrum, _run_kappa_sweep),

@@ -81,7 +81,7 @@ class TestValidate:
         ("kind = dynamics\nroute = volterra-pm\nt_max = 2.0\n",
          "t_max = 2: it must divide each into whole steps; the step is the "
          "solver's default"),
-        ("kind = asymptotic\nt_max = 2.0\nn_offsets = 24\n",
+        ("kind = asymptotic\nt_max = 2.0\n",
          "t_max = 2: it must divide each into whole steps; the step is T/24"),
     ], ids=["asymptotic-tau_s", "perturbation-tau_s", "perturbation-delta",
             "nonresonant-tau_s", "exact-n_samples",
@@ -118,6 +118,29 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert run_cli("validate", str(tmp_path / "nope.cfg")) == 1
+
+    def test_n_offsets_removed(self, tmp_path, capsys):
+        # the bound states are sampled on the trace's own T/24 grid; the key
+        # is unknown in a config file and in --set alike
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("kind = asymptotic\nn_side = 4\nn_offsets = 24\n")
+        assert run_cli("validate", str(cfg)) == 1
+        assert "unknown config key: n_offsets" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "fig3b", "--set", "n_side=4",
+                       "--set", "n_offsets=24", "--out", str(out)) == 1
+        assert "unknown config key: n_offsets" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_row_count_rejected_before_output(self, tmp_path, capsys):
+        # 1e15 samples used to validate, then make the output directory
+        # and die in numpy allocating 7 PiB for the sample times
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("kind = ideal-cycle\nn_samples = 1000000000000000\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert "config error: config key n_samples" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("body", [
         "kind = asymptotic\n",
@@ -282,7 +305,7 @@ class TestRun:
         # exceed the cap, the bright shells (2 + 2 * 649) do not; t_max = 2T
         cfg = tmp_path / "big.cfg"
         cfg.write_text("kind = asymptotic\nn_side = 70\n"
-                       f"t_max = {np.pi!r}\nn_offsets = 24\n")
+                       f"t_max = {np.pi!r}\n")
         assert run_cli("validate", str(cfg)) == 0
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0

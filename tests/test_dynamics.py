@@ -633,7 +633,7 @@ class TestGridContract:
         dict(kind="dynamics", route="exact", n_samples=12),
         dict(kind="dynamics", route="volterra"),
         dict(kind="dynamics", route="volterra-pm"),
-        dict(kind="asymptotic", n_offsets=24),
+        dict(kind="asymptotic"),
     ], ids=["exact", "volterra", "volterra-pm", "asymptotic"])
     def test_trace_ends_on_t_max(self, tmp_path, keys):
         # kappa = 3: T = pi/2, and t_max = 2T is whole steps of T/6 (exact,

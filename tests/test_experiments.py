@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import qbsim
-from qbsim import (dynamics, environment, errors, floquet, ideal, markovian,
-                   model, perturbation)
+from qbsim import (dynamics, environment, errors, experiments, floquet, ideal,
+                   markovian, model, perturbation)
 from qbsim.errors import ConfigError
 from qbsim.experiments import (
     KINDS,
@@ -162,8 +162,8 @@ class TestValidation:
         (dict(kind="dynamics"), "t_max/n_samples"),
         (dict(kind="dynamics", n_samples=100), "t_max/n_samples"),
         (dict(kind="dynamics", route="volterra"), "set dt"),
-        # T/24 snaps to T/25 on these segments: the trace runs, but off the
-        # modes' T/96 offsets
+        # T/24 snaps to T/25 on these segments, off the T/24 grid that the
+        # trace and the modes share
         (dict(kind="asymptotic", tau_c=0.4, tau_s=0.4, tau_d=0.2, t_max=2.0),
          "multiples of T/24"),
     ], ids=["asymptotic", "dynamics-exact", "dynamics-exact-samples",
@@ -182,13 +182,39 @@ class TestValidation:
     def test_unequal_spectrum_accepted(self):
         validate_config(ExperimentConfig(kind="spectrum", n_side=4, tau_s=0.3))
 
-    def test_offset_granularity(self):
-        with pytest.raises(ConfigError, match="n_offsets"):
-            validate_config(ExperimentConfig(kind="asymptotic", n_offsets=50))
-        for n in (0, -24):
-            with pytest.raises(ConfigError, match="n_offsets"):
-                validate_config(ExperimentConfig(kind="asymptotic",
-                                                 n_offsets=n))
+    @pytest.mark.parametrize("keys, key", [
+        (dict(kind="kappa-sweep", kappa_min=1.0, kappa_max=2.0,
+              kappa_step=1e-15), "kappa_step"),
+        (dict(kind="perturbation", kappa_min=5.0, kappa_max=6.0,
+              kappa_step=1e-15), "kappa_step"),
+        (dict(kind="ideal-cycle", n_samples=10**15), "n_samples"),
+        (dict(kind="markov", gamma=0.5, n_samples=10**15), "n_samples"),
+        (dict(kind="dynamics", t_max=1e15), "t_max"),
+        (dict(kind="dynamics", n_samples=10**15), "n_samples"),
+        (dict(kind="dynamics", route="volterra", dt=1e-15), "dt"),
+        (dict(kind="dynamics", route="volterra-pm", t_max=1e15), "t_max"),
+        (dict(kind="asymptotic", t_max=1e15), "t_max"),
+        (dict(kind="nonresonant", delta=0.5, kappa=15.0, t_max=1e15),
+         "t_max"),
+    ], ids=["kappa-sweep", "perturbation", "ideal-cycle", "markov",
+            "exact-t_max", "exact-n_samples", "volterra-dt", "volterra-t_max",
+            "asymptotic", "nonresonant"])
+    def test_row_count_cap(self, keys, key):
+        # 1e15 rows or more: these used to die in numpy allocating
+        # petabytes, or validate and then do so in the run; the plan now
+        # counts the rows before anything is allocated
+        with pytest.raises(ConfigError,
+                           match=f"config key {key}: .* output rows"):
+            validate_config(ExperimentConfig(n_side=4, **keys))
+
+    def test_row_count_cap_boundary(self):
+        # n_samples + 1 rows at _BYTES_PER_ROW each, against MEMORY_CAP
+        rows = int(dynamics.MEMORY_CAP // experiments._BYTES_PER_ROW)
+        validate_config(ExperimentConfig(kind="ideal-cycle",
+                                         n_samples=rows - 1))
+        with pytest.raises(ConfigError, match="config key n_samples"):
+            validate_config(ExperimentConfig(kind="ideal-cycle",
+                                             n_samples=rows))
 
     def test_presets_all_valid(self):
         for name, bundle in PRESETS.items():

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -79,3 +80,27 @@ def test_missing_file_fails_both_modes(tmp_path):
     (change / "fig" / "summary.json").unlink()
     byte, tol, _, _ = output_gate.compare(parent, change)
     assert byte == tol == ["fig/summary.json"]
+
+
+def test_tiers_and_blas_threads(tmp_path, monkeypatch):
+    # every preset runs at n_side 6 beside EXTRA_RUNS, and again at its own
+    # size; both trees run at one BLAS thread count, whatever the caller's
+    calls = []
+
+    def fake_run(cmd, env, **kwargs):
+        calls.append((cmd[3:], env))
+        listing = "fig3b    asymptotic  two bound states\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=listing, stderr="")
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.setattr(output_gate.subprocess, "run", fake_run)
+    assert output_gate.run_presets(tmp_path, tmp_path / "out") == []
+    for _, env in calls:
+        assert env["OPENBLAS_NUM_THREADS"] == output_gate.BLAS_THREADS
+        assert env["OMP_NUM_THREADS"] == output_gate.BLAS_THREADS
+    runs = [args[args.index("--out") + 1] for args, _ in calls[1:]]
+    out = tmp_path / "out"
+    assert runs == [str(out / "n_side-6" / name) for name in
+                    ["fig3b"] + [n for n, _, _ in output_gate.EXTRA_RUNS]] \
+        + [str(out / "own-size" / "fig3b")]
+    assert "n_side=6" not in calls[-1][0]

@@ -1,14 +1,24 @@
-"""Output-identity gate: every preset at n_side = 6, from two source trees.
+"""Output-identity gate: every preset in two tiers, from two source trees.
 
     python3 tools/output_gate.py PARENT_SRC CHANGE_SRC
 
-runs each preset of the qbsim package found in PARENT_SRC and in
-CHANGE_SRC (the directories that hold ``qbsim/``) into gate/parent/<preset>
-and gate/change/<preset> under the repository root, and beside them the
-runs of ``EXTRA_RUNS``, which take paths that no preset reaches: the
-memory-kernel routes (the lab frame at and off resonance), spectra on unequal drive segments, and a spectrum
-that stores the vectors of fewer modes than the default threshold would.  It then
-prints two verdicts:
+runs the qbsim package found in PARENT_SRC and in CHANGE_SRC (the
+directories that hold ``qbsim/``) into gate/parent/<tier>/<run> and
+gate/change/<tier>/<run> under the repository root, in two tiers:
+
+* ``n_side-6``: each preset at n_side = 6, and beside them the runs of
+  ``EXTRA_RUNS``, which take paths that no preset reaches: the
+  memory-kernel routes (the lab frame at and off resonance, the rotating
+  frame at and off resonance), spectra on unequal drive segments, and a
+  spectrum that stores the vectors of fewer modes than the default
+  threshold would;
+* ``own-size``: each preset at its own n_side, where paths that depend on
+  the lattice size (near-threshold flags, clustered band eigenvalues)
+  can differ.
+
+Both trees run with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS set to
+``BLAS_THREADS``, since output bytes depend on the BLAS thread count.  For
+each tier it then prints two verdicts:
 
 * byte mode: the CSV files and summary.json must be byte-identical, and
   the sidecars equal once ``created_at`` is removed;
@@ -20,7 +30,8 @@ prints two verdicts:
 
 A change that should move no number passes byte mode; a change that only
 reorders floating-point work passes tolerance mode.  The exit status is 0
-when every preset ran and tolerance mode passes, 1 otherwise.
+when every run finished and tolerance mode passes in both tiers, 1
+otherwise.
 """
 
 import csv
@@ -34,11 +45,14 @@ import sys
 
 TOLERANCE = 1e-10
 GATE = pathlib.Path(__file__).resolve().parent.parent / "gate"
+# OPENBLAS_NUM_THREADS and OMP_NUM_THREADS of both trees' runs
+BLAS_THREADS = "1"
 UNEQUAL = ["tau_c=0.3", "tau_s=0.45", "tau_d=0.15"]
 # (output directory, preset, overrides) of the runs on paths no preset takes
 EXTRA_RUNS = [
     ("fig2a-volterra-continuum", "fig2a", ["route=volterra", "kernel=continuum"]),
     ("fig2a-volterra-pm", "fig2a", ["route=volterra-pm"]),
+    ("fig2a-volterra-pm-detuned", "fig2a", ["route=volterra-pm", "delta=0.5"]),
     # the lab-frame memory route off resonance
     ("fig2a-volterra-detuned", "fig2a", ["route=volterra", "delta=0.5"]),
     ("fig3b-unequal", "fig3b", UNEQUAL),
@@ -51,25 +65,28 @@ EXTRA_RUNS = [
 
 
 def _cli(src, *args):
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(src).resolve())}
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(src).resolve()),
+           "OPENBLAS_NUM_THREADS": BLAS_THREADS, "OMP_NUM_THREADS": BLAS_THREADS}
     return subprocess.run([sys.executable, "-m", "qbsim.cli", *args], env=env,
                           capture_output=True, text=True)
 
 
 def run_presets(src, out) -> list[str]:
-    """Every preset and every extra run at n_side = 6 from the code in
-    src; the failed ones."""
+    """Both tiers from the code in src, into out/<tier>; the failed runs."""
     listed = _cli(src, "list-presets")
     if listed.returncode:
         return [f"list-presets: {listed.stderr.strip()}"]
-    presets = [line.split()[0] for line in listed.stdout.splitlines()]
+    presets = [(p, p, []) for p in
+               (line.split()[0] for line in listed.stdout.splitlines())]
     failed = []
-    for name, preset, overrides in [(p, p, []) for p in presets] + EXTRA_RUNS:
-        sets = [a for o in ["n_side=6", *overrides] for a in ("--set", o)]
-        run = _cli(src, "run", "--preset", preset, *sets,
-                   "--out", str(out / name))
-        if run.returncode:
-            failed.append(f"{name}: {run.stderr.strip()}")
+    for tier, runs, size in (("n_side-6", presets + EXTRA_RUNS, ["n_side=6"]),
+                             ("own-size", presets, [])):
+        for name, preset, overrides in runs:
+            sets = [a for o in [*size, *overrides] for a in ("--set", o)]
+            run = _cli(src, "run", "--preset", preset, *sets,
+                       "--out", str(out / tier / name))
+            if run.returncode:
+                failed.append(f"{tier}/{name}: {run.stderr.strip()}")
     return failed
 
 
@@ -159,16 +176,23 @@ def main(argv):
         failed += [f"{side} {f}" for f in run_presets(src, GATE / side)]
     for f in failed:
         print("FAILED:", f)
-    byte, tol, worst, count = compare(GATE / "parent", GATE / "change")
-    print(f"byte mode: {'PASS' if not byte else 'FAIL'} ({count} files, "
-          f"{len(byte)} differ)")
-    for n in byte:
-        print("  differs:", n)
-    print(f"tolerance mode ({TOLERANCE:g}): {'PASS' if not tol else 'FAIL'} "
-          f"({count} files, worst relative difference {worst:.1e})")
-    for n in tol:
-        print("  beyond tolerance:", n)
-    return 1 if failed or tol else 0
+    print(f"BLAS threads: {BLAS_THREADS} (OPENBLAS_NUM_THREADS, "
+          "OMP_NUM_THREADS)")
+    passed = True
+    for tier in ("n_side-6", "own-size"):
+        byte, tol, worst, count = compare(GATE / "parent" / tier,
+                                          GATE / "change" / tier)
+        passed = passed and not tol
+        print(f"{tier} byte mode: {'PASS' if not byte else 'FAIL'} ({count} "
+              f"files, {len(byte)} differ)")
+        for n in byte:
+            print("  differs:", n)
+        print(f"{tier} tolerance mode ({TOLERANCE:g}): "
+              f"{'PASS' if not tol else 'FAIL'} ({count} files, worst "
+              f"relative difference {worst:.1e})")
+        for n in tol:
+            print("  beyond tolerance:", n)
+    return 1 if failed or not passed else 0
 
 
 if __name__ == "__main__":
