@@ -19,7 +19,7 @@ from .experiments import (
     parse_config_text,
     parse_overrides,
     config_to_dict,
-    run_experiment,
+    run_plan,
     validate_config,
 )
 
@@ -60,35 +60,32 @@ def _build_parser() -> _Parser:
 
 
 def _load_configs(args):
+    """The configs as loaded and their plans, every one validated and the
+    output stems checked before anything is written."""
     if args.preset:
         configs = list(PRESETS[args.preset])
-    else:
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        configs = [parse_config_text(text)]
+    else:  # main reports an unreadable file as a config error
+        with open(args.config) as fh:
+            configs = [parse_config_text(fh.read())]
     overrides = parse_overrides(args.overrides)
     if overrides:
         configs = [dataclasses.replace(cfg, **overrides) for cfg in configs]
-    for cfg in configs:
-        validate_config(cfg)
+    plans = [validate_config(cfg) for cfg in configs]
     stems = [cfg.label or cfg.kind for cfg in configs]
     for stem in stems:
         if stems.count(stem) > 1:
             raise ConfigError(f"config key label: {stems.count(stem)} runs "
                               f"share the output stem {stem!r}; give each "
                               "a distinct label")
-    return configs
+    return configs, plans
 
 
 def _cmd_run(args) -> int:
-    configs = _load_configs(args)
+    configs, plans = _load_configs(args)
     os.makedirs(args.out, exist_ok=True)
     all_files, results = [], []
-    for cfg in configs:
-        files, summary = run_experiment(cfg, args.out)
+    for plan in plans:
+        files, summary = run_plan(plan, args.out)
         all_files.extend(files)
         results.append(summary)
         for path in files:
@@ -110,6 +107,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     with open(args.config_file) as fh:
         cfg = parse_config_text(fh.read())
+    validate_config(cfg)
     print(f"OK: {cfg.kind} experiment ({args.config_file})")
     return 0
 

@@ -129,7 +129,8 @@ def parse_overrides(pairs: list[str]) -> dict:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Strict key=value configuration (``#`` comments, blank lines allowed)."""
+    """Strict key=value configuration (``#`` comments, blank lines
+    allowed).  Parses only: ``validate_config`` checks the values."""
     values = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -144,9 +145,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         values[key] = _coerce_value(key, raw)
     if "kind" not in values:
         raise ConfigError("missing config key: kind")
-    cfg = ExperimentConfig(**values)
-    validate_config(cfg)
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -166,7 +165,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def validate_config(cfg: ExperimentConfig) -> "_Plan":
     """Check the scalar keys, then make the kind's plan (``_KIND_STEPS``),
     the runner's own dry run: every rule a run checks before its work is
-    checked here.  Returns the plan."""
+    checked here.  Returns the plan, which ``run_plan`` runs."""
     for key, allowed in (("kind", KINDS), ("route", ROUTES),
                          ("kernel", KERNELS)):
         if getattr(cfg, key) not in allowed:
@@ -270,7 +269,7 @@ class _Plan:
     schedule: ProtocolSchedule
     t_max: float | None         # trace horizon, of the kinds that have one
     step: float | None = None   # trace step: whole steps to t_max
-    times: np.ndarray | None = None  # nonresonant sample times
+    times: np.ndarray | None = None  # bound-state kinds' T/24 sample times
     points: tuple = ()          # (kappa, params, schedule) per sweep point
     rates: dict | None = None   # markov gamma and lamb_shift
 
@@ -407,7 +406,7 @@ def _plan_perturbation(cfg):
 # ---------------------------------------------------------------------------
 # runners, one per kind: each takes the kind's plan and returns (tables,
 # sidecar entries, summary fragment); a table is (stem suffix, header,
-# columns).  run_experiment writes the tables in order as
+# columns).  run_plan writes the tables in order as
 # <stem><suffix>.csv, then one <stem>.meta.json: config, resolved, version,
 # the runner's entries (which may replace resolved) and columns; the
 # summary starts kind, label.
@@ -535,12 +534,12 @@ def _bound_state_energy(plan, ts):
 
 
 def _run_asymptotic(plan):
-    T, t_max = plan.schedule.period, plan.t_max
+    T, t_max, ts = plan.schedule.period, plan.t_max, plan.times
     trace = propagate_exact(plan.params, plan.env, plan.schedule, t_max=t_max,
                             sample_dt=plan.step)
-    spec, modes, decomp, header, cols = _bound_state_energy(plan, trace.times)
+    spec, modes, decomp, header, cols = _bound_state_energy(plan, ts)
     m = len(modes)
-    tail = trace.times >= t_max - min(20.0 * T, t_max) - 1e-9 * T
+    tail = ts >= t_max - min(20.0 * T, t_max) - 1e-9 * T
     diff = np.abs(trace.energies[tail] - decomp.total[tail])
     summary = {"m_fbs": m, "tail_mean_abs_diff_over_omega0":
                float(diff.mean() / plan.params.omega_0)}
@@ -548,7 +547,7 @@ def _run_asymptotic(plan):
         summary["delta_eps0"] = float(circular_distance(
             modes[0].epsilon, modes[1].epsilon, spec.omega_T))
     return ([("", ["t", "energy_exact", "energy_asymptotic"] + header,
-              [trace.times, trace.energies, decomp.total] + cols)],
+              [ts, trace.energies, decomp.total] + cols)],
             {"m_fbs": m,
              "quasienergies": [mode.epsilon for mode in modes],
              "coefficients_sq": [float(abs(c)**2)
@@ -635,26 +634,28 @@ _KIND_STEPS = {
 KINDS = tuple(_KIND_STEPS)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
-    """Run one configured experiment: its plan (``validate_config``), then
-    its runner; returns (files, summary fragment).
-
-    Runs in one process.  ``jobs`` is accepted for existing callers and
-    must be 1.
-    """
-    if jobs != 1:
-        raise ConfigError(f"jobs must be 1, got {jobs!r}")
-    plan = validate_config(cfg)
+def run_plan(plan: _Plan, out_dir: str):
+    """Run a ``validate_config`` plan: its kind's runner, then the CSVs and
+    the sidecar in ``out_dir``; returns (files, summary fragment)."""
+    cfg = plan.cfg
     os.makedirs(out_dir, exist_ok=True)
     tables, entries, fragment = _KIND_STEPS[cfg.kind][1](plan)
     stem = cfg.label or cfg.kind
     files = [write_csv(csv_path(out_dir, stem + suffix), header, columns)
              for suffix, header, columns in tables]
-    meta = {"config": config_to_dict(plan.cfg),
+    meta = {"config": config_to_dict(cfg),
             "resolved": _schedule_meta(plan.schedule),
             "version": __version__, **entries, "columns": _COLUMNS[cfg.kind]}
     files.append(write_metadata(meta_path(out_dir, stem), meta))
     return files, {"kind": cfg.kind, "label": stem, **fragment}
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir: str, jobs: int = 1):
+    """``run_plan`` on the plan of ``validate_config(cfg)``.  Runs in one
+    process; ``jobs`` is accepted for existing callers and must be 1."""
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1, got {jobs!r}")
+    return run_plan(validate_config(cfg), out_dir)
 
 
 # ---------------------------------------------------------------------------

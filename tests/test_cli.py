@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbsim import dynamics, experiments
+from qbsim import cli, dynamics, experiments
 from qbsim.cli import main
 
 
@@ -297,6 +297,25 @@ class TestRun:
         assert "output stem 'x'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_invalid_member_writes_nothing(self, tmp_path, capsys):
+        # delta = 0.5 leaves fig1b's ideal cycles valid and its markov
+        # member not: every member is validated before any output
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "fig1b", "--set", "delta=0.5",
+                       "--out", str(out)) == 1
+        assert "kind markov: its formulas hold only at delta = 0" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overrides_apply_before_validation(self, tmp_path):
+        # the config file alone is invalid; run validates it as overridden
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("kind = markov\ndelta = 0.5\ngamma = 0.1\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--set", "delta=0",
+                       "--out", str(out)) == 0
+        assert (out / "markov.csv").exists()
+
     def test_missing_subcommand(self):
         assert run_cli() == 1
 
@@ -311,3 +330,43 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
         rows = (out / "asymptotic.csv").read_text().splitlines()
         assert len(rows) > 1 + 24  # header, then more than one period
+
+
+class TestPlans:
+    @pytest.fixture
+    def plans_built(self, monkeypatch):
+        # validate_config builds a plan; count its calls under both names
+        calls = []
+        validate = experiments.validate_config
+
+        def counting(cfg):
+            calls.append(cfg.label or cfg.kind)
+            return validate(cfg)
+
+        monkeypatch.setattr(experiments, "validate_config", counting)
+        monkeypatch.setattr(cli, "validate_config", counting)
+        return calls
+
+    def test_run_config(self, tmp_path, plans_built):
+        # the file used to be validated on parsing, in the CLI and in the
+        # runner: three plans
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("kind = asymptotic\nn_side = 4\n")
+        assert run_cli("run", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 0
+        assert plans_built == ["asymptotic"]
+
+    @pytest.mark.parametrize("argv, stems", [
+        (["--preset", "fig3b", "--set", "n_side=4"], ["oscillating"]),
+        (["--preset", "fig1b"], ["ideal-resonant", "ideal-detuned", "markov"]),
+    ], ids=["fig3b", "fig1b"])
+    def test_run_preset(self, tmp_path, plans_built, argv, stems):
+        # used to be two plans per member: the CLI's, then the runner's
+        assert run_cli("run", *argv, "--out", str(tmp_path / "out")) == 0
+        assert plans_built == stems
+
+    def test_validate(self, tmp_path, plans_built):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("kind = asymptotic\nn_side = 4\n")
+        assert run_cli("validate", str(cfg)) == 0
+        assert plans_built == ["asymptotic"]
