@@ -18,7 +18,6 @@ from .experiments import (
     PRESETS,
     parse_config_text,
     parse_overrides,
-    config_to_dict,
     run_plan,
     validate_config,
 )
@@ -60,8 +59,8 @@ def _build_parser() -> _Parser:
 
 
 def _load_configs(args):
-    """The configs as loaded and their plans, every one validated and the
-    output stems checked before anything is written."""
+    """The plans of the configs, every one validated and the output stems
+    checked before anything is written."""
     if args.preset:
         configs = list(PRESETS[args.preset])
     else:  # main reports an unreadable file as a config error
@@ -77,11 +76,11 @@ def _load_configs(args):
             raise ConfigError(f"config key label: {stems.count(stem)} runs "
                               f"share the output stem {stem!r}; give each "
                               "a distinct label")
-    return configs, plans
+    return plans
 
 
 def _cmd_run(args) -> int:
-    configs, plans = _load_configs(args)
+    plans = _load_configs(args)
     os.makedirs(args.out, exist_ok=True)
     all_files, results = [], []
     for plan in plans:
@@ -93,7 +92,7 @@ def _cmd_run(args) -> int:
     text = json.dumps({
         "preset": args.preset,
         "version": __version__,
-        "configs": [config_to_dict(cfg) for cfg in configs],
+        "configs": [dataclasses.asdict(plan.cfg) for plan in plans],
         "results": results,
         "files": [os.path.basename(p) for p in all_files],
     }, indent=2, sort_keys=True, allow_nan=False)

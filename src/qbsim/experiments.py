@@ -54,8 +54,8 @@ _DEFAULT_PERIODS = {"ideal-cycle": 3.0, "markov": 3.0,  # t_max / T if unset
 class ExperimentConfig:
     """Flat, fully-typed description of one run.
 
-    Unset optional fields resolve to kind-dependent defaults at run time;
-    the resolved values are embedded in every output's metadata.
+    Unset optional fields resolve to kind-dependent defaults at run time.
+    A kind reads only some of the run keys (``_KIND_STEPS``).
     """
 
     kind: str
@@ -97,6 +97,11 @@ _FLOAT_KEYS = tuple(k for k in _FIELDS if k not in _STR_KEYS + _INT_KEYS)
 _POSITIVE_KEYS = ("kappa", "n_side", "varpi", "q", "tau_c", "tau_d", "dt",
                   "t_max", "kappa_step")
 _NONNEGATIVE_KEYS = ("g", "tau_s", "n_samples", "gamma", "gap_tolerance")
+_SWEEP_KEYS = ("kappa_min", "kappa_max", "kappa_step")
+_SPECTRUM_KEYS = ("weight_threshold", "gap_tolerance")
+# the keys that only some kinds read (the third entry of _KIND_STEPS)
+_RUN_KEYS = ("t_max", "n_samples", "dt", "route", "kernel", "gamma",
+             *_SWEEP_KEYS, *_SPECTRUM_KEYS)
 
 
 def _coerce_value(key: str, raw: str):
@@ -148,22 +153,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def config_to_text(cfg: ExperimentConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(ExperimentConfig):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def validate_config(cfg: ExperimentConfig) -> "_Plan":
-    """Check the scalar keys, then make the kind's plan (``_KIND_STEPS``),
+    """Check the scalar keys and that the kind reads every run key set
+    away from its default, then make the kind's plan (``_KIND_STEPS``),
     the runner's own dry run: every rule a run checks before its work is
     checked here.  Returns the plan, which ``run_plan`` runs."""
     for key, allowed in (("kind", KINDS), ("route", ROUTES),
@@ -171,6 +163,13 @@ def validate_config(cfg: ExperimentConfig) -> "_Plan":
         if getattr(cfg, key) not in allowed:
             raise ConfigError(f"config key {key}: {getattr(cfg, key)!r} is "
                               f"not one of {allowed}")
+    reads = _KIND_STEPS[cfg.kind][2]
+    for key in _RUN_KEYS:  # kernel is read only by the memory routes
+        read = key in reads and not (key == "kernel" and cfg.route == "exact")
+        if not read and getattr(cfg, key) != _FIELDS[key].default:
+            where = f" on route {cfg.route}" if key == "kernel" else ""
+            raise ConfigError(f"config key {key}: kind {cfg.kind} does not "
+                              f"read it{where}; leave it unset")
     for key in _FLOAT_KEYS + _INT_KEYS:
         v = getattr(cfg, key)
         if v is None:
@@ -201,8 +200,10 @@ def validate_config(cfg: ExperimentConfig) -> "_Plan":
 def _sweep_steps(cfg: ExperimentConfig) -> float:
     """(kappa_max - kappa_min) / kappa_step: the grid has its floor + 1
     points."""
-    if None in (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step):
-        raise ConfigError("sweep requires kappa_min, kappa_max, kappa_step")
+    missing = [k for k in _SWEEP_KEYS if getattr(cfg, k) is None]
+    if missing:
+        raise ConfigError(f"kind {cfg.kind} needs its sweep grid: set "
+                          f"{', '.join(missing)}")
     return (cfg.kappa_max - cfg.kappa_min) / cfg.kappa_step
 
 
@@ -263,7 +264,7 @@ def _schedule_meta(schedule: ProtocolSchedule) -> dict:
 
 @dataclass(frozen=True)
 class _Plan:
-    cfg: ExperimentConfig       # with the kind's defaults filled in
+    cfg: ExperimentConfig       # as loaded
     params: SystemParams        # params, env and schedule at cfg.kappa
     env: LatticeEnvironment
     schedule: ProtocolSchedule
@@ -347,19 +348,17 @@ def _plan_markov(cfg):
 
 
 def _plan_dynamics(cfg):
+    """dt steps every route; unset, T/24 on the exact route and the
+    solver's default on the memory routes."""
     plan = _resolve(cfg)
-    if cfg.route != "exact" and cfg.dt is not None:
+    if cfg.dt is not None:
         step, source, rows_key = cfg.dt, "dt", "dt"
     elif cfg.route != "exact":
         step = default_time_step(plan.params, plan.env, plan.schedule)
         source, rows_key = "the solver's default; set dt", "t_max"
-    elif cfg.n_samples:
-        step, rows_key = plan.t_max / cfg.n_samples, "n_samples"
-        source = "t_max/n_samples"
     else:
         step, rows_key = plan.schedule.period / _SAMPLES_PER_PERIOD, "t_max"
-        source = (f"T/{_SAMPLES_PER_PERIOD}; set n_samples to step by "
-                  "t_max/n_samples")
+        source = f"T/{_SAMPLES_PER_PERIOD}; set dt"
     _check_grid(plan.schedule, plan.t_max, step, source, rows_key)
     if cfg.route == "exact":  # the memory routes build no propagators
         check_memory(plan.env, cfg.delta)
@@ -392,10 +391,6 @@ def _plan_bound_states(cfg):
 def _plan_perturbation(cfg):
     if cfg.delta != 0.0:
         raise ValueError("its formulas hold only at delta = 0")
-    if None in (cfg.kappa_min, cfg.kappa_max, cfg.kappa_step):
-        # without a full sweep grid it covers kappa = 5..15
-        cfg = dataclasses.replace(cfg, kappa_min=5.0, kappa_max=15.0,
-                                  kappa_step=0.5)
     plan = _resolve(cfg, points=_sweep_points(cfg, 1))
     for kappa, _, schedule in plan.points:
         _check_protocol(kappa, schedule)
@@ -620,16 +615,21 @@ def _run_nonresonant(plan):
             summary)
 
 
-# kind -> (plan, runner), for every kind
+# kind -> (plan, runner, the run keys it reads), for every kind
 _KIND_STEPS = {
-    "ideal-cycle": (_plan_cycle, _run_ideal_cycle),
-    "markov": (_plan_markov, _run_markov),
-    "dynamics": (_plan_dynamics, _run_dynamics),
-    "kappa-sweep": (_plan_spectrum, _run_kappa_sweep),
-    "spectrum": (_plan_spectrum, _run_spectrum),
-    "asymptotic": (_plan_bound_states, _run_asymptotic),
-    "perturbation": (_plan_perturbation, _run_perturbation),
-    "nonresonant": (_plan_bound_states, _run_nonresonant),
+    "ideal-cycle": (_plan_cycle, _run_ideal_cycle, ("t_max", "n_samples")),
+    "markov": (_plan_markov, _run_markov, ("t_max", "n_samples", "gamma")),
+    "dynamics": (_plan_dynamics, _run_dynamics,
+                 ("t_max", "dt", "route", "kernel")),
+    "kappa-sweep": (_plan_spectrum, _run_kappa_sweep,
+                    _SWEEP_KEYS + _SPECTRUM_KEYS),
+    "spectrum": (_plan_spectrum, _run_spectrum, _SPECTRUM_KEYS),
+    "asymptotic": (_plan_bound_states, _run_asymptotic,
+                   ("t_max", *_SPECTRUM_KEYS)),
+    "perturbation": (_plan_perturbation, _run_perturbation,
+                     _SWEEP_KEYS + _SPECTRUM_KEYS),
+    "nonresonant": (_plan_bound_states, _run_nonresonant,
+                    ("t_max", *_SPECTRUM_KEYS)),
 }
 KINDS = tuple(_KIND_STEPS)
 
@@ -643,7 +643,7 @@ def run_plan(plan: _Plan, out_dir: str):
     stem = cfg.label or cfg.kind
     files = [write_csv(csv_path(out_dir, stem + suffix), header, columns)
              for suffix, header, columns in tables]
-    meta = {"config": config_to_dict(cfg),
+    meta = {"config": dataclasses.asdict(cfg),
             "resolved": _schedule_meta(plan.schedule),
             "version": __version__, **entries, "columns": _COLUMNS[cfg.kind]}
     files.append(write_metadata(meta_path(out_dir, stem), meta))

@@ -62,17 +62,18 @@ class TestValidate:
         # segments
         ("kind = asymptotic\ntau_s = 0.5\n", "multiples of T/24"),
         # the perturbative formulas need equal segments and resonance
-        ("kind = perturbation\ntau_s = 0.3\n", "equal protocol segments"),
+        ("kind = perturbation\ntau_s = 0.3\nkappa_min = 5\nkappa_max = 6\n"
+         "kappa_step = 1\n", "equal protocol segments"),
         ("kind = perturbation\ndelta = 0.5\n", "delta = 0"),
         ("kind = nonresonant\ndelta = 0.5\nkappa = 8\ntau_s = 0.5\n",
          "equal protocol segments"),
-        # T = pi/2 on the half-swap segments.  t_max/n_samples = 0.2805
-        # used to snap to T/6 and write 9 rows to t = 2.094; t_max = 2 is
+        # T = pi/2 on the half-swap segments.  A step of 0.2805 used to
+        # snap to T/6 and write 9 rows to t = 2.094; t_max = 2 is
         # no whole number of T/24 (used to end at t = 2.029), of the
         # default memory-route step (t = 2.00277) or of the asymptotic
         # trace step (t = 2.02895)
-        ("kind = dynamics\nroute = exact\nn_samples = 7\nt_max = 1.9635\n",
-         "whole steps; the step is t_max/n_samples"),
+        ("kind = dynamics\nroute = exact\ndt = 0.2805\nt_max = 1.9635\n",
+         "whole steps; the step is dt"),
         ("kind = dynamics\nt_max = 2.0\n",
          "t_max = 2: it must divide each into whole steps; the step is T/24"),
         ("kind = dynamics\nroute = volterra\nt_max = 2.0\n",
@@ -83,10 +84,22 @@ class TestValidate:
          "solver's default"),
         ("kind = asymptotic\nt_max = 2.0\n",
          "t_max = 2: it must divide each into whole steps; the step is T/24"),
+        # these used to run something other than what they say: memory-
+        # route keys on a kind that traces on the exact route at T/24, an
+        # exact run that ignored its dt for T/24, and a partial grid filled
+        # in to 21 points from kappa = 5
+        ("kind = asymptotic\nroute = volterra\nkernel = continuum\n"
+         "dt = 0.001\nn_samples = 5\n",
+         "config key n_samples: kind asymptotic does not read it"),
+        ("kind = dynamics\nroute = exact\ndt = 0.0123\n",
+         "whole steps; the step is dt"),
+        ("kind = perturbation\nkappa_min = 12\n",
+         "kind perturbation needs its sweep grid: set kappa_max, kappa_step"),
     ], ids=["asymptotic-tau_s", "perturbation-tau_s", "perturbation-delta",
-            "nonresonant-tau_s", "exact-n_samples",
+            "nonresonant-tau_s", "exact-dt",
             "exact-t_max", "volterra-t_max", "volterra-pm-t_max",
-            "asymptotic-t_max"])
+            "asymptotic-t_max", "asymptotic-memory-keys", "exact-unaligned-dt",
+            "perturbation-partial-grid"])
     def test_rejected_config(self, tmp_path, capsys, body, reason):
         # each of these used to validate and then fail the run, or run and
         # write rows off the requested grid: now both commands reject it

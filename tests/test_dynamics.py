@@ -630,14 +630,14 @@ class TestGridContract:
             dynamics._build_grid(self.SCHEDULE, t_max, dt)
 
     @pytest.mark.parametrize("keys", [
-        dict(kind="dynamics", route="exact", n_samples=12),
+        dict(kind="dynamics", route="exact", dt=np.pi / 12),
         dict(kind="dynamics", route="volterra"),
         dict(kind="dynamics", route="volterra-pm"),
         dict(kind="asymptotic"),
     ], ids=["exact", "volterra", "volterra-pm", "asymptotic"])
     def test_trace_ends_on_t_max(self, tmp_path, keys):
         # kappa = 3: T = pi/2, and t_max = 2T is whole steps of T/6 (exact,
-        # t_max/n_samples), T/120 (the memory routes' default) and T/24
+        # dt), T/120 (the memory routes' default) and T/24
         period = np.pi / 2
         cfg = ExperimentConfig(n_side=4, t_max=2 * period, **keys)
         files, _ = run_experiment(cfg, tmp_path)

@@ -2,9 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,12 @@ import pytest
 import qbsim
 from qbsim import (dynamics, environment, errors, experiments, floquet, ideal,
                    markovian, model, perturbation)
+from qbsim.cli import main
 from qbsim.errors import ConfigError
 from qbsim.experiments import (
     KINDS,
     PRESETS,
     ExperimentConfig,
-    config_to_dict,
-    config_to_text,
     parse_config_text,
     parse_overrides,
     resolve_schedule,
@@ -30,12 +30,6 @@ from qbsim.output import format_float, write_csv, write_metadata
 
 
 class TestConfigParsing:
-    def test_round_trip(self):
-        cfg = ExperimentConfig(kind="dynamics", label="demo", kappa=4.5,
-                               n_side=12, route="volterra",
-                               dt=np.pi / 9 / 350)
-        assert parse_config_text(config_to_text(cfg)) == cfg
-
     def test_comments_and_blanks(self):
         text = "# a demo\nkind = spectrum\n\nkappa = 8.0  # strong drive\n"
         cfg = parse_config_text(text)
@@ -128,7 +122,8 @@ class TestValidation:
         dict(kind="dynamics", tau_s=0.5),
         dict(kind="dynamics", tau_s=0.5, route="volterra"),
         # the perturbative formulas need equal segments and resonance
-        dict(kind="perturbation", tau_s=0.3),
+        dict(kind="perturbation", tau_s=0.3, kappa_min=5.0, kappa_max=6.0,
+             kappa_step=1.0),
         dict(kind="nonresonant", delta=0.5, kappa=8.0, tau_s=0.5),
         dict(kind="perturbation", delta=0.5),
     ], ids=["asymptotic", "dynamics-exact", "dynamics-volterra",
@@ -159,24 +154,24 @@ class TestValidation:
 
     @pytest.mark.parametrize("keys, advice", [
         (dict(kind="asymptotic"), "multiples of T/24"),
-        (dict(kind="dynamics"), "t_max/n_samples"),
-        (dict(kind="dynamics", n_samples=100), "t_max/n_samples"),
+        (dict(kind="dynamics"), "T/24; set dt"),
+        (dict(kind="dynamics", dt=0.01), "the step is dt"),
         (dict(kind="dynamics", route="volterra"), "set dt"),
         # T/24 snaps to T/25 on these segments, off the T/24 grid that the
         # trace and the modes share
         (dict(kind="asymptotic", tau_c=0.4, tau_s=0.4, tau_d=0.2, t_max=2.0),
          "multiples of T/24"),
-    ], ids=["asymptotic", "dynamics-exact", "dynamics-exact-samples",
+    ], ids=["asymptotic", "dynamics-exact", "dynamics-exact-dt",
             "dynamics-volterra", "asymptotic-snapped"])
     def test_alignment_names_step_source(self, keys, advice):
         # the message names what sets the step of that kind; asymptotic
-        # and exact runs have no dt to pass
+        # runs have no dt to pass
         with pytest.raises(ConfigError) as err:
             validate_config(ExperimentConfig(**{"n_side": 4, "tau_s": 0.5,
                                                 **keys}))
         assert "aligned" in str(err.value)
         assert advice in str(err.value)
-        if keys.get("route", "exact") == "exact":
+        if keys["kind"] == "asymptotic":
             assert "dt" not in str(err.value).split(";")[-1]
 
     def test_unequal_spectrum_accepted(self):
@@ -190,14 +185,14 @@ class TestValidation:
         (dict(kind="ideal-cycle", n_samples=10**15), "n_samples"),
         (dict(kind="markov", gamma=0.5, n_samples=10**15), "n_samples"),
         (dict(kind="dynamics", t_max=1e15), "t_max"),
-        (dict(kind="dynamics", n_samples=10**15), "n_samples"),
+        (dict(kind="dynamics", dt=1e-15), "dt"),
         (dict(kind="dynamics", route="volterra", dt=1e-15), "dt"),
         (dict(kind="dynamics", route="volterra-pm", t_max=1e15), "t_max"),
         (dict(kind="asymptotic", t_max=1e15), "t_max"),
         (dict(kind="nonresonant", delta=0.5, kappa=15.0, t_max=1e15),
          "t_max"),
     ], ids=["kappa-sweep", "perturbation", "ideal-cycle", "markov",
-            "exact-t_max", "exact-n_samples", "volterra-dt", "volterra-t_max",
+            "exact-t_max", "exact-dt", "volterra-dt", "volterra-t_max",
             "asymptotic", "nonresonant"])
     def test_row_count_cap(self, keys, key):
         # 1e15 rows or more: these used to die in numpy allocating
@@ -230,6 +225,51 @@ class TestValidation:
         assert vals[-1] == pytest.approx(6.0)
         wide = replace(cfg, kappa_min=5.0, kappa_max=15.0, kappa_step=0.5)
         assert len(sweep_grid_values(wide)) == 21
+
+    @pytest.mark.parametrize("keys, key", [
+        # memory-route keys on a kind that traces on the exact route at
+        # T/24: n_samples is the first run key checked
+        (dict(kind="asymptotic", route="volterra", kernel="continuum",
+              dt=0.001, n_samples=5), "n_samples"),
+        # dt steps the exact route, and 0.0123 divides no segment
+        (dict(kind="dynamics", route="exact", dt=0.0123), "the step is dt"),
+        # a partial grid used to run the 21 points from kappa = 5
+        (dict(kind="perturbation", kappa_min=12.0), "set kappa_max, kappa_step"),
+        (dict(kind="ideal-cycle", gamma=0.5), "gamma"),
+        (dict(kind="markov", gamma=0.5, dt=0.01), "dt"),
+        # T/6 on the half-swap segments at kappa = 3 (T = pi/2)
+        (dict(kind="dynamics", t_max=np.pi, n_samples=12), "n_samples"),
+        (dict(kind="dynamics", kernel="continuum"), "kernel"),
+        (dict(kind="dynamics", route="volterra", weight_threshold=0.5),
+         "weight_threshold"),
+        (dict(kind="kappa-sweep", kappa_min=3.0, kappa_max=4.0,
+              kappa_step=1.0, t_max=1.0), "t_max"),
+        (dict(kind="spectrum", kappa_step=0.5), "kappa_step"),
+        (dict(kind="asymptotic", gamma=0.5), "gamma"),
+        (dict(kind="perturbation", kappa_min=5.0, kappa_max=6.0,
+              kappa_step=1.0, route="volterra-pm"), "route"),
+        (dict(kind="nonresonant", delta=0.5, kappa=8.0, gap_tolerance=0.1,
+              n_samples=24), "n_samples"),
+    ], ids=["asymptotic-memory-keys", "exact-unaligned-dt",
+            "perturbation-partial-grid", "ideal-cycle-gamma", "markov-dt",
+            "dynamics-n_samples", "exact-kernel", "dynamics-threshold",
+            "kappa-sweep-t_max", "spectrum-grid", "asymptotic-gamma",
+            "perturbation-route", "nonresonant-n_samples"])
+    def test_run_key_read_or_rejected(self, keys, key):
+        # each of these used to validate and run something other than what
+        # the config says: a key the kind does not read, a step that did
+        # not step the route, a grid filled in around a partial one
+        with pytest.raises(ConfigError) as err:
+            validate_config(ExperimentConfig(n_side=4, **keys))
+        assert re.search(rf"\b{key}\b", str(err.value)), err.value
+        assert f"kind {keys['kind']}" in str(err.value)
+
+    def test_run_keys_at_default_accepted(self):
+        # a run key set to its default means nothing to a kind that does not
+        # read it, so it is not rejected
+        validate_config(ExperimentConfig(
+            kind="spectrum", n_side=4, route="exact", kernel="discrete",
+            n_samples=0, weight_threshold=0.05))
 
 
 class TestPackageSurface:
@@ -297,6 +337,22 @@ spec = qbsim.quasienergy_spectrum(
 step("quasienergy_spectrum")
 print(json.dumps([loaded, spec.dimension]))
 """
+
+
+class TestRecordedConfigs:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_sidecar_config_is_the_loaded_config(self, tmp_path, preset):
+        # every run records the config as loaded, with no key filled in,
+        # and its sidecar and summary.json record the same one
+        assert main(["run", "--preset", preset, "--set", "n_side=4",
+                     "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["configs"] == [asdict(replace(cfg, n_side=4))
+                                      for cfg in PRESETS[preset]]
+        for cfg, result in zip(summary["configs"], summary["results"],
+                               strict=True):
+            meta = tmp_path / f"{result['label']}.meta.json"
+            assert json.loads(meta.read_text())["config"] == cfg
 
 
 class TestScheduleResolution:

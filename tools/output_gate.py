@@ -9,9 +9,9 @@ gate/change/<tier>/<run> under the repository root, in two tiers:
 * ``n_side-6``: each preset at n_side = 6, and beside them the runs of
   ``EXTRA_RUNS``, which take paths that no preset reaches: the
   memory-kernel routes (the lab frame at and off resonance, the rotating
-  frame at and off resonance), spectra on unequal drive segments, and a
+  frame at and off resonance), spectra on unequal drive segments, a
   spectrum that stores the vectors of fewer modes than the default
-  threshold would;
+  threshold would, and the ``spectrum`` kind;
 * ``own-size``: each preset at its own n_side, where paths that depend on
   the lattice size (near-threshold flags, clustered band eigenvalues)
   can differ.
@@ -61,6 +61,8 @@ EXTRA_RUNS = [
     # at n_side 6 only the weight-0.95 mode of the two bound states (0.86,
     # 0.95) keeps its vector, and the looser gap flags and samples it
     ("fig3b-threshold", "fig3b", ["weight_threshold=0.9", "gap_tolerance=0.1"]),
+    # the one kind that no preset runs
+    ("fig3b-spectrum", "fig3b", ["kind=spectrum"]),
 ]
 
 
