@@ -14,6 +14,7 @@ superposition of each set of degenerate modes (a frequency shell) couples
 to the emitter; ``LatticeEnvironment.shells`` groups the modes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -86,7 +87,12 @@ class LatticeEnvironment:
         SHELL_TOLERANCE * (|varpi| + 4q); degenerate modes differ only by
         rounding (about 1e-15).  There are 19, 61, 111 and 1301 shells at
         n_side = 10, 20, 30 and 100, at every tolerance from 1e-13 to 1e-10.
+        Grouped once per environment, as read-only arrays.
         """
+        return self._shells
+
+    @functools.cached_property
+    def _shells(self) -> Shells:
         w = self.mode_frequencies()
         order = np.argsort(w, kind="stable")
         tol = SHELL_TOLERANCE * (abs(self.varpi) + 4.0 * self.q)
@@ -95,6 +101,8 @@ class LatticeEnvironment:
         index = np.empty(w.size, dtype=int)
         index[order] = np.repeat(np.arange(starts.size), mult)
         freqs = np.add.reduceat(w[order], starts) / mult
+        for a in (freqs, mult, index):
+            a.flags.writeable = False
         return Shells(frequencies=freqs, multiplicities=mult, index=index)
 
 

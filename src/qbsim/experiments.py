@@ -14,8 +14,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (MEMORY_CAP, SegmentPropagators, _build_grid,
-                       check_memory, default_time_step, propagate_exact,
-                       solve_volterra)
+                       _whole_step, check_memory, default_time_step,
+                       propagate_exact, solve_volterra)
 from .environment import LatticeEnvironment
 from .errors import ConfigError, MemoryCapError
 from .floquet import (
@@ -40,10 +40,10 @@ from .perturbation import (
 
 ROUTES = ("exact", "volterra", "volterra-pm")
 KERNELS = ("discrete", "continuum")
-# samples per drive period used by the trace-producing kinds
+# samples per drive period of the bound-state kinds, and dt unset, exact runs
 _SAMPLES_PER_PERIOD = 24
-# ideal-cycle and markov samples over t_max when n_samples is unset
-_CYCLE_SAMPLES = 720
+# ideal-cycle and markov steps per period if dt is unset: fig1b's T/240
+_CYCLE_STEPS = 240
 # bytes per output row, charged against MEMORY_CAP (_check_rows)
 _BYTES_PER_ROW = 1000
 _DEFAULT_PERIODS = {"ideal-cycle": 3.0, "markov": 3.0,  # t_max / T if unset
@@ -77,7 +77,6 @@ class ExperimentConfig:
     route: str = "exact"
     dt: float | None = None
     t_max: float | None = None
-    n_samples: int = 0
     kernel: str = "discrete"
     # sweep grid
     kappa_min: float | None = None
@@ -92,16 +91,16 @@ class ExperimentConfig:
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _STR_KEYS = ("kind", "label", "route", "kernel")
-_INT_KEYS = ("n_side", "n_samples")
+_INT_KEYS = ("n_side",)
 _FLOAT_KEYS = tuple(k for k in _FIELDS if k not in _STR_KEYS + _INT_KEYS)
 _POSITIVE_KEYS = ("kappa", "n_side", "varpi", "q", "tau_c", "tau_d", "dt",
                   "t_max", "kappa_step")
-_NONNEGATIVE_KEYS = ("g", "tau_s", "n_samples", "gamma", "gap_tolerance")
+_NONNEGATIVE_KEYS = ("g", "tau_s", "gamma", "gap_tolerance")
 _SWEEP_KEYS = ("kappa_min", "kappa_max", "kappa_step")
 _SPECTRUM_KEYS = ("weight_threshold", "gap_tolerance")
 # the keys that only some kinds read (the third entry of _KIND_STEPS)
-_RUN_KEYS = ("t_max", "n_samples", "dt", "route", "kernel", "gamma",
-             *_SWEEP_KEYS, *_SPECTRUM_KEYS)
+_RUN_KEYS = ("t_max", "dt", "route", "kernel", "gamma", *_SWEEP_KEYS,
+             *_SPECTRUM_KEYS)
 
 
 def _coerce_value(key: str, raw: str):
@@ -270,7 +269,7 @@ class _Plan:
     schedule: ProtocolSchedule
     t_max: float | None         # trace horizon, of the kinds that have one
     step: float | None = None   # trace step: whole steps to t_max
-    times: np.ndarray | None = None  # bound-state kinds' T/24 sample times
+    times: np.ndarray | None = None  # trace sample times, 0 to t_max
     points: tuple = ()          # (kappa, params, schedule) per sweep point
     rates: dict | None = None   # markov gamma and lamb_shift
 
@@ -290,8 +289,8 @@ def _check_rows(rows: float, key: str) -> None:
     float before anything is allocated, exceed MEMORY_CAP at
     _BYTES_PER_ROW each.  A row is held as floats, formatted cells and a
     CSV line until its file is written: measured tracemalloc peaks at 1e5
-    rows are 263 bytes a row for the two-column traces, 415 for
-    kappa-sweep and 690 for asymptotic with two bound states."""
+    rows are 251 bytes a row for the two-column traces, 372 for
+    kappa-sweep and 652 for asymptotic with two bound states."""
     required = rows * _BYTES_PER_ROW
     if required > MEMORY_CAP:
         raise ConfigError(f"config key {key}: {rows:.3g} output rows need "
@@ -299,14 +298,20 @@ def _check_rows(rows: float, key: str) -> None:
                           f"cap of {MEMORY_CAP / 1e9:.3g} GB")
 
 
-def _check_grid(schedule, t_max, step, source, key):
-    """``_build_grid`` after ``_check_rows`` on its rows, or one period's
-    steps if more, with the alignment error naming what set the step."""
-    _check_rows(max(t_max, schedule.period) / step + 1, key)
+def _check_grid(plan, default, source):
+    """``plan`` with its trace step, dt or unset ``default(plan)``, and
+    the times of ``_build_grid``, after ``_check_rows`` on its rows (or one
+    period's steps if more).  ``source`` names the default in errors."""
+    dt = plan.cfg.dt
+    step, key, source = ((default(plan), "t_max", source) if dt is None
+                         else (dt, "dt", "dt"))
+    _check_rows(max(plan.t_max, plan.schedule.period) / step + 1, key)
     try:
-        return _build_grid(schedule, t_max, step)
+        h, n_steps, _ = _build_grid(plan.schedule, plan.t_max, step)
     except ValueError as exc:
         raise ValueError(f"{exc}; the step is {source}") from None
+    return dataclasses.replace(plan, step=step,
+                               times=np.arange(n_steps + 1) * h)
 
 
 def _sweep_points(cfg, rows_per_point):
@@ -323,9 +328,10 @@ def _sweep_points(cfg, rows_per_point):
 
 
 def _plan_cycle(cfg):
-    """ideal-cycle, and markov's start: n_samples + 1 rows."""
-    _check_rows((cfg.n_samples or _CYCLE_SAMPLES) + 1, "n_samples")
-    return _resolve(cfg)
+    """ideal-cycle, and markov's start: dt unset is T/240 in whole steps."""
+    return _check_grid(_resolve(cfg), lambda p: _whole_step(
+        p.schedule, p.schedule.period / _CYCLE_STEPS),
+        f"T/{_CYCLE_STEPS} in whole steps; set dt")
 
 
 def _plan_markov(cfg):
@@ -350,19 +356,14 @@ def _plan_markov(cfg):
 def _plan_dynamics(cfg):
     """dt steps every route; unset, T/24 on the exact route and the
     solver's default on the memory routes."""
-    plan = _resolve(cfg)
-    if cfg.dt is not None:
-        step, source, rows_key = cfg.dt, "dt", "dt"
-    elif cfg.route != "exact":
-        step = default_time_step(plan.params, plan.env, plan.schedule)
-        source, rows_key = "the solver's default; set dt", "t_max"
-    else:
-        step, rows_key = plan.schedule.period / _SAMPLES_PER_PERIOD, "t_max"
-        source = f"T/{_SAMPLES_PER_PERIOD}; set dt"
-    _check_grid(plan.schedule, plan.t_max, step, source, rows_key)
-    if cfg.route == "exact":  # the memory routes build no propagators
-        check_memory(plan.env, cfg.delta)
-    return dataclasses.replace(plan, step=step)
+    if cfg.route != "exact":  # the memory routes build no propagators
+        return _check_grid(_resolve(cfg), lambda p: default_time_step(
+            p.params, p.env, p.schedule), "the solver's default; set dt")
+    n = _SAMPLES_PER_PERIOD
+    plan = _check_grid(_resolve(cfg), lambda p: p.schedule.period / n,
+                       f"T/{n}; set dt")
+    check_memory(plan.env, cfg.delta)
+    return plan
 
 
 def _plan_spectrum(cfg):
@@ -378,14 +379,10 @@ def _plan_bound_states(cfg):
     n = _SAMPLES_PER_PERIOD
     if cfg.kind == "nonresonant":  # the zeroth-order modes' protocol
         _check_protocol(cfg.kappa, resolve_schedule(cfg))
-    plan = _resolve(cfg)
-    h, n_steps, _ = _check_grid(
-        plan.schedule, plan.t_max, plan.schedule.period / n,
-        f"T/{n}, so the segments and t_max must be multiples of T/{n}",
-        "t_max")
+    plan = _check_grid(_resolve(cfg), lambda p: p.schedule.period / n,
+                       f"T/{n}: segments and t_max must be multiples of T/{n}")
     check_memory(plan.env, cfg.delta, spectrum=True)
-    return dataclasses.replace(plan, step=plan.schedule.period / n,
-                               times=np.arange(n_steps + 1) * h)
+    return plan
 
 
 def _plan_perturbation(cfg):
@@ -429,7 +426,7 @@ _COLUMNS = {
         "eps2_plus/eps2_minus": "second-order corrections",
         "splitting_*": "bound-state splitting by method",
         "energy_closed_form":
-            "analytic beating energy at kappa_max (absolute)"},
+            "analytic beating energy at the last grid point (absolute)"},
     "nonresonant": {
         "index": "bound-state index",
         "weight_battery/weight_charger": "|<b|phi>|^2, |<c|phi>|^2",
@@ -441,8 +438,7 @@ _COLUMNS = {
 
 
 def _run_ideal_cycle(plan):
-    ts = np.linspace(0.0, plan.t_max,
-                     (plan.cfg.n_samples or _CYCLE_SAMPLES) + 1)
+    ts = plan.times
     return ([("", ["t", "energy"],
               [ts, ideal_energy(plan.params, plan.schedule, ts)])],
             {}, {"peak_energy": ideal_peak_energy(plan.params),
@@ -450,11 +446,9 @@ def _run_ideal_cycle(plan):
 
 
 def _run_markov(plan):
-    ts = np.linspace(0.0, plan.t_max,
-                     (plan.cfg.n_samples or _CYCLE_SAMPLES) + 1)
-    energies = markov_energy(plan.params, plan.schedule, plan.rates["gamma"],
-                             ts)
-    return [("", ["t", "energy"], [ts, energies])], plan.rates, plan.rates
+    ts, rates = plan.times, plan.rates
+    energies = markov_energy(plan.params, plan.schedule, rates["gamma"], ts)
+    return [("", ["t", "energy"], [ts, energies])], rates, rates
 
 
 def _run_dynamics(plan):
@@ -617,8 +611,8 @@ def _run_nonresonant(plan):
 
 # kind -> (plan, runner, the run keys it reads), for every kind
 _KIND_STEPS = {
-    "ideal-cycle": (_plan_cycle, _run_ideal_cycle, ("t_max", "n_samples")),
-    "markov": (_plan_markov, _run_markov, ("t_max", "n_samples", "gamma")),
+    "ideal-cycle": (_plan_cycle, _run_ideal_cycle, ("t_max", "dt")),
+    "markov": (_plan_markov, _run_markov, ("t_max", "dt", "gamma")),
     "dynamics": (_plan_dynamics, _run_dynamics,
                  ("t_max", "dt", "route", "kernel")),
     "kappa-sweep": (_plan_spectrum, _run_kappa_sweep,

@@ -15,24 +15,21 @@ __all__ = ["format_float", "write_csv", "write_metadata", "csv_path", "meta_path
 
 
 def format_float(x) -> str:
-    """17-significant-digit decimal form, enough to round-trip a double."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+    """17-significant-digit decimal form, enough to round-trip a double;
+    bools and integers as ``%d``."""
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
+        return "%d" % x
+    return "%.17g" % float(x)
 
 
-def _format_column(col: np.ndarray) -> list[str]:
-    """``format_float`` of every entry, with one formatter per column dtype."""
-    values = col.tolist()
-    if col.dtype == np.bool_:
-        return ["1" if v else "0" for v in values]
-    if col.dtype.kind in "iu":
-        return list(map(str, values))
+def _cell_format(col: np.ndarray) -> tuple[str, list]:
+    """A ``%`` conversion and the values it turns into ``format_float``'s
+    text: ``%d`` or ``%.17g`` by dtype, else the text itself as ``%s``."""
+    if col.dtype == np.bool_ or col.dtype.kind in "iu":
+        return "%d", col.tolist()
     if col.dtype.kind == "f" and col.dtype.itemsize <= 8:
-        return list(map("{:.17g}".format, values))
-    return [format_float(v) for v in col]
+        return "%.17g", col.tolist()
+    return "%s", [format_float(v) for v in col]
 
 
 def write_csv(path: str, header: list[str], columns: list) -> str:
@@ -43,8 +40,9 @@ def write_csv(path: str, header: list[str], columns: list) -> str:
     n = cols[0].shape[0]
     if any(c.shape[0] != n for c in cols):
         raise ValueError("columns must have equal length")
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_format_column, cols))))
+    formats, values = zip(*map(_cell_format, cols))
+    row = ",".join(formats)
+    lines = [",".join(header)] + [row % cells for cells in zip(*values)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

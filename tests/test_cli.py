@@ -84,13 +84,16 @@ class TestValidate:
          "solver's default"),
         ("kind = asymptotic\nt_max = 2.0\n",
          "t_max = 2: it must divide each into whole steps; the step is T/24"),
+        # no step of about T/240 divides pi/6, 0.5 and pi/6
+        ("kind = ideal-cycle\ntau_s = 0.5\n",
+         "whole steps; the step is T/240 in whole steps; set dt"),
         # these used to run something other than what they say: memory-
         # route keys on a kind that traces on the exact route at T/24, an
         # exact run that ignored its dt for T/24, and a partial grid filled
         # in to 21 points from kappa = 5
         ("kind = asymptotic\nroute = volterra\nkernel = continuum\n"
-         "dt = 0.001\nn_samples = 5\n",
-         "config key n_samples: kind asymptotic does not read it"),
+         "dt = 0.001\n",
+         "config key dt: kind asymptotic does not read it"),
         ("kind = dynamics\nroute = exact\ndt = 0.0123\n",
          "whole steps; the step is dt"),
         ("kind = perturbation\nkappa_min = 12\n",
@@ -98,7 +101,8 @@ class TestValidate:
     ], ids=["asymptotic-tau_s", "perturbation-tau_s", "perturbation-delta",
             "nonresonant-tau_s", "exact-dt",
             "exact-t_max", "volterra-t_max", "volterra-pm-t_max",
-            "asymptotic-t_max", "asymptotic-memory-keys", "exact-unaligned-dt",
+            "asymptotic-t_max", "ideal-cycle-tau_s", "asymptotic-memory-keys",
+            "exact-unaligned-dt",
             "perturbation-partial-grid"])
     def test_rejected_config(self, tmp_path, capsys, body, reason):
         # each of these used to validate and then fail the run, or run and
@@ -132,27 +136,31 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert run_cli("validate", str(tmp_path / "nope.cfg")) == 1
 
-    def test_n_offsets_removed(self, tmp_path, capsys):
-        # the bound states are sampled on the trace's own T/24 grid; the key
-        # is unknown in a config file and in --set alike
+    @pytest.mark.parametrize("key, kind, preset", [
+        # the bound states are sampled on the trace's own T/24 grid
+        ("n_offsets", "asymptotic", "fig3b"),
+        # dt steps the cycle kinds, as it does every dynamics route
+        ("n_samples", "ideal-cycle", "fig1b")], ids=["n_offsets", "n_samples"])
+    def test_removed_key(self, tmp_path, capsys, key, kind, preset):
+        # the key is unknown in a config file and in --set alike
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("kind = asymptotic\nn_side = 4\nn_offsets = 24\n")
+        cfg.write_text(f"kind = {kind}\nn_side = 4\n{key} = 24\n")
         assert run_cli("validate", str(cfg)) == 1
-        assert "unknown config key: n_offsets" in capsys.readouterr().err
+        assert f"unknown config key: {key}" in capsys.readouterr().err
         out = tmp_path / "out"
-        assert run_cli("run", "--preset", "fig3b", "--set", "n_side=4",
-                       "--set", "n_offsets=24", "--out", str(out)) == 1
-        assert "unknown config key: n_offsets" in capsys.readouterr().err
+        assert run_cli("run", "--preset", preset, "--set", "n_side=4",
+                       "--set", f"{key}=5", "--out", str(out)) == 1
+        assert f"unknown config key: {key}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_row_count_rejected_before_output(self, tmp_path, capsys):
         # 1e15 samples used to validate, then make the output directory
         # and die in numpy allocating 7 PiB for the sample times
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("kind = ideal-cycle\nn_samples = 1000000000000000\n")
+        cfg.write_text("kind = ideal-cycle\ndt = 1e-15\n")
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
-        assert "config error: config key n_samples" in capsys.readouterr().err
+        assert "config error: config key dt" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("body", [
@@ -170,10 +178,10 @@ class TestValidate:
         cfg.write_text(body + "n_side = 6\n")
         assert run_cli("validate", str(cfg)) == 1
         assert "exceeds cap" in capsys.readouterr().err
-        # memory-kernel routes build no propagators
-        cfg.write_text(body + "n_side = 6\nroute = volterra\n")
-        expected = 0 if body == "kind = dynamics\n" else 1
-        assert run_cli("validate", str(cfg)) == expected
+        if body == "kind = dynamics\n":  # the one kind that reads route
+            # memory-kernel routes build no propagators
+            cfg.write_text(body + "n_side = 6\nroute = volterra\n")
+            assert run_cli("validate", str(cfg)) == 0
 
 
     @pytest.mark.parametrize("body, expected", [
@@ -222,6 +230,13 @@ class TestRun:
         assert "created_at" not in summary  # summary itself is reproducible
         printed = capsys.readouterr().out
         assert "ideal-resonant.csv" in printed
+        # T/240 by default: 720 steps over the default 3T
+        for name in ("ideal-resonant", "ideal-detuned", "markov"):
+            t = np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1,
+                           usecols=0)
+            assert t.size == 721
+            np.testing.assert_allclose(np.diff(t), 4 * np.pi / 15 / 240,
+                                       rtol=1e-12)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -242,10 +257,11 @@ class TestRun:
 
     def test_preset_override_applies_to_all(self, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("run", "--preset", "fig1b", "--set", "n_samples=24",
-                       "--out", str(out)) == 0
+        # T/8 on fig1b's segments (T = 4 pi/15): 24 steps over 3T
+        assert run_cli("run", "--preset", "fig1b", "--set",
+                       "dt=0.10471975511965977", "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert all(c["n_samples"] == 24 for c in summary["configs"])
+        assert all(c["dt"] == np.pi / 30 for c in summary["configs"])
         rows = (out / "markov.csv").read_text().splitlines()
         assert len(rows) == 26
 

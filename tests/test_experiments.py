@@ -182,8 +182,9 @@ class TestValidation:
               kappa_step=1e-15), "kappa_step"),
         (dict(kind="perturbation", kappa_min=5.0, kappa_max=6.0,
               kappa_step=1e-15), "kappa_step"),
-        (dict(kind="ideal-cycle", n_samples=10**15), "n_samples"),
-        (dict(kind="markov", gamma=0.5, n_samples=10**15), "n_samples"),
+        (dict(kind="ideal-cycle", dt=1e-15), "dt"),
+        (dict(kind="markov", gamma=0.5, dt=1e-15), "dt"),
+        (dict(kind="ideal-cycle", t_max=1e15), "t_max"),
         (dict(kind="dynamics", t_max=1e15), "t_max"),
         (dict(kind="dynamics", dt=1e-15), "dt"),
         (dict(kind="dynamics", route="volterra", dt=1e-15), "dt"),
@@ -192,8 +193,8 @@ class TestValidation:
         (dict(kind="nonresonant", delta=0.5, kappa=15.0, t_max=1e15),
          "t_max"),
     ], ids=["kappa-sweep", "perturbation", "ideal-cycle", "markov",
-            "exact-t_max", "exact-dt", "volterra-dt", "volterra-t_max",
-            "asymptotic", "nonresonant"])
+            "ideal-cycle-t_max", "exact-t_max", "exact-dt", "volterra-dt",
+            "volterra-t_max", "asymptotic", "nonresonant"])
     def test_row_count_cap(self, keys, key):
         # 1e15 rows or more: these used to die in numpy allocating
         # petabytes, or validate and then do so in the run; the plan now
@@ -203,13 +204,13 @@ class TestValidation:
             validate_config(ExperimentConfig(n_side=4, **keys))
 
     def test_row_count_cap_boundary(self):
-        # n_samples + 1 rows at _BYTES_PER_ROW each, against MEMORY_CAP
+        # t_max / dt + 1 rows at _BYTES_PER_ROW each, against MEMORY_CAP
         rows = int(dynamics.MEMORY_CAP // experiments._BYTES_PER_ROW)
-        validate_config(ExperimentConfig(kind="ideal-cycle",
-                                         n_samples=rows - 1))
-        with pytest.raises(ConfigError, match="config key n_samples"):
-            validate_config(ExperimentConfig(kind="ideal-cycle",
-                                             n_samples=rows))
+        unit = dict(kind="ideal-cycle", tau_c=1.0, tau_s=1.0, tau_d=1.0,
+                    dt=1.0)
+        validate_config(ExperimentConfig(t_max=rows - 1.0, **unit))
+        with pytest.raises(ConfigError, match="config key dt"):
+            validate_config(ExperimentConfig(t_max=float(rows), **unit))
 
     def test_presets_all_valid(self):
         for name, bundle in PRESETS.items():
@@ -228,17 +229,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("keys, key", [
         # memory-route keys on a kind that traces on the exact route at
-        # T/24: n_samples is the first run key checked
+        # T/24: dt is the first run key checked
         (dict(kind="asymptotic", route="volterra", kernel="continuum",
-              dt=0.001, n_samples=5), "n_samples"),
+              dt=0.001), "dt"),
         # dt steps the exact route, and 0.0123 divides no segment
         (dict(kind="dynamics", route="exact", dt=0.0123), "the step is dt"),
         # a partial grid used to run the 21 points from kappa = 5
         (dict(kind="perturbation", kappa_min=12.0), "set kappa_max, kappa_step"),
         (dict(kind="ideal-cycle", gamma=0.5), "gamma"),
-        (dict(kind="markov", gamma=0.5, dt=0.01), "dt"),
-        # T/6 on the half-swap segments at kappa = 3 (T = pi/2)
-        (dict(kind="dynamics", t_max=np.pi, n_samples=12), "n_samples"),
+        # dt steps the cycle kinds, and these divide no segment
+        (dict(kind="markov", gamma=0.5, dt=0.01), "the step is dt"),
+        (dict(kind="ideal-cycle", dt=0.0123), "the step is dt"),
         (dict(kind="dynamics", kernel="continuum"), "kernel"),
         (dict(kind="dynamics", route="volterra", weight_threshold=0.5),
          "weight_threshold"),
@@ -248,13 +249,11 @@ class TestValidation:
         (dict(kind="asymptotic", gamma=0.5), "gamma"),
         (dict(kind="perturbation", kappa_min=5.0, kappa_max=6.0,
               kappa_step=1.0, route="volterra-pm"), "route"),
-        (dict(kind="nonresonant", delta=0.5, kappa=8.0, gap_tolerance=0.1,
-              n_samples=24), "n_samples"),
     ], ids=["asymptotic-memory-keys", "exact-unaligned-dt",
             "perturbation-partial-grid", "ideal-cycle-gamma", "markov-dt",
-            "dynamics-n_samples", "exact-kernel", "dynamics-threshold",
+            "ideal-cycle-unaligned-dt", "exact-kernel", "dynamics-threshold",
             "kappa-sweep-t_max", "spectrum-grid", "asymptotic-gamma",
-            "perturbation-route", "nonresonant-n_samples"])
+            "perturbation-route"])
     def test_run_key_read_or_rejected(self, keys, key):
         # each of these used to validate and run something other than what
         # the config says: a key the kind does not read, a step that did
@@ -269,7 +268,7 @@ class TestValidation:
         # read it, so it is not rejected
         validate_config(ExperimentConfig(
             kind="spectrum", n_side=4, route="exact", kernel="discrete",
-            n_samples=0, weight_threshold=0.05))
+            weight_threshold=0.05))
 
 
 class TestPackageSurface:
@@ -282,7 +281,7 @@ class TestPackageSurface:
         assert sorted(qbsim.__all__) == sorted(union)
         for name in qbsim.__all__:
             assert getattr(qbsim, name) is not None
-        cfg = ExperimentConfig(kind="ideal-cycle", n_samples=12)
+        cfg = ExperimentConfig(kind="ideal-cycle")
         with pytest.raises(ConfigError, match="jobs"):
             run_experiment(cfg, tmp_path, jobs=2)
         assert not list(tmp_path.iterdir())
@@ -384,7 +383,7 @@ def _check_outputs(out_dir, files, names):
 class TestRunners:
     def test_ideal_cycle(self, tmp_path):
         cfg = ExperimentConfig(kind="ideal-cycle", label="pair", omega_0=11.0,
-                               delta=10.0, kappa=15.0, n_samples=120)
+                               delta=10.0, kappa=15.0)
         files, summary = run_experiment(cfg, tmp_path)
         _check_outputs(tmp_path, files, ["pair.csv", "pair.meta.json"])
         assert summary["peak_energy"] == pytest.approx(1.0 * 225 / 325, rel=1e-12)
@@ -393,13 +392,28 @@ class TestRunners:
 
     def test_markov_explicit_gamma(self, tmp_path):
         cfg = ExperimentConfig(kind="markov", label="mk", omega_0=1.0, kappa=15.0,
-                               gamma=0.5, n_samples=60)
+                               gamma=0.5, dt=np.pi / 150)
         files, summary = run_experiment(cfg, tmp_path)
         _check_outputs(tmp_path, files, ["mk.csv", "mk.meta.json"])
         assert summary["gamma"] == 0.5
         assert summary["lamb_shift"] is None
         rows = (tmp_path / "mk.csv").read_text().splitlines()
-        assert len(rows) == 62  # header + n_samples + 1
+        assert len(rows) == 122  # header + 3T / (T/40) + 1
+
+    @pytest.mark.parametrize("keys", [
+        dict(kind="ideal-cycle", omega_0=11.0, delta=10.0),
+        dict(kind="markov", omega_0=1.0, gamma=0.5)], ids=["ideal", "markov"])
+    def test_cycle_times_step_by_dt(self, tmp_path, keys):
+        # T/40 divides the half-swap and phase-locked segments at kappa = 15
+        # (T = pi/6 detuned, 4 pi/15 resonant): 60 whole steps over 1.5T
+        cfg = ExperimentConfig(label="c", kappa=15.0, **keys)
+        period = resolve_schedule(cfg).period
+        cfg = replace(cfg, dt=period / 40, t_max=1.5 * period)
+        run_experiment(cfg, tmp_path)
+        t = np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1,
+                       usecols=0)
+        np.testing.assert_array_equal(t, np.arange(61) * cfg.dt)
+        assert t[-1] == pytest.approx(cfg.t_max, rel=1e-14)
 
     def test_markov_undefined_rates_rejected(self, tmp_path):
         # the band center has no rates and the band edge an infinite shift,
@@ -480,7 +494,7 @@ class TestRunners:
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = ExperimentConfig(kind="ideal-cycle", label="rep", omega_0=1.0,
-                               delta=0.0, kappa=15.0, tau_s=np.pi / 5, n_samples=48)
+                               delta=0.0, kappa=15.0, tau_s=np.pi / 5)
         a = tmp_path / "a"
         b = tmp_path / "b"
         a.mkdir()

@@ -9,9 +9,9 @@ gate/change/<tier>/<run> under the repository root, in two tiers:
 * ``n_side-6``: each preset at n_side = 6, and beside them the runs of
   ``EXTRA_RUNS``, which take paths that no preset reaches: the
   memory-kernel routes (the lab frame at and off resonance, the rotating
-  frame at and off resonance), spectra on unequal drive segments, a
-  spectrum that stores the vectors of fewer modes than the default
-  threshold would, and the ``spectrum`` kind;
+  frame at and off resonance), the cycle kinds and spectra on unequal
+  drive segments, a spectrum that stores the vectors of fewer modes than
+  the default threshold would, and the ``spectrum`` kind;
 * ``own-size``: each preset at its own n_side, where paths that depend on
   the lattice size (near-threshold flags, clustered band eigenvalues)
   can differ.
@@ -55,6 +55,8 @@ EXTRA_RUNS = [
     ("fig2a-volterra-pm-detuned", "fig2a", ["route=volterra-pm", "delta=0.5"]),
     # the lab-frame memory route off resonance
     ("fig2a-volterra-detuned", "fig2a", ["route=volterra", "delta=0.5"]),
+    # the cycle kinds' default T/240 grid off the preset's segments
+    ("fig1b-unequal", "fig1b", UNEQUAL),
     ("fig3b-unequal", "fig3b", UNEQUAL),
     ("fig4c-unequal", "fig4c", UNEQUAL),
     ("fig4d-unequal", "fig4d", [*UNEQUAL, "t_max=4.5"]),
