@@ -121,13 +121,16 @@ def _coerce_value(key: str, raw: str):
 
 
 def parse_overrides(pairs: list[str]) -> dict:
-    """key=value strings (CLI --set) into a typed override mapping."""
+    """key=value strings (CLI --set) into a typed override mapping; a
+    repeated key is a ConfigError."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"override {pair!r} is not of the form key=value")
         key, _, raw = pair.partition("=")
         key = key.strip()
+        if key in out:
+            raise ConfigError(f"duplicate override key: {key}")
         out[key] = _coerce_value(key, raw)
     return out
 
@@ -431,7 +434,11 @@ _COLUMNS = {
         "index": "bound-state index",
         "weight_battery/weight_charger": "|<b|phi>|^2, |<c|phi>|^2",
         "c_initial_sq": "initial-state overlap |c_j|^2",
-        "p_j": "probability distribution of bound state j",
+        "component": "0 battery, 1 charger, then the battery-bath and "
+                     "charger-bath frequency shells",
+        "multiplicity": "lattice modes in the component (1, 1, then m_s)",
+        "p_j": "probability of each one of the component's modes in bound "
+               "state j",
         "diag_j": "battery population of bound state j",
         "interference": "cross term / omega_b"},
 }
@@ -578,9 +585,14 @@ def _run_perturbation(plan):
 
 def _run_nonresonant(plan):
     params, ts = plan.params, plan.times
-    spec, modes, decomp, header, cols = _bound_state_energy(plan, ts)
+    _, modes, decomp, header, cols = _bound_state_energy(plan, ts)
     m = len(modes)
     zeroth = nonresonant_zeroth_order(params, plan.schedule)
+    # battery, charger, the battery-bath shells, the charger-bath shells:
+    # a shell amplitude a_s puts |a_s|^2 / m_s on each of its m_s modes
+    shell_m = plan.env.shells().multiplicities
+    mult = np.concatenate([[1, 1], shell_m, shell_m])
+    spread = 1.0 / np.sqrt(mult)
     weights = {
         "weight_battery": [float(abs(mode.phi0[0])**2) for mode in modes],
         "weight_charger": [float(abs(mode.phi0[1])**2) for mode in modes],
@@ -589,9 +601,10 @@ def _run_nonresonant(plan):
         ("-modes", ["index", "quasienergy"] + list(weights),
          [np.arange(m), [mode.epsilon for mode in modes]]
          + list(weights.values())),
-        ("-distribution", ["component"] + [f"p_{j + 1}" for j in range(m)],
-         [np.arange(spec.dimension)]
-         + [np.abs(spec.mode(j))**2 for j in spec.fbs_indices]),
+        ("-distribution",
+         ["component", "multiplicity"] + [f"p_{j + 1}" for j in range(m)],
+         [np.arange(mult.size), mult]
+         + [np.abs(spread * mode.phi0)**2 for mode in modes]),
         ("-energy", ["t", "energy_asymptotic"] + header,
          [ts, decomp.total] + cols),
     ]

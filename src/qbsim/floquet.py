@@ -11,9 +11,9 @@ N = 20).  The spectrum lists all d quasienergies: the m_s - 1 dark
 combinations of each shell and bath are uncoupled, with quasienergy
 fold(omega_s) and system weight 0.  It stores an eigenvector, on the
 shells, only for a coupled mode whose weight reaches its threshold, a
-superset of the bound states.  ``QuasienergySpectrum.mode`` expands a
-stored mode to the full basis, a bright amplitude spread over its shell
-as a_s / sqrt(m_s).
+superset of the bound states; no runtime path expands one to the
+lattice basis (a shell amplitude a_s would spread over the m_s members
+of its shell as a_s / sqrt(m_s)).
 
 The spectrum is built on the eigensystem that samples its modes: the
 ``dynamics.SegmentPropagators`` of the run, whose (1 + S) arrowhead
@@ -35,7 +35,8 @@ eigenpair is checked by its residual.
 
 ``one_period_operator`` and ``quasienergy_spectrum`` work in the full
 basis, through a complex Schur factorization of U_T; they are the
-reference the shell path is checked against.
+reference the shell path is checked against, and the only full-basis
+code here.
 """
 
 import math
@@ -45,7 +46,7 @@ import numpy as np
 
 from .dynamics import (SegmentPropagators, _build_grid, _pair_matrix,
                        _real_matmul, build_hamiltonian, check_memory)
-from .environment import LatticeEnvironment, Shells
+from .environment import LatticeEnvironment
 from .errors import NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
 
@@ -117,9 +118,11 @@ class QuasienergySpectrum:
 
     ``vectors`` holds the eigenvectors in the basis they were computed in:
     the shell basis (battery, charger, the S battery-bath shells, the S
-    charger-bath shells) when ``shells`` is set, the full basis otherwise.
-    ``columns[j]`` is the column of sorted mode j, or -1 if it has no
-    stored vector: a dark mode, or one below the spectrum's threshold.
+    charger-bath shells) from ``compute_spectrum``, the full basis from
+    the ``quasienergy_spectrum`` reference; either way rows 0 and 1 are
+    the battery and charger amplitudes.  ``columns[j]`` is the column of
+    sorted mode j, or -1 if it has no stored vector: a dark mode, or one
+    below the spectrum's threshold.
     """
 
     quasienergies: np.ndarray  # (d,)
@@ -128,30 +131,11 @@ class QuasienergySpectrum:
     band: BandSupport
     vectors: np.ndarray        # (n, n_stored)
     columns: np.ndarray        # (d,) column of each mode in vectors, or -1
-    shells: Shells | None = None
     fbs_indices: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
         return self.quasienergies.size
-
-    def mode(self, j: int) -> np.ndarray:
-        """Full-basis eigenvector of the stored mode j.
-
-        A shell amplitude a_s spreads over the m_s members of its shell as
-        a_s / sqrt(m_s), in the layout of ``build_hamiltonian``.
-        """
-        col = self.columns[j]
-        if col < 0:
-            raise ValueError(f"mode {j} is dark or below the spectrum's "
-                             "threshold: it has no stored vector")
-        v = self.vectors[:, col]
-        if self.shells is None:
-            return v
-        idx, n_sh = self.shells.index, self.shells.frequencies.size
-        scale = 1.0 / np.sqrt(self.shells.multiplicities)[idx]
-        return np.concatenate([v[:2], scale * v[2 + idx],
-                               scale * v[2 + n_sh + idx]])
 
 
 def one_period_operator(
@@ -243,8 +227,7 @@ def _full_basis_spectrum(eps, weights, kept, vecs, shells, schedule, env):
                                system_weights=all_weights[order],
                                omega_T=schedule.omega_T,
                                band=_folded_band(env, schedule),
-                               vectors=vecs, columns=columns[order],
-                               shells=shells)
+                               vectors=vecs, columns=columns[order])
 
 
 def _cayley_shift(params, frequencies, schedule):

@@ -308,7 +308,7 @@ def test_criterion_08_asymptotic_agreement():
     # the other sector still decays slowly at 100T, so compare the
     # population of the bound state's sector with its prediction.
     spec = _spectrum(4.5)
-    pair = np.array([spec.mode(j)[:2] for j in spec.fbs_indices]).reshape(-1, 2)
+    pair = spec.vectors[:2, spec.columns[spec.fbs_indices]].T
     phi_b, phi_c = pair[:, 0], pair[:, 1]
     s = 1.0 if np.all(np.abs(phi_c - phi_b) < np.abs(phi_c + phi_b)) else -1.0
     leak = float(np.max(np.abs(phi_c - s * phi_b), initial=0.0))
@@ -382,7 +382,7 @@ def test_criterion_11_detuned_reactivation():
     spec = _spectrum(15.0, 0.5)
     idx = spec.fbs_indices
     count_ok = len(idx) == 2
-    pair = np.array([spec.mode(j)[:2] for j in idx]).reshape(-1, 2)
+    pair = spec.vectors[:2, spec.columns[idx]].T
     weight_b = np.abs(pair[:, 0]) ** 2
     weight_c = np.abs(pair[:, 1]) ** 2
     i_b = int(np.argmax(weight_b))

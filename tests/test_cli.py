@@ -326,6 +326,15 @@ class TestRun:
         assert "output stem 'x'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_override_rejected(self, tmp_path, capsys):
+        # the later --set used to win silently, as a repeated key in a
+        # config file does not
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "fig3b", "--set", "n_side=4",
+                       "--set", "n_side=5", "--out", str(out)) == 1
+        assert "duplicate override key: n_side" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_member_writes_nothing(self, tmp_path, capsys):
         # delta = 0.5 leaves fig1b's ideal cycles valid and its markov
         # member not: every member is validated before any output

@@ -28,6 +28,8 @@ from qbsim.experiments import (
 )
 from qbsim.output import format_float, write_csv, write_metadata
 
+from oracles import bright_isometry
+
 
 class TestConfigParsing:
     def test_comments_and_blanks(self):
@@ -480,6 +482,36 @@ class TestRunners:
         assert summary["weight_battery"][1] > 0.9
         assert summary["weight_charger"][0] > 0.9
         assert summary["c_initial_sq"][0] > 0.9
+
+    @pytest.mark.parametrize("n_side", [4, 6])
+    @pytest.mark.parametrize("kappa", [8.0, 15.0])
+    def test_nonresonant_distribution(self, tmp_path, n_side, kappa):
+        # one row for the battery, the charger and each bath shell; a row's
+        # p_j is the probability of each one of its modes
+        cfg = ExperimentConfig(kind="nonresonant", label="nr", kappa=kappa,
+                               delta=0.5, n_side=n_side,
+                               t_max=3 * 0.5 * np.pi / kappa)
+        run_experiment(cfg, tmp_path)
+        path = tmp_path / "nr-distribution.csv"
+        header = path.read_text().splitlines()[0].split(",")
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        plan = validate_config(cfg)
+        shells = plan.env.shells()
+        n_sh = shells.frequencies.size
+        assert table.shape == (2 + 2 * n_sh, len(header))
+        assert header[:2] == ["component", "multiplicity"]
+        np.testing.assert_array_equal(table[:, 0], np.arange(2 + 2 * n_sh))
+        mult, probs = table[:, 1], table[:, 2:]
+        assert mult.sum() == 2 + 2 * n_side**2
+        np.testing.assert_allclose(mult @ probs, 1.0, rtol=0, atol=1e-12)
+        spec = floquet.compute_spectrum(plan.params, plan.env, plan.schedule)
+        assert probs.shape[1] == len(spec.fbs_indices) == 2
+        phi = bright_isometry(plan.env) \
+            @ spec.vectors[:, spec.columns[spec.fbs_indices]]
+        members = np.concatenate([[0, 1], 2 + shells.index,
+                                  2 + n_sh + shells.index])
+        np.testing.assert_allclose(probs[members], np.abs(phi) ** 2,
+                                   rtol=0, atol=1e-15)
 
     def test_perturbation(self, tmp_path):
         cfg = ExperimentConfig(kind="perturbation", label="pt", n_side=4,

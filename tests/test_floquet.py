@@ -41,11 +41,11 @@ def _shell_vector(spec, j):
     return spec.vectors[:, spec.columns[j]]
 
 
-def _coupled_modes(spec):
+def _coupled_modes(spec, env):
     """Indices of the modes with stored vectors, and those vectors stacked
     as full-basis columns."""
     idx = np.flatnonzero(spec.columns >= 0)
-    return idx, np.stack([spec.mode(j) for j in idx], axis=1)
+    return idx, bright_isometry(env) @ spec.vectors[:, spec.columns[idx]]
 
 
 def _all_modes(params, env, schedule):
@@ -167,25 +167,25 @@ class TestSpectrum:
         )
 
     def test_modes_orthonormal(self, all_modes4):
-        _, v = _coupled_modes(all_modes4)
+        _, v = _coupled_modes(all_modes4, ENV4)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-12)
 
     def test_modes_are_eigenvectors(self, all_modes4):
         u = one_period_operator(PARAMS, ENV4, SCHEDULE)
-        idx, v = _coupled_modes(all_modes4)
+        idx, v = _coupled_modes(all_modes4, ENV4)
         lam = np.exp(-1j * all_modes4.quasienergies[idx] * SCHEDULE.period)
         resid = u @ v - lam[None, :] * v
         assert np.abs(resid).max() < 1e-10
 
     def test_dark_modes_have_no_vector(self, all_modes4):
         shells = ENV4.shells()
-        idx, _ = _coupled_modes(all_modes4)
+        idx, _ = _coupled_modes(all_modes4, ENV4)
         assert idx.size == 2 + 2 * shells.frequencies.size
         dark = np.flatnonzero(all_modes4.columns < 0)
         assert dark.size == 2 * np.sum(shells.multiplicities - 1) > 0
         np.testing.assert_array_equal(all_modes4.system_weights[dark], 0.0)
-        with pytest.raises(ValueError, match="dark"):
-            all_modes4.mode(dark[0])
+        # one stored shell vector per coupled mode, none for a dark one
+        assert all_modes4.vectors.shape == (idx.size, idx.size)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_stores_the_vectors_at_or_above_threshold(self, delta):
@@ -202,7 +202,7 @@ class TestSpectrum:
         np.testing.assert_array_equal(spec.quasienergies, full.quasienergies)
         np.testing.assert_array_equal(spec.system_weights,
                                       full.system_weights)
-        idx, v = _coupled_modes(full)
+        idx, v = _coupled_modes(full, env)
         np.testing.assert_allclose(
             full.system_weights[idx],
             np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2, rtol=0, atol=1e-14)
@@ -257,16 +257,16 @@ class TestShellSpectrum:
         np.testing.assert_array_equal(spec.fbs_indices, ref_idx)
         np.testing.assert_allclose(spec.system_weights[spec.fbs_indices],
                                    ref.system_weights[ref_idx], rtol=0, atol=1e-9)
-        idx, v = _coupled_modes(full)
+        idx, v = _coupled_modes(full, env)
         assert idx.size == 2 + 2 * env.shells().frequencies.size
         assert np.abs(v.conj().T @ v - np.eye(idx.size)).max() < 1e-10
         lam = np.exp(-1j * full.quasienergies[idx] * sch.period)
         assert np.abs(u @ v - lam * v).max() < 1e-10
         if delta == 0.0:
             # every bound state lies in one sector: charger side = s * battery side
-            nm = env.n_modes
+            nm, iso = env.n_modes, bright_isometry(env)
             for j in spec.fbs_indices:
-                phi = spec.mode(j)
+                phi = iso @ _shell_vector(spec, j)
                 phi_b = np.concatenate([phi[:1], phi[2:2 + nm]])
                 phi_c = np.concatenate([phi[1:2], phi[2 + nm:]])
                 s = np.sign(np.real(phi_c[0] / phi_b[0]))
@@ -389,7 +389,7 @@ class TestCayleySpectrum:
                                    rtol=0, atol=1e-10)
         u = one_period_operator(params, env, sch)
         full = _all_modes(params, env, sch)
-        idx, v = _coupled_modes(full)
+        idx, v = _coupled_modes(full, env)
         assert idx.size == 2 + 2 * env.shells().frequencies.size
         assert np.abs(v.conj().T @ v - np.eye(idx.size)).max() < 1e-12
         lam = np.exp(-1j * full.quasienergies[idx] * sch.period)
@@ -479,9 +479,10 @@ class TestFloquetMode:
         # eigenvector has the lattice size d = 34 instead of 2 + 2S
         j = spectrum4.fbs_indices[0]
         n = 2 + 2 * ENV4.shells().frequencies.size
-        assert spectrum4.mode(j).size == 34 != n
+        phi = bright_isometry(ENV4) @ _shell_vector(spectrum4, j)
+        assert phi.size == 34 != n
         with pytest.raises(ValueError, match=rf"size 2 \+ 2S = {n}\b"):
-            floquet_mode(PARAMS, ENV4, SCHEDULE, spectrum4.mode(j),
+            floquet_mode(PARAMS, ENV4, SCHEDULE, phi,
                          spectrum4.quasienergies[j])
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])

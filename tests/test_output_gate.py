@@ -4,8 +4,12 @@ import importlib.util
 import json
 import pathlib
 import subprocess
+from dataclasses import replace
 
 import pytest
+
+from qbsim import cli
+from qbsim.experiments import PRESETS, parse_overrides
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_gate.py"
 _SPEC = importlib.util.spec_from_file_location("output_gate", _PATH)
@@ -79,7 +83,81 @@ def test_missing_file_fails_both_modes(tmp_path):
     change = _tree(tmp_path / "change")
     (change / "fig" / "summary.json").unlink()
     byte, tol, _, _ = output_gate.compare(parent, change)
-    assert byte == tol == ["fig/summary.json"]
+    assert byte == list(tol) == ["fig/summary.json"]
+    assert tol["fig/summary.json"] == ["only in the parent tree"]
+
+
+def _rewrite(root, name, text):
+    (root / "fig" / name).write_text(text)
+
+
+def test_removed_sidecar_key_fails_by_path(tmp_path):
+    # a key set that changes is a reason of its own, named by its path,
+    # while every shared number still agrees
+    parent = _tree(tmp_path / "parent")
+    change = _tree(tmp_path / "change")
+    columns = {"t": "time", "energy": "battery energy"}
+    _rewrite(parent, "trace.meta.json", json.dumps(
+        {"final_norm": 1.0, "columns": columns, "points": [{"kappa": 5.0}]}))
+    del columns["energy"]
+    _rewrite(change, "trace.meta.json", json.dumps(
+        {"final_norm": 1.0, "columns": columns, "points": [{"kappa": 5.0}]}))
+    byte, tol, worst, _ = output_gate.compare(parent, change)
+    assert byte == ["fig/trace.meta.json"]
+    assert tol == {"fig/trace.meta.json": ["removed columns.energy"]}
+    assert worst == 0.0
+
+
+def test_added_path_and_changed_string_are_named(tmp_path):
+    parent = _tree(tmp_path / "parent")
+    change = _tree(tmp_path / "change")
+    _rewrite(parent, "summary.json", json.dumps(
+        {"points": [{"kappa": 5.0}], "route": "exact"}))
+    _rewrite(change, "summary.json", json.dumps(
+        {"points": [{"kappa": 5.0, "m_fbs": 2}], "route": "volterra"}))
+    _, tol, worst, _ = output_gate.compare(parent, change)
+    assert tol == {"fig/summary.json": [
+        "added points[0].m_fbs", "changed route: 'exact' -> 'volterra'"]}
+    assert worst == 0.0
+
+
+def test_csv_shape_change_fails_with_both_shapes(tmp_path):
+    parent = _tree(tmp_path / "parent")
+    change = _tree(tmp_path / "change")
+    _rewrite(change, "trace.csv", "t,energy\n0.0,0.25\n")
+    byte, tol, worst, _ = output_gate.compare(parent, change)
+    assert byte == ["fig/trace.csv"]
+    assert tol == {"fig/trace.csv": [
+        "shape: 3 lines x 2 columns -> 2 lines x 2 columns"]}
+    assert worst == 0.0
+
+
+def test_numbers_beyond_tolerance_are_counted(tmp_path):
+    _, tol, _, _ = output_gate.compare(
+        _tree(tmp_path / "parent", value=0.25),
+        _tree(tmp_path / "change", value=0.5))
+    assert tol["fig/trace.csv"] == [
+        "numbers beyond tolerance: 1, the worst 2.5e-01 at line 2, column 2"]
+    assert tol["fig/summary.json"] == [
+        "numbers beyond tolerance: 1, the worst 2.5e-01 at gap"]
+
+
+@pytest.mark.parametrize("tier", ["n_side-6", "own-size"])
+def test_every_gate_run_validates(tier):
+    # each run's config as the CLI loads it, validated without computing:
+    # a gate run that the tree no longer accepts shows here, not only in
+    # the gate itself
+    runs = [r for r in output_gate.gate_runs(sorted(PRESETS)) if r[0] == tier]
+    assert len(runs) == len(PRESETS) + (tier == "n_side-6") \
+        * len(output_gate.EXTRA_RUNS)
+    for _, name, preset, overrides in runs:
+        args = cli._build_parser().parse_args(
+            ["run", "--preset", preset, "--out", name,
+             *(a for o in overrides for a in ("--set", o))])
+        plans = cli._load_configs(args)
+        assert [p.cfg for p in plans] == [
+            replace(cfg, **parse_overrides(overrides))
+            for cfg in PRESETS[preset]], name
 
 
 def test_tiers_and_blas_threads(tmp_path, monkeypatch):

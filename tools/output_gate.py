@@ -25,8 +25,12 @@ each tier it then prints two verdicts:
 * tolerance mode: every CSV cell, summary number and sidecar number
   (without ``created_at``) must agree to |x - y| <= 1e-10 max(1, |x|), with
   strings and the shape of each file equal; a NaN or an infinity must be
-  the same on both sides.  The worst relative difference
-  |x - y| / max(1, |x|) is printed.
+  the same on both sides.  JSON documents are compared by key path, so a
+  file that fails is listed with its reasons: the paths added or removed,
+  the strings changed, a CSV's shape before and after, or the count of
+  numbers beyond tolerance and the worst of them.  The worst relative
+  difference |x - y| / max(1, |x|) of the numbers at shared paths is
+  printed.
 
 A change that should move no number passes byte mode; a change that only
 reorders floating-point work passes tolerance mode.  The exit status is 0
@@ -47,6 +51,8 @@ TOLERANCE = 1e-10
 GATE = pathlib.Path(__file__).resolve().parent.parent / "gate"
 # OPENBLAS_NUM_THREADS and OMP_NUM_THREADS of both trees' runs
 BLAS_THREADS = "1"
+# reasons printed per file that fails tolerance mode
+_SHOWN = 5
 UNEQUAL = ["tau_c=0.3", "tau_s=0.45", "tau_d=0.15"]
 # (output directory, preset, overrides) of the runs on paths no preset takes
 EXTRA_RUNS = [
@@ -75,38 +81,50 @@ def _cli(src, *args):
                           capture_output=True, text=True)
 
 
+def gate_runs(presets) -> list[tuple[str, str, str, list[str]]]:
+    """(tier, output directory, preset, overrides) of every run of both
+    tiers, for the preset names ``presets``."""
+    own = [(p, p, []) for p in presets]
+    return ([("n_side-6", name, preset, ["n_side=6", *overrides])
+             for name, preset, overrides in own + EXTRA_RUNS]
+            + [("own-size", *run) for run in own])
+
+
 def run_presets(src, out) -> list[str]:
     """Both tiers from the code in src, into out/<tier>; the failed runs."""
     listed = _cli(src, "list-presets")
     if listed.returncode:
         return [f"list-presets: {listed.stderr.strip()}"]
-    presets = [(p, p, []) for p in
-               (line.split()[0] for line in listed.stdout.splitlines())]
     failed = []
-    for tier, runs, size in (("n_side-6", presets + EXTRA_RUNS, ["n_side=6"]),
-                             ("own-size", presets, [])):
-        for name, preset, overrides in runs:
-            sets = [a for o in [*size, *overrides] for a in ("--set", o)]
-            run = _cli(src, "run", "--preset", preset, *sets,
-                       "--out", str(out / tier / name))
-            if run.returncode:
-                failed.append(f"{tier}/{name}: {run.stderr.strip()}")
+    for tier, name, preset, overrides in gate_runs(
+            line.split()[0] for line in listed.stdout.splitlines()):
+        sets = [a for o in overrides for a in ("--set", o)]
+        run = _cli(src, "run", "--preset", preset, *sets,
+                   "--out", str(out / tier / name))
+        if run.returncode:
+            failed.append(f"{tier}/{name}: {run.stderr.strip()}")
     return failed
 
 
 def _sidecar(path):
-    meta = json.loads(path.read_text())
-    meta.pop("created_at", None)
-    return meta
+    """A JSON file without its ``created_at``."""
+    doc = json.loads(path.read_text())
+    if isinstance(doc, dict):
+        doc.pop("created_at", None)
+    return doc
 
 
-def _leaves(x):
-    """The keys and values of a JSON document, in order."""
-    if isinstance(x, dict):
-        return [v for k in x for v in [k, *_leaves(x[k])]]
-    if isinstance(x, list):
-        return [v for e in x for v in _leaves(e)]
-    return [x]
+def _paths(x, path=""):
+    """The leaves of a JSON document by key path, such as
+    ``columns.multiplicity`` or ``points[3].kappa``; an empty object or
+    array below the top is a leaf."""
+    if isinstance(x, dict) and (x or not path):
+        return {p: v for k in x
+                for p, v in _paths(x[k], f"{path}.{k}" if path else k).items()}
+    if isinstance(x, list) and (x or not path):
+        return {p: v for i, e in enumerate(x)
+                for p, v in _paths(e, f"{path}[{i}]").items()}
+    return {path: x}
 
 
 def _cell(s):
@@ -116,38 +134,77 @@ def _cell(s):
         return s
 
 
-def _values(path):
-    if path.suffix == ".csv":
-        with open(path, newline="") as fh:
-            return [_cell(c) for row in csv.reader(fh) for c in row]
-    doc = json.loads(path.read_text())
-    if isinstance(doc, dict):
-        doc.pop("created_at", None)
-    return _leaves(doc)
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _shape(rows):
+    return f"{len(rows)} lines x {len(rows[0]) if rows else 0} columns"
 
 
 def _relative_gap(x, y):
     """|x - y| / max(1, |x|) for two numbers: 0 if equal (NaN against NaN
-    too), inf if only one is NaN or infinite or they are not comparable;
-    None for two equal non-numbers."""
+    too), inf if only one is NaN or infinite; None for anything else."""
     numbers = (int, float)
-    if type(x) in numbers and type(y) in numbers:
-        if x == y or (math.isnan(x) and math.isnan(y)):
-            return 0.0
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return math.inf
-        return abs(x - y) / max(1.0, abs(x))
-    return None if x == y else math.inf
+    if type(x) not in numbers or type(y) not in numbers:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(1.0, abs(x))
+
+
+def differences(x, y):
+    """Why file y fails tolerance mode against file x, and the worst
+    relative difference of their shared numbers.
+
+    A CSV whose shape changed is one reason.  Otherwise both files are
+    compared by path (a JSON key path, or a CSV line and column): a path on
+    one side only is added or removed, a changed string (or other
+    non-number) is changed, and numbers at shared paths must agree to
+    ``TOLERANCE``.
+    """
+    if x.suffix == ".csv":
+        rx, ry = _rows(x), _rows(y)
+        if list(map(len, rx)) != list(map(len, ry)):
+            return [f"shape: {_shape(rx)} -> {_shape(ry)}"], 0.0
+        vx, vy = ({f"line {i + 1}, column {j + 1}": _cell(c)
+                   for i, row in enumerate(rows) for j, c in enumerate(row)}
+                  for rows in (rx, ry))
+    else:
+        vx, vy = _paths(_sidecar(x)), _paths(_sidecar(y))
+    reasons = ([f"removed {p}" for p in vx if p not in vy]
+               + [f"added {p}" for p in vy if p not in vx])
+    worst, beyond = 0.0, []
+    for p in (p for p in vx if p in vy):
+        gap = _relative_gap(vx[p], vy[p])
+        if gap is None:
+            if vx[p] != vy[p]:
+                reasons.append(f"changed {p}: {vx[p]!r} -> {vy[p]!r}")
+            continue
+        worst = max(worst, gap)
+        if gap > TOLERANCE:
+            beyond.append((gap, p))
+    if beyond:
+        gap, p = max(beyond)
+        reasons.append(f"numbers beyond tolerance: {len(beyond)}, the "
+                       f"worst {gap:.1e} at {p}")
+    return reasons, worst
 
 
 def compare(a, b):
-    """Names that differ in bytes, names beyond tolerance, the worst
-    relative difference and the number of files in a."""
+    """Compare the parent tree a with the change tree b: the names that
+    differ in bytes, the names that fail tolerance mode with their reasons
+    (``differences``), the worst relative difference and the number of
+    files in a."""
     names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
     others = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
     missing = sorted(set(names) ^ set(others))
     byte = [str(n) for n in missing]
-    tol = list(byte)
+    tol = {str(n): ["only in the parent tree" if n in names
+                    else "only in the change tree"] for n in missing}
     worst = 0.0
     for n in sorted(set(names) & set(others)):
         x, y = a / n, b / n
@@ -157,15 +214,10 @@ def compare(a, b):
             same = x.read_bytes() == y.read_bytes()
         if not same:
             byte.append(str(n))
-        vx, vy = _values(x), _values(y)
-        if len(vx) != len(vy):
-            tol.append(str(n))
-            continue
-        gaps = [g for g in map(_relative_gap, vx, vy) if g is not None]
-        gap = max(gaps, default=0.0)
+        reasons, gap = differences(x, y)
         worst = max(worst, gap)
-        if gap > TOLERANCE:
-            tol.append(str(n))
+        if reasons:
+            tol[str(n)] = reasons
     return byte, tol, worst, len(names)
 
 
@@ -194,8 +246,12 @@ def main(argv):
         print(f"{tier} tolerance mode ({TOLERANCE:g}): "
               f"{'PASS' if not tol else 'FAIL'} ({count} files, worst "
               f"relative difference {worst:.1e})")
-        for n in tol:
-            print("  beyond tolerance:", n)
+        for n, reasons in tol.items():
+            print("  fails:", n)
+            for r in reasons[:_SHOWN]:
+                print("    " + r)
+            if len(reasons) > _SHOWN:
+                print(f"    ... and {len(reasons) - _SHOWN} more")
     return 1 if failed or not passed else 0
 
 
