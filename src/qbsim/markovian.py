@@ -68,12 +68,9 @@ def markov_energy(
     if params.delta != 0.0:
         raise ValueError("markov_energy holds only at zero detuning")
     gamma = rates.gamma if isinstance(rates, MarkovRates) else float(rates)
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
-    scalar = np.ndim(t) == 0
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0):
-        raise ValueError("times must be nonnegative")
-    drive = np.array([schedule.drive_integral(x) for x in ts])
+    ts = np.asarray(t, dtype=float)
+    drive = schedule.drive_integral(ts)
     e = params.omega_0 * np.exp(-2.0 * gamma * ts) * np.sin(params.kappa * drive) ** 2
-    return float(e[0]) if scalar else e
+    return float(e) if np.ndim(t) == 0 else e

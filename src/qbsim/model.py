@@ -6,6 +6,8 @@ Units: hbar = 1 throughout, so energies and angular frequencies coincide.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SystemParams",
     "ProtocolSchedule",
@@ -55,6 +57,13 @@ class ProtocolSchedule:
     with T = tau_c + tau_s + tau_d.  Segment endpoints belong to the segment
     they close (half-open on the left), and f is extended T-periodically,
     so f(0) = f(T) = 1.
+
+    ``cycle_split`` is the one runtime map from a time into the cycle;
+    every closed form (the drive integral, the closed pair, the Markov
+    envelope, the phase profile) is built from its four values.  The
+    pointwise drive value and the piecewise walk over an interval are kept
+    as test oracles (``drive_value`` and ``drive_pieces`` in
+    tests/oracles.py).
     """
 
     tau_c: float
@@ -83,55 +92,30 @@ class ProtocolSchedule:
         segs.append((self.tau_d, 1.0))
         return segs
 
-    def evaluate(self, t: float) -> int:
-        if t < 0:
-            raise ValueError("protocol is defined for t >= 0")
-        T = self.period
-        s = math.fmod(t, T)
-        if s <= 0.0:
-            s = T  # t = nT maps to the discharging endpoint
-        if s <= self.tau_c:
-            return 1
-        if s <= self.tau_c + self.tau_s:
-            return 0
-        return 1
+    def cycle_split(self, t):
+        """(n, charge, store, discharge) of t; t scalar or array.
 
-    def pieces(self, t0: float, t1: float):
-        """(duration, f) pieces covering [t0, t1], split at segment boundaries."""
-        if t1 < t0:
-            raise ValueError("t1 must be >= t0")
-        if t0 < 0:
-            raise ValueError("times must be nonnegative")
-        T = self.period
-        edges = [0.0, self.tau_c, self.tau_c + self.tau_s, T]
-        out = []
-        t = t0
-        while t < t1 - 1e-15 * max(1.0, t1):
-            n = math.floor(t / T)
-            # t exactly on a period boundary can round t/T to just below an
-            # integer; re-anchor to the next period or nxt would equal t.
-            if (n + 1) * T <= t + 1e-12 * T:
-                n += 1
-            nxt = min(t1, (n + 1) * T)
-            for e in edges:
-                cand = n * T + e
-                if cand > t + 1e-12 * T:
-                    nxt = min(nxt, cand)
-                    break
-            mid = 0.5 * (t + nxt)
-            out.append((nxt - t, self.evaluate(mid)))
-            t = nxt
-        return out
+        n is the number of whole periods before t and, with s = t - nT, the
+        other three are the time t has spent in each segment of its current
+        period: min(s, tau_c), clip(s - tau_c, 0, tau_s) and
+        max(s - tau_c - tau_s, 0).  Each is continuous in t, so a time that
+        rounds to either side of a segment or period edge gives the same
+        closed forms.  Non-finite or negative times raise ValueError.
+        """
+        ts = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(ts) & (ts >= 0)):
+            raise ValueError("protocol is defined for finite t >= 0")
+        n = np.floor(ts / self.period)
+        s = ts - n * self.period
+        return (n, np.minimum(s, self.tau_c),
+                np.clip(s - self.tau_c, 0.0, self.tau_s),
+                np.maximum(s - self.tau_c - self.tau_s, 0.0))
 
-    def drive_integral(self, t: float) -> float:
+    def drive_integral(self, t):
         """Closed form of int_0^t f(tau) dtau (piecewise linear, continuous)."""
-        if t < 0:
-            raise ValueError("protocol is defined for t >= 0")
-        T = self.period
-        n = math.floor(t / T)
-        s = t - n * T
-        partial = min(s, self.tau_c) + max(0.0, s - self.tau_c - self.tau_s)
-        return n * (self.tau_c + self.tau_d) + partial
+        n, charge, _, discharge = self.cycle_split(t)
+        out = n * (self.tau_c + self.tau_d) + (charge + discharge)
+        return float(out) if np.ndim(t) == 0 else out
 
 
 def optimal_schedule(

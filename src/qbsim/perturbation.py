@@ -52,19 +52,9 @@ def phase_profile(kappa: float, schedule: ProtocolSchedule, t):
     the rate while it is off, and is continuous and T-periodic with |y| = 1.
     """
     _check_protocol(kappa, schedule)
-    T = schedule.period
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    s = np.mod(ts, T)
-    s = np.where(s == 0.0, np.where(ts > 0, T, 0.0), s)
-    third = T / 3.0
-    y = np.empty(ts.size, dtype=complex)
-    seg1 = s <= third
-    seg2 = (s > third) & (s <= 2.0 * third)
-    seg3 = s > 2.0 * third
-    y[seg1] = np.exp(-1j * kappa * s[seg1] / 3.0)
-    y[seg2] = np.exp(-1j * kappa * (T - 2.0 * s[seg2]) / 3.0)
-    y[seg3] = np.exp(-1j * kappa * (s[seg3] - T) / 3.0)
-    return complex(y[0]) if np.ndim(t) == 0 else y
+    _, charge, store, discharge = schedule.cycle_split(t)
+    y = np.exp(-1j * kappa * (charge + discharge - 2.0 * store) / 3.0)
+    return complex(y) if np.ndim(t) == 0 else y
 
 
 def _exp_integral(a: float, lo: float, hi: float) -> complex:

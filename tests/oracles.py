@@ -1,6 +1,9 @@
 """References that the fast paths are tested against: the full-basis
-isometry for the shell-basis tests, the two-sum Volterra march, and the
-resonant +/- memory route."""
+isometry for the shell-basis tests, the two-sum Volterra march, the
+resonant +/- memory route, and the pointwise drive value with its
+piecewise walk over an interval."""
+
+import math
 
 import numpy as np
 
@@ -91,3 +94,46 @@ def solve_volterra_pm(params, env, schedule, t_max, dt=None,
     rot = np.exp(-1j * params.omega_0 * lags)
     return (lags, 0.5 * (v[:, 0] - v[:, 1]) * rot,
             0.5 * (v[:, 0] + v[:, 1]) * rot)
+
+
+def drive_value(schedule, t: float) -> int:
+    """The drive f(t) of ``ProtocolSchedule``, one time at a time."""
+    if t < 0:
+        raise ValueError("protocol is defined for t >= 0")
+    T = schedule.period
+    s = math.fmod(t, T)
+    if s <= 0.0:
+        s = T  # t = nT maps to the discharging endpoint
+    if s <= schedule.tau_c:
+        return 1
+    if s <= schedule.tau_c + schedule.tau_s:
+        return 0
+    return 1
+
+
+def drive_pieces(schedule, t0: float, t1: float):
+    """(duration, f) pieces covering [t0, t1], split at segment boundaries."""
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    if t0 < 0:
+        raise ValueError("times must be nonnegative")
+    T = schedule.period
+    edges = [0.0, schedule.tau_c, schedule.tau_c + schedule.tau_s, T]
+    out = []
+    t = t0
+    while t < t1 - 1e-15 * max(1.0, t1):
+        n = math.floor(t / T)
+        # t exactly on a period boundary can round t/T to just below an
+        # integer; re-anchor to the next period or nxt would equal t.
+        if (n + 1) * T <= t + 1e-12 * T:
+            n += 1
+        nxt = min(t1, (n + 1) * T)
+        for e in edges:
+            cand = n * T + e
+            if cand > t + 1e-12 * T:
+                nxt = min(nxt, cand)
+                break
+        mid = 0.5 * (t + nxt)
+        out.append((nxt - t, drive_value(schedule, mid)))
+        t = nxt
+    return out

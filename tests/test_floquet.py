@@ -26,7 +26,7 @@ from qbsim.floquet import (
     resonant_spectrum,
 )
 
-from oracles import bright_isometry
+from oracles import bright_isometry, drive_pieces
 
 # cheap two-bound-state instance shared across the asymptotic tests
 ENV4 = LatticeEnvironment(n_side=4, varpi=1.0, q=0.5, g=0.5)
@@ -498,13 +498,13 @@ class TestFloquetMode:
                             spec.quasienergies[j], n_samples=12, props=props)
         raw, prev = mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
-            for dur, f in sch.pieces(prev, s):
+            for dur, f in drive_pieces(sch, prev, s):
                 raw = props.apply(raw, f, dur)
             prev = s
             np.testing.assert_allclose(
                 mode.pair[k], np.exp(1j * mode.epsilon * s) * raw[:2],
                 rtol=0, atol=1e-12)
-        for dur, f in sch.pieces(prev, sch.period):
+        for dur, f in drive_pieces(sch, prev, sch.period):
             raw = props.apply(raw, f, dur)
         lam = np.exp(-1j * mode.epsilon * sch.period)
         assert mode.closure_error == pytest.approx(
@@ -528,7 +528,7 @@ class TestFloquetMode:
                             spec.quasienergies[j], n_samples=12)
         cache, raw, prev = {}, bright_isometry(env) @ mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
-            for dur, f in sch.pieces(prev, s):
+            for dur, f in drive_pieces(sch, prev, s):
                 key = (f, round(dur, 12))
                 if key not in cache:
                     cache[key] = sla.expm(

@@ -14,12 +14,14 @@ from qbsim import (
     optimal_schedule,
 )
 
+from oracles import drive_pieces
+
 
 def _expm_oracle(params, schedule, t1, t0=0.0):
     """Brute-force piecewise matrix exponential of the 2x2 Hamiltonian."""
     u = np.eye(2, dtype=complex)
     t = t0
-    for dur, f in schedule.pieces(t0, t1):
+    for dur, f in drive_pieces(schedule, t0, t1):
         h = np.array([[params.omega_b, params.kappa * f],
                       [params.kappa * f, params.omega_c]])
         u = sla.expm(-1j * h * dur) @ u
@@ -84,6 +86,19 @@ def test_energy_array_matches_scalar_and_unsorted_times():
     arr = ideal_energy(params, schedule, ts)
     scal = np.array([ideal_energy(params, schedule, float(t)) for t in ts])
     assert np.abs(arr - scal).max() < 1e-12
+
+
+@pytest.mark.parametrize("taus", [(0.7, 1.1, 0.5), (0.31, 0.05, 1.27),
+                                  (0.96, 0.64, 0.59)])
+@pytest.mark.parametrize("kappa", [0.8, 3.0])
+def test_resonant_energy_is_sin2_of_drive_integral(taus, kappa):
+    # at delta = 0 the free segments only add the common phase, so
+    # E(t) = omega_b sin^2(kappa F(t)) exactly; checked over 200 periods
+    params = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=kappa)
+    schedule = ProtocolSchedule(*taus)
+    ts = np.linspace(0.0, 200 * schedule.period, 2001)
+    exact = params.omega_b * np.sin(kappa * schedule.drive_integral(ts)) ** 2
+    assert np.abs(ideal_energy(params, schedule, ts) - exact).max() < 1e-12
 
 
 def test_common_phase_retained():

@@ -140,6 +140,8 @@ class TestMarkovEnergy:
         with pytest.raises(ValueError):
             markov_energy(params, self.SCHEDULE, -0.1, 1.0)
         with pytest.raises(ValueError):
+            markov_energy(params, self.SCHEDULE, np.nan, 1.0)
+        with pytest.raises(ValueError):
             markov_energy(params, self.SCHEDULE, 0.1, -1.0)
 
     def test_detuned_pair_rejected(self):

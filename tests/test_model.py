@@ -6,8 +6,16 @@ import pytest
 from qbsim import (
     ProtocolSchedule,
     SystemParams,
+    asymptotic_energy_closed_form,
+    ideal_energy,
+    ideal_evolve,
+    ideal_propagator,
+    markov_energy,
     optimal_schedule,
+    phase_profile,
 )
+
+from oracles import drive_pieces, drive_value
 
 
 class TestSystemParams:
@@ -50,43 +58,46 @@ class TestProtocolSchedule:
         s = ProtocolSchedule(tau_c=1.0, tau_s=2.0, tau_d=0.5)
         T = s.period
         # segment-closing endpoints belong to the segment on their left
-        assert s.evaluate(0.0) == 1
-        assert s.evaluate(0.5) == 1
-        assert s.evaluate(1.0) == 1
-        assert s.evaluate(1.0 + 1e-12) == 0
-        assert s.evaluate(3.0) == 0
-        assert s.evaluate(3.2) == 1
-        assert s.evaluate(T) == 1
+        assert drive_value(s, 0.0) == 1
+        assert drive_value(s, 0.5) == 1
+        assert drive_value(s, 1.0) == 1
+        assert drive_value(s, 1.0 + 1e-12) == 0
+        assert drive_value(s, 3.0) == 0
+        assert drive_value(s, 3.2) == 1
+        assert drive_value(s, T) == 1
         for n in range(4):
-            assert s.evaluate(n * T) == 1
-            assert s.evaluate(n * T + 1.5) == 0
+            assert drive_value(s, n * T) == 1
+            assert drive_value(s, n * T + 1.5) == 0
 
     def test_zero_storage_always_on(self):
         s = ProtocolSchedule(tau_c=1.0, tau_s=0.0, tau_d=1.0)
         ts = np.linspace(0.001, 3 * s.period, 211)
-        assert all(s.evaluate(t) == 1 for t in ts)
+        assert all(drive_value(s, t) == 1 for t in ts)
         assert s.segments() == [(1.0, 1.0), (1.0, 1.0)]
 
     def test_negative_time_rejected(self):
         s = ProtocolSchedule(tau_c=1.0, tau_s=1.0, tau_d=1.0)
         with pytest.raises(ValueError):
-            s.evaluate(-0.1)
+            drive_value(s, -0.1)
 
     def test_pieces_cover_interval_and_match_evaluate(self):
         s = ProtocolSchedule(tau_c=0.9, tau_s=1.4, tau_d=0.3)
         t0, t1 = 0.35, 7.77
-        pieces = s.pieces(t0, t1)
+        pieces = drive_pieces(s, t0, t1)
         assert sum(d for d, _ in pieces) == pytest.approx(t1 - t0, abs=1e-12)
         t = t0
         for dur, f in pieces:
-            assert f == s.evaluate(t + 0.5 * dur)
+            assert f == drive_value(s, t + 0.5 * dur)
             t += dur
 
     def test_drive_integral_matches_piecewise_sum(self):
         s = ProtocolSchedule(tau_c=0.9, tau_s=1.4, tau_d=0.3)
         for t in (0.0, 0.4, 0.9, 1.7, 2.3, 2.6, 5.2, 3 * s.period):
-            expected = sum(d * f for d, f in s.pieces(0.0, t)) if t else 0.0
+            expected = sum(d * f for d, f in drive_pieces(s, 0.0, t)) if t else 0.0
             assert s.drive_integral(t) == pytest.approx(expected, abs=1e-12)
+        ts = np.array([0.0, 0.4, 0.9, 1.7, 2.3, 2.6, 5.2, 3 * s.period])
+        assert np.array_equal(s.drive_integral(ts),
+                              [s.drive_integral(float(t)) for t in ts])
 
     def test_drive_integral_full_cycles(self):
         s = ProtocolSchedule(tau_c=0.9, tau_s=1.4, tau_d=0.3)
@@ -106,6 +117,52 @@ class TestProtocolSchedule:
         with pytest.raises(ValueError, match="finite"):
             ProtocolSchedule(**{"tau_c": 1.0, "tau_s": 1.0, "tau_d": 1.0,
                                 **keys})
+
+
+KAPPA = 1.5
+EQUAL = ProtocolSchedule(*3 * (0.5 * math.pi / KAPPA,))  # kappa T/3 = pi/2
+UNEQUAL = ProtocolSchedule(tau_c=0.9, tau_s=1.4, tau_d=0.3)
+
+
+def _closed_forms(schedule):
+    """Every closed form built on ``cycle_split``, as a function of t."""
+    resonant = SystemParams.from_center(omega_0=1.0, delta=0.0, kappa=KAPPA)
+    detuned = SystemParams.from_center(omega_0=1.0, delta=0.3, kappa=KAPPA)
+    return {
+        "drive_integral": schedule.drive_integral,
+        "ideal_energy": lambda t: ideal_energy(detuned, schedule, t),
+        "ideal_propagator": lambda t: ideal_propagator(detuned, schedule, t),
+        "ideal_evolve": lambda t: ideal_evolve(detuned, schedule, t),
+        "markov_energy": lambda t: markov_energy(resonant, schedule, 0.1, t),
+        "phase_profile": lambda t: phase_profile(KAPPA, schedule, t),
+        "asymptotic_energy_closed_form":
+            lambda t: asymptotic_energy_closed_form(0.01, KAPPA, schedule, t),
+    }
+
+
+class TestCycleSplit:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1],
+                             ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("name", sorted(_closed_forms(EQUAL)))
+    def test_closed_forms_reject_uncovered_times(self, name, t):
+        with pytest.raises(ValueError):
+            _closed_forms(EQUAL)[name](t)
+
+    @pytest.mark.parametrize("name, schedule", [
+        ("drive_integral", UNEQUAL), ("ideal_energy", UNEQUAL),
+        ("phase_profile", EQUAL)], ids=["drive_integral", "ideal_energy",
+                                        "phase_profile"])
+    def test_closed_forms_continuous_at_cycle_edges(self, name, schedule):
+        fn, T = _closed_forms(schedule)[name], schedule.period
+        t = 0.0
+        for n in range(1, 61):
+            t += T
+            assert abs(fn(t) - fn(n * T)) < 1e-12
+        for n in (0, 1, 7, 40):
+            for edge in (schedule.tau_c, schedule.tau_c + schedule.tau_s, T):
+                at = fn(n * T + edge)
+                for side in (-1e-13, 1e-13):
+                    assert abs(fn(n * T + edge + side) - at) < 1e-12
 
 
 class TestOptimalSchedule:

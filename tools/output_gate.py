@@ -10,7 +10,7 @@ gate/change/<tier>/<run> under the repository root, in two tiers:
   ``EXTRA_RUNS``, which take paths that no preset reaches: the
   memory-kernel routes (the lab frame at and off resonance, the rotating
   frame at and off resonance), the cycle kinds and spectra on unequal
-  drive segments, a spectrum that stores the vectors of fewer modes than
+  drive segments, the cycle kinds over 100 periods, a spectrum that stores the vectors of fewer modes than
   the default threshold would, and the ``spectrum`` kind;
 * ``own-size``: each preset at its own n_side, where paths that depend on
   the lattice size (near-threshold flags, clustered band eigenvalues)
@@ -63,6 +63,9 @@ EXTRA_RUNS = [
     ("fig2a-volterra-detuned", "fig2a", ["route=volterra", "delta=0.5"]),
     # the cycle kinds' default T/240 grid off the preset's segments
     ("fig1b-unequal", "fig1b", UNEQUAL),
+    # 100 T in whole T/240 steps, where the closed pair's round-off
+    # grows with the number of periods
+    ("fig1b-long", "fig1b", ["t_max=83.77580409572782"]),
     ("fig3b-unequal", "fig3b", UNEQUAL),
     ("fig4c-unequal", "fig4c", UNEQUAL),
     ("fig4d-unequal", "fig4d", [*UNEQUAL, "t_max=4.5"]),
