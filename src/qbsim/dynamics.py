@@ -43,7 +43,7 @@ from .model import ProtocolSchedule, SystemParams
 MEMORY_CAP = 3e9
 # check_memory's estimate in bytes per n^2, by (detuned, spectrum)
 _BYTES_PER_N2 = {(False, False): 20, (True, False): 32,
-                 (False, True): 28, (True, True): 92}
+                 (False, True): 28, (True, True): 80}
 # steps per chunk of a constant-drive run in SegmentPropagators.march
 _MARCH_CHUNK = 128
 
@@ -235,15 +235,15 @@ def check_memory(env: LatticeEnvironment, delta: float,
     detuning, where one f = 0 block serves both sectors and the overlap is
     two diagonal blocks, and 4 when detuned, with four distinct blocks and
     one n x n overlap.  A spectrum also holds its propagators and the
-    work of one Cayley solve per overlap block, where U'' and the inverse
-    of I + zU'' are complex matrices and numpy.linalg.inv keeps two
-    complex work copies besides: 3.5 n^2 floats at zero detuning, with two
-    blocks of n/2, and 11.5 when detuned, with one block of n.  It stores
-    eigenvectors only for the few modes at or above its weight threshold.
-    Measured RSS peaks above the RSS before construction, in n^2 floats
-    at n_side 60, 100 and 140: propagation 2.30, 1.88 and 1.79 at zero
-    detuning, 3.84, 3.21 and 2.57 detuned; resonant spectrum 4.30, 3.42
-    and 3.32; detuned spectrum 11.56, 11.24 and 10.1 (kappa = 10).
+    work of one eigen-step per overlap block: U'' as a complex matrix and
+    the eigenvectors and work arrays of one real ``eigh``: 3.5 n^2 floats
+    at zero detuning, with two blocks of n/2, and 10 when detuned, with
+    one block of n.  It stores eigenvectors only for the few modes at or
+    above its weight threshold.  Measured RSS peaks above the RSS before
+    construction, in n^2 floats at n_side 60, 100 and 140: propagation
+    2.30, 1.88 and 1.79 at zero detuning, 3.84, 3.21 and 2.57 detuned;
+    resonant spectrum 3.31, 2.87 and 2.85; detuned spectrum 9.04, 9.19 and
+    8.09 (kappa = 10).
     """
     n = 2 + 2 * env.shells().frequencies.size
     estimate = _BYTES_PER_N2[delta != 0.0, spectrum] * n * n

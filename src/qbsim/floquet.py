@@ -26,12 +26,13 @@ quasienergies are degenerate; a detuned overlap is one 2 + 2S block.
 ``resonant_spectrum`` is the zero-detuning entry to the same path.
 
 Each spectrum block is diagonalized through one real symmetric
-eigenproblem (``_cayley_spectrum``).  The 1-0-1 drive makes U_T similar
+eigenproblem (``_block_spectrum``).  The 1-0-1 drive makes U_T similar
 to the complex symmetric unitary U'' = P Q P, P = U_0(tau_s/2) and
-Q = U_1(tau_c + tau_d), whose Cayley transform i(I - zU'')(I + zU'')^-1
-is real symmetric.  Its ``eigh`` gives orthonormal real eigenvectors,
-also inside quasi-degenerate clusters of the folded bath band, and every
-eigenpair is checked by its residual.
+Q = U_1(tau_c + tau_d), whose real and imaginary parts are commuting
+real symmetric matrices.  The ``eigh`` of Re(U'') gives orthonormal real
+eigenvectors, also inside quasi-degenerate clusters of the folded bath
+band; the modes it mixes with their mirror images are taken apart on
+Im(U''), and every eigenpair is checked by its residual.
 
 ``one_period_operator`` and ``quasienergy_spectrum`` work in the full
 basis, through a complex Schur factorization of U_T; they are the
@@ -39,13 +40,12 @@ reference the shell path is checked against, and the only full-basis
 code here.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (SegmentPropagators, _build_grid, _pair_matrix,
-                       _real_matmul, build_hamiltonian, check_memory)
+from .dynamics import (SegmentPropagators, _build_grid, _real_matmul,
+                       build_hamiltonian, check_memory)
 from .environment import LatticeEnvironment
 from .errors import NotAnEigenpairError
 from .model import ProtocolSchedule, SystemParams
@@ -69,6 +69,8 @@ __all__ = [
 
 # largest ||phi(T) - e^{-i eps T} phi(0)|| accepted from an eigenpair of U_T
 _CLOSURE_TOL = 1e-6
+_SPLIT_FLAG = 2e-13  # residual that sends a mode to the split on Im(U'')
+_ROW_CHUNK = 64  # rows of o^T U'' formed at a time
 
 
 def fold_quasienergy(eps, omega_T: float):
@@ -230,78 +232,73 @@ def _full_basis_spectrum(eps, weights, kept, vecs, shells, schedule, env):
                                vectors=vecs, columns=columns[order])
 
 
-def _cayley_shift(params, frequencies, schedule):
-    """Angle theta of the Cayley shift z = e^{i theta}.
+def _rayleigh(ot, r):
+    """lambda_j = o_j^T u o_j and the residuals ||u o_j - lambda_j o_j|| of
+    the unit rows o_j of ``ot``, from r_j = (u o_j)^T (overwritten)."""
+    r = r.view(float).reshape(ot.shape + (2,))  # real and imaginary parts
+    lam = np.einsum("jkt,jk->jt", r, ot)
+    r -= lam[:, None] * ot[..., None]
+    return lam.view(complex)[:, 0], np.sqrt(np.einsum("jkt,jkt->j", r, r))
 
-    z lambda = -1 falls in the middle of the widest gap of the uncoupled
-    (g = 0) levels lambda of U'': the shells' e^{-i omega_s T} for the
-    shell ``frequencies``, and the eigenvalues of the bare pair's own U''
-    from its matrices M(f), so no level, and no bound state grown from
-    one, sits near the pole.  At zero detuning these are the levels of
-    both sectors, so the one shift serves each sector's block.
+
+def _unitary_eigh(u):
+    """Eigenvalues, real orthonormal eigenvectors o_j and the largest
+    eigenpair residual of a complex symmetric unitary u.
+
+    X = Re(u) and Y = Im(u) are real symmetric and commute (u u^* = I), so
+    one ``eigh`` of X gives the o_j, and lambda_j = o_j^T u o_j.  X's
+    eigenvalues cos(phi_j), lambda_j = e^{i phi_j}, are 2-to-1, so ``eigh``
+    can mix a mode with its mirror image conj(lambda_j).  Each run of
+    consecutive modes with residuals above ``_SPLIT_FLAG`` is rotated by
+    the eigenvectors of o_C^T Y o_C, which take such modes apart, unless
+    that fails to lower the run's largest residual.
     """
-    def step(f, t):
-        w, v = np.linalg.eigh(_pair_matrix(params, f))
-        return (v * np.exp(-1j * w * t)) @ v.T
-    p = step(0.0, 0.5 * schedule.tau_s)
-    pair = p @ step(1.0, schedule.tau_c + schedule.tau_d) @ p
-    levels = np.sort(np.mod(np.concatenate([
-        np.angle(np.linalg.eigvals(pair)), -schedule.period * frequencies]),
-        2.0 * math.pi))
-    gaps = np.diff(levels, append=levels[0] + 2.0 * math.pi)
-    k = np.argmax(gaps)
-    return math.pi - levels[k] - 0.5 * gaps[k]
+    _, o = np.linalg.eigh(u.real)  # reads the lower triangle
+    lam, residual = np.empty(len(o), dtype=complex), np.empty(len(o))
+    for a in range(0, len(o), _ROW_CHUNK):
+        rows = slice(a, a + _ROW_CHUNK)
+        ot = o[:, rows].T.copy()
+        lam[rows], residual[rows] = _rayleigh(ot, _real_matmul(ot, u))
+    flagged = np.flatnonzero(residual > _SPLIT_FLAG)
+    for run in np.split(flagged, np.flatnonzero(np.diff(flagged) > 1) + 1):
+        if run.size > 1:
+            ot = o[:, run].T.copy()
+            r = _real_matmul(ot, u)
+            y = r.imag @ ot.T
+            v = np.linalg.eigh(y + y.T)[1].T
+            lam_c, res_c = _rayleigh(v @ ot, _real_matmul(v, r))
+            if res_c.max() < residual[run].max():
+                o[:, run], lam[run], residual[run] = (v @ ot).T, lam_c, res_c
+    return lam, o, float(residual.max())
 
 
-def _cayley_spectrum(w1, w0, ovl, theta, schedule, readout, keep):
-    """Folded quasienergies, system weights and kept modes of U_T from one
-    real ``eigh``.
+def _block_spectrum(w1, w0, ovl, schedule, readout, keep):
+    """Folded quasienergies, system weights and kept modes of a block's U_T.
 
     ``w1`` and ``w0`` are the eigenvalues of a real symmetric shell block
-    at f = 1 and f = 0, ``ovl`` = V_0^T V_1 the real overlap of their
-    eigenvectors, and ``theta`` the angle of the shift (``_cayley_shift``).
-    The drive is 1-0-1, so in the frame Y = U_0(tau_s/2) U_1(tau_c),
-    Y U_T Y^-1 = U'' = P Q P with P = U_0(tau_s/2) and Q = U_1(tau_c +
-    tau_d): complex symmetric and unitary, with real eigenvectors o_j.
-    Its Cayley transform K = i(I - zU'')(I + zU'')^-1 is real symmetric
-    with eigenvalues tan(phi_j / 2), z lambda_j = e^{i phi_j}.  U'' is
-    assembled in the f = 0 eigenbasis as D_0 W D_1 W^T D_0 with W = ovl,
-    and the modes are phi_j(0) = Y^-1 V_0 o_j = V_1 c_j.  The weights come
-    from the pair rows ``readout`` c_j (``readout``: the battery and
-    charger rows of V_1), formed as (m x 2) products; the coefficients c_j
-    on the f = 1 eigenvectors are returned, with their boolean mask, only
-    for weights >= ``keep``.  An eigenpair residual ||U'' o_j - lambda_j
-    o_j|| above ``_CLOSURE_TOL`` raises NotAnEigenpairError.
+    at f = 1 and f = 0, and ``ovl`` = V_0^T V_1 the real overlap of their
+    eigenvectors.  The drive is 1-0-1, so in the frame Y = U_0(tau_s/2)
+    U_1(tau_c), Y U_T Y^-1 = U'' = P Q P with P = U_0(tau_s/2) and Q =
+    U_1(tau_c + tau_d): complex symmetric and unitary, with real
+    eigenvectors o_j (``_unitary_eigh``).  U'' is assembled in the f = 0
+    eigenbasis as D_0 W D_1 W^T D_0 with W = ovl, and the modes are
+    phi_j(0) = Y^-1 V_0 o_j = V_1 c_j.  The weights come from the pair rows
+    ``readout`` c_j (``readout``: the battery and charger rows of V_1),
+    formed as (m x 2) products; the coefficients c_j on the f = 1
+    eigenvectors are returned, with their boolean mask, only for weights
+    >= ``keep``.  An eigenpair residual ||U'' o_j - lambda_j o_j|| above
+    ``_CLOSURE_TOL`` raises NotAnEigenpairError.
     """
     half = np.exp(-0.5j * schedule.tau_s * w0)
     u = _real_matmul(ovl, np.exp(-1j * (schedule.tau_c + schedule.tau_d)
                                  * w1)[:, None] * ovl.T)
     u *= half[:, None]
     u *= half
-    # K = i(2 (I + zU'')^-1 - I) is real: -2 Im (I + zU'')^-1, symmetrized;
-    # I + zU'' is formed in place and turned back into U'' for the residual
-    diag = np.diag_indices_from(u)
-    u *= np.exp(1j * theta)
-    u[diag] += 1.0
-    inv = np.linalg.inv(u)
-    u[diag] -= 1.0
-    u *= np.exp(-1j * theta)
-    k_mat = inv.imag + inv.imag.T
-    del inv  # the complex inverse goes before eigh takes its workspace
-    k_mat *= -1.0
-    tan_half, o = np.linalg.eigh(k_mat)
-    del k_mat
-    phi = 2.0 * np.arctan(tan_half)
-    lam = np.exp(1j * (phi - theta))
-    r = _real_matmul(o.T, u)  # row j: (U'' o_j)^T, U'' symmetric
+    lam, o, residual = _unitary_eigh(u)
     del u
-    r.real -= lam.real[:, None] * o.T
-    r.imag -= lam.imag[:, None] * o.T
-    residual = float(np.linalg.norm(r, axis=1).max())
-    del r
     if residual > _CLOSURE_TOL:
         raise NotAnEigenpairError(residual=residual, tol=_CLOSURE_TOL)
-    eps = fold_quasienergy((theta - phi) / schedule.period, schedule.omega_T)
+    eps = fold_quasienergy(-np.angle(lam) / schedule.period, schedule.omega_T)
     start = np.exp(1j * schedule.tau_c * w1)
     pair = _real_matmul(o.T, np.conj(half)[:, None]  # row j: mode j's pair
                         * _real_matmul(ovl, start[:, None] * readout.T))
@@ -331,13 +328,12 @@ def _shell_spectrum(params, env, schedule, props, keep):
     the modes with system weight >= ``keep`` expanded in one ``expand``."""
     if props is None:
         props = SegmentPropagators(params, env)
-    theta = _cayley_shift(params, props.shells.frequencies, schedule)
     n = props.evals[1.0].size
     eps, weights, kept, parts = np.empty(n), np.empty(n), np.empty(n, bool), []
     for cols, ovl in props.overlap():
         w1, w0 = (props.evals[f][cols] for f in (1.0, 0.0))
-        eps[cols], weights[cols], kept[cols], c = _cayley_spectrum(
-            w1, w0, ovl, theta, schedule, props.readout[1.0][:, cols], keep)
+        eps[cols], weights[cols], kept[cols], c = _block_spectrum(
+            w1, w0, ovl, schedule, props.readout[1.0][:, cols], keep)
         parts.append(np.zeros((n, c.shape[1]), dtype=complex))
         parts[-1][cols] = c  # zero on the other blocks' rows
     vecs = props.expand(1.0, np.hstack(parts))

@@ -37,11 +37,11 @@ _N_CAP = 200  # largest n_max the harmonic range may grow to
 def _check_protocol(kappa: float, schedule: ProtocolSchedule):
     T = schedule.period
     tau = T / 3.0
-    if (abs(schedule.tau_c - tau) > 1e-9 * T
-            or abs(schedule.tau_s - tau) > 1e-9 * T
-            or abs(schedule.tau_d - tau) > 1e-9 * T):
+    # written as "not <=" so that a NaN fails each check
+    if not all(abs(seg - tau) <= 1e-9 * T for seg in
+               (schedule.tau_c, schedule.tau_s, schedule.tau_d)):
         raise ValueError("phase profile requires equal protocol segments")
-    if abs(kappa * tau - _THETA) > 1e-9:
+    if not abs(kappa * tau - _THETA) <= 1e-9:
         raise ValueError("phase profile requires kappa * T/3 = pi/2")
 
 
@@ -208,8 +208,11 @@ def asymptotic_energy_closed_form(
 
     E(t)/omega_0 = (1/2) { 1 - cos(delta_eps0 t) Re[y(t)^2 e^{-i omega_T t}] }
     for the charger-excited start; exactly T-periodic when the splitting
-    closes, and bounded in [0, 1].
+    closes, and bounded in [0, 1].  A non-finite ``delta_eps0`` raises
+    ValueError.
     """
+    if not math.isfinite(delta_eps0):
+        raise ValueError(f"delta_eps0 must be finite, got {delta_eps0}")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     y = np.atleast_1d(phase_profile(kappa, schedule, ts))
     osc = np.real(y**2 * np.exp(-1j * schedule.omega_T * ts))

@@ -295,8 +295,8 @@ class TestShellSpectrum:
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_allocates_no_dense_modes(self, delta):
         # a d x d complex array at d = 3202 alone takes 16 d^2 = 164 MB; the
-        # shell spectrum (n = 444), propagators included, peaks at 2.6 n^2
-        # floats at delta = 0 and 7.1 detuned (n^2 floats = 1.6 MB).
+        # shell spectrum (n = 444), propagators included, peaks at 2.4 n^2
+        # floats at delta = 0 and 6.1 detuned (n^2 floats = 1.6 MB).
         # Storing the vectors of all n coupled modes, a complex n x n array,
         # raised the peaks to 4.6 and 8.0 and breaks either bound
         env = LatticeEnvironment(n_side=40, varpi=1.0, q=0.5, g=0.5)
@@ -316,15 +316,15 @@ class TestShellSpectrum:
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_memory_cap(self, monkeypatch, delta):
-        # the estimate, 3.5 n^2 floats resonant and 11.5 detuned, lies above
-        # the RSS peaks measured at n_side 100 (3.42 and 11.24 n^2 floats)
-        # and 140 (3.32 and 10.1)
+        # the estimate, 3.5 n^2 floats resonant and 10 detuned, lies above
+        # the RSS peaks measured at n_side 60 (3.31 and 9.04 n^2 floats),
+        # 100 (2.87 and 9.19) and 140 (2.85 and 8.09)
         env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
         tau = 0.5 * np.pi / 4.8
         sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
         n = 2 + 2 * env.shells().frequencies.size
-        estimate = (92 if delta else 28) * n * n
+        estimate = (80 if delta else 28) * n * n
         monkeypatch.setattr(dynamics, "MEMORY_CAP", estimate - 1)
         with pytest.raises(MemoryCapError):
             compute_spectrum(params, env, sch)
@@ -332,11 +332,10 @@ class TestShellSpectrum:
         compute_spectrum(params, env, sch)  # admitted at its estimate
 
 
-def _schur_block(w1, w0, ovl, theta, schedule, readout, keep):
+def _schur_block(w1, w0, ovl, schedule, readout, keep):
     """Quasienergies, weights and kept Schur vectors of a shell block's
     U_T, on its f = 1 eigenvectors: U_T = D_1(tau_d) W^T D_0(tau_s) W
-    D_1(tau_c) with D_f(t) = exp(-i w_f t) and the overlap W; ``theta`` is
-    not used."""
+    D_1(tau_c) with D_f(t) = exp(-i w_f t) and the overlap W."""
     u = ((np.exp(-1j * w1 * schedule.tau_d)[:, None] * ovl.T)
          @ (np.exp(-1j * w0 * schedule.tau_s)[:, None] * ovl)
          * np.exp(-1j * w1 * schedule.tau_c))
@@ -349,7 +348,7 @@ def _schur_block(w1, w0, ovl, theta, schedule, readout, keep):
 class TestCayleySpectrum:
     """The real-eigh spectrum against the complex Schur form of the same
     shell blocks and against the full-basis U_T, in the cases where the
-    Cayley transform could go wrong."""
+    eigh of Re(U'') could go wrong."""
 
     @pytest.mark.parametrize("g, omega_0, delta, kappa, taus", [
         # the zone edge +-omega_T/2 sits on a lattice frequency (n_side 12)
@@ -379,7 +378,7 @@ class TestCayleySpectrum:
         with monkeypatch.context() as m:
             # the same shell blocks through U_T and its complex Schur form;
             # the dark modes at the zone edge fold as in the spectrum
-            m.setattr(floquet, "_cayley_spectrum", _schur_block)
+            m.setattr(floquet, "_block_spectrum", _schur_block)
             ref = compute_spectrum(params, env, sch)
         np.testing.assert_allclose(spec.quasienergies, ref.quasienergies,
                                    rtol=0, atol=1e-12)
@@ -402,6 +401,44 @@ class TestCayleySpectrum:
         monkeypatch.setattr(floquet, "_CLOSURE_TOL", 0.0)
         with pytest.raises(NotAnEigenpairError):
             compute_spectrum(params, ENV4, SCHEDULE)
+
+
+class TestUnitaryEigh:
+    """The block eigen-step on a symmetric unitary U = Q diag(e^{i phi})
+    Q^T whose spectrum mirrors about the real axis: exact +-phi pairs,
+    phi = 0 and pi, and a +-1e-7 pair at the fold phi = 0, where the
+    eigenvalues cos(phi) of Re(U) coincide."""
+
+    PHI = np.concatenate([[0.0, np.pi, 1e-7, -1e-7],
+                          np.linspace(0.1, 3.0, 28), -np.linspace(0.1, 3.0, 28)])
+
+    def _unitary(self, phi=PHI):
+        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal(
+            (phi.size, phi.size)))
+        return (q * np.exp(1j * phi)) @ q.T
+
+    def test_matches_eigvals(self):
+        u = self._unitary()
+        lam, o, residual = floquet._unitary_eigh(u)
+        ref = np.linalg.eigvals(u)
+        gap = np.abs(lam[:, None] - ref[None, :])
+        assert gap.min(axis=0).max() < 1e-13
+        assert gap.min(axis=1).max() < 1e-13
+        assert residual < 1e-12
+        assert np.abs(o.T @ o - np.eye(60)).max() < 1e-13
+
+    def test_split_is_needed(self, monkeypatch):
+        # without the split on Im(U) the mirrored pairs stay mixed
+        monkeypatch.setattr(floquet, "_SPLIT_FLAG", np.inf)
+        assert floquet._unitary_eigh(self._unitary())[2] > 1e-3
+
+    def test_keeps_eigh_where_split_fails(self, monkeypatch):
+        # pi/2 +- 1e-4 share Im(e^{i phi}): the split of a run that holds
+        # both mixes them (residual 5e-5), where the eigh of Re(U) had not
+        phi = np.concatenate([[np.pi / 2 + 1e-4, np.pi / 2 - 1e-4],
+                              np.linspace(-1.5, -0.1, 6)])
+        monkeypatch.setattr(floquet, "_SPLIT_FLAG", 0.0)  # one run of all
+        assert floquet._unitary_eigh(self._unitary(phi))[2] < 1e-12
 
 
 class TestIdentifyFbs:

@@ -81,6 +81,16 @@ class TestPhaseProfile:
             phase_profile(self.KAPPA, uneven, 0.1)
         with pytest.raises(ValueError):
             phase_profile(self.KAPPA + 0.5, self.SCH, 0.1)
+        # a NaN coupling or splitting fails the checks instead of passing them
+        with pytest.raises(ValueError):
+            phase_profile(float("nan"), self.SCH, 0.1)
+        with pytest.raises(ValueError):
+            phase_fourier_coeff(float("nan"), self.SCH, 0)
+        with pytest.raises(ValueError):
+            asymptotic_energy_closed_form(0.1, float("nan"), self.SCH, 0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                asymptotic_energy_closed_form(bad, self.KAPPA, self.SCH, 0.1)
 
 
 class TestFourierCoefficients:

@@ -11,7 +11,8 @@ gate/change/<tier>/<run> under the repository root, in two tiers:
   memory-kernel routes (the lab frame at and off resonance, the rotating
   frame at and off resonance), the cycle kinds and spectra on unequal
   drive segments, the cycle kinds over 100 periods, a spectrum that stores the vectors of fewer modes than
-  the default threshold would, and the ``spectrum`` kind;
+  the default threshold would, the ``spectrum`` kind, and a sweep whose
+  weakly coupled pair level sits halfway round the zone from the band;
 * ``own-size``: each preset at its own n_side, where paths that depend on
   the lattice size (near-threshold flags, clustered band eigenvalues)
   can differ.
@@ -74,6 +75,8 @@ EXTRA_RUNS = [
     ("fig3b-threshold", "fig3b", ["weight_threshold=0.9", "gap_tolerance=0.1"]),
     # the one kind that no preset runs
     ("fig3b-spectrum", "fig3b", ["kind=spectrum"]),
+    # a weakly coupled pair level halfway round the zone from the band
+    ("fig4a-weak-pair", "fig4a", ["omega_0=1.0", "g=0.01"]),
 ]
 
 
