@@ -235,15 +235,20 @@ def check_memory(env: LatticeEnvironment, delta: float,
     detuning, where one f = 0 block serves both sectors and the overlap is
     two diagonal blocks, and 4 when detuned, with four distinct blocks and
     one n x n overlap.  A spectrum also holds its propagators and the
-    work of one eigen-step per overlap block: U'' as a complex matrix and
-    the eigenvectors and work arrays of one real ``eigh``: 3.5 n^2 floats
-    at zero detuning, with two blocks of n/2, and 10 when detuned, with
-    one block of n.  It stores eigenvectors only for the few modes at or
-    above its weight threshold.  Measured RSS peaks above the RSS before
-    construction, in n^2 floats at n_side 60, 100 and 140: propagation
-    2.30, 1.88 and 1.79 at zero detuning, 3.84, 3.21 and 2.57 detuned;
-    resonant spectrum 3.31, 2.87 and 2.85; detuned spectrum 9.04, 9.19 and
-    8.09 (kappa = 10).
+    work of one eigen-step per overlap block: U'' as a complex matrix,
+    freed once split into its real and imaginary parts X and Y, which
+    share the step with the eigenvectors and work arrays of one real
+    ``eigh`` of X and are each freed once multiplied by the eigenvectors:
+    3.5 n^2 floats at zero detuning, with two blocks of n/2, and 10 when
+    detuned, with one block of n.  It stores eigenvectors only for the
+    few modes at or above its weight threshold.  Measured RSS peaks above
+    the RSS before construction, in n^2 floats at n_side 60, 100 and 140:
+    propagation 2.30, 1.88 and 1.79 at zero detuning, 3.84, 3.21 and 2.57
+    detuned; resonant spectrum 3.55, 3.13 and 2.81; detuned spectrum
+    9.03, 9.19 and 8.09 (kappa = 10).  The resonant 3.55 at n_side 60,
+    above the estimate, is heap reuse: blocks of 1.5 MB stay below the
+    allocator's mmap threshold, so the ``eigh`` workspace lands on pages
+    already resident.
     """
     n = 2 + 2 * env.shells().frequencies.size
     estimate = _BYTES_PER_N2[delta != 0.0, spectrum] * n * n

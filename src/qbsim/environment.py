@@ -112,13 +112,14 @@ def spectral_density(env: LatticeEnvironment, omega):
     J = g^2/(2 q pi^2) * K(1 - (omega - varpi)^2 / (16 q^2)) on the band,
     zero outside (band edges included, where J = g^2/(4 pi q)).  At the
     band center omega = varpi the value is logarithmically divergent and
-    +inf is returned rather than raising.  K(1 - m1) is taken from the
-    complementary parameter m1 directly (``ellipkm1``), which avoids the
-    cancellation in 1 - m near the logarithmic point m -> 1.
+    +inf is returned rather than raising; a NaN frequency gives NaN.
+    K(1 - m1) is taken from the complementary parameter m1 directly
+    (``ellipkm1``), which avoids the cancellation in 1 - m near the
+    logarithmic point m -> 1.
     """
     om = np.asarray(omega, dtype=float)
     u = om - env.varpi
-    out = np.zeros_like(om)
+    out = np.where(np.isnan(om), np.nan, 0.0)
     inside = np.abs(u) <= 4.0 * env.q
     center = u == 0.0
     reg = inside & ~center

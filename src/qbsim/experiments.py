@@ -35,7 +35,6 @@ from .perturbation import (
     phase_fourier_coeff,
     second_order_corrections,
     splitting_large_coupling,
-    splitting_main_sum,
 )
 
 ROUTES = ("exact", "volterra", "volterra-pm")
@@ -555,7 +554,7 @@ def _run_perturbation(plan):
     cfg, env = plan.cfg, plan.env
     header = ["kappa", "eps0", "eps2_plus", "eps2_minus",
               "splitting_perturbative", "splitting_exact",
-              "splitting_main_sum", "splitting_large_kappa"]
+              "splitting_large_kappa"]
     rows, points = [], []
     for kappa, params, schedule in plan.points:
         res = second_order_corrections(params, env, schedule)
@@ -563,7 +562,6 @@ def _run_perturbation(plan):
         exact = point.get("delta_eps0", math.nan)
         rows.append((kappa, res.eps0, res.eps2_plus, res.eps2_minus,
                      res.splitting, exact,
-                     splitting_main_sum(params, env, schedule),
                      splitting_large_coupling(env, kappa)))
         entry = {"kappa": kappa, "m_fbs": point["m_fbs"],
                  "splitting_perturbative": res.splitting}

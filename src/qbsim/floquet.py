@@ -26,13 +26,13 @@ quasienergies are degenerate; a detuned overlap is one 2 + 2S block.
 ``resonant_spectrum`` is the zero-detuning entry to the same path.
 
 Each spectrum block is diagonalized through one real symmetric
-eigenproblem (``_block_spectrum``).  The 1-0-1 drive makes U_T similar
-to the complex symmetric unitary U'' = P Q P, P = U_0(tau_s/2) and
-Q = U_1(tau_c + tau_d), whose real and imaginary parts are commuting
-real symmetric matrices.  The ``eigh`` of Re(U'') gives orthonormal real
-eigenvectors, also inside quasi-degenerate clusters of the folded bath
-band; the modes it mixes with their mirror images are taken apart on
-Im(U''), and every eigenpair is checked by its residual.
+eigenproblem (``_unitary_eigh``).  The 1-0-1 drive makes U_T similar to
+the complex symmetric unitary U'' = P Q P, P = U_0(tau_s/2) and Q =
+U_1(tau_c + tau_d), whose parts X = Re(U'') and Y = Im(U'') are commuting
+real symmetric matrices.  The ``eigh`` of X gives orthonormal real
+eigenvectors O; one product each of X and Y with O gives every eigenvalue
+and residual, and takes apart on Y the modes that ``eigh`` mixed with
+their mirror images.
 
 ``one_period_operator`` and ``quasienergy_spectrum`` work in the full
 basis, through a complex Schur factorization of U_T; they are the
@@ -70,7 +70,6 @@ __all__ = [
 # largest ||phi(T) - e^{-i eps T} phi(0)|| accepted from an eigenpair of U_T
 _CLOSURE_TOL = 1e-6
 _SPLIT_FLAG = 2e-13  # residual that sends a mode to the split on Im(U'')
-_ROW_CHUNK = 64  # rows of o^T U'' formed at a time
 
 
 def fold_quasienergy(eps, omega_T: float):
@@ -105,9 +104,6 @@ class BandSupport:
 
     def distance(self, eps):
         """Circle distance from eps to the folded band (0 inside)."""
-        if self.covers_zone:
-            out = np.zeros_like(np.asarray(eps, dtype=float))
-            return float(out) if np.ndim(eps) == 0 else out
         x = np.mod(np.asarray(eps, dtype=float) - self.lo, self.omega_T)
         out = np.where(x <= self.width, 0.0,
                        np.minimum(x - self.width, self.omega_T - x))
@@ -232,43 +228,53 @@ def _full_basis_spectrum(eps, weights, kept, vecs, shells, schedule, env):
                                vectors=vecs, columns=columns[order])
 
 
-def _rayleigh(ot, r):
-    """lambda_j = o_j^T u o_j and the residuals ||u o_j - lambda_j o_j|| of
-    the unit rows o_j of ``ot``, from r_j = (u o_j)^T (overwritten)."""
-    r = r.view(float).reshape(ot.shape + (2,))  # real and imaginary parts
-    lam = np.einsum("jkt,jk->jt", r, ot)
-    r -= lam[:, None] * ot[..., None]
-    return lam.view(complex)[:, 0], np.sqrt(np.einsum("jkt,jkt->j", r, r))
+def _rayleigh(o, xo, yo):
+    """lambda_j = o_j^T U'' o_j and the residuals ||U'' o_j - lambda_j o_j||
+    of the orthonormal real columns o_j, from X o and Y o, X + iY = U''
+    (overwritten with the residuals' real and imaginary parts)."""
+    lam = np.einsum("kj,kj->j", o, xo) + 1j * np.einsum("kj,kj->j", o, yo)
+    xo -= lam.real * o
+    yo -= lam.imag * o
+    res = np.einsum("kj,kj->j", xo, xo) + np.einsum("kj,kj->j", yo, yo)
+    return lam, np.sqrt(res)
 
 
-def _unitary_eigh(u):
+def _unitary_eigh(w, d, h):
     """Eigenvalues, real orthonormal eigenvectors o_j and the largest
-    eigenpair residual of a complex symmetric unitary u.
+    eigenpair residual of the symmetric unitary U'' = H W D W^T H, for a
+    real W and unitary diagonals H = diag(h), D = diag(d).
 
-    X = Re(u) and Y = Im(u) are real symmetric and commute (u u^* = I), so
-    one ``eigh`` of X gives the o_j, and lambda_j = o_j^T u o_j.  X's
+    X = Re(U'') and Y = Im(U'') are real symmetric and commute.  U'' is
+    freed once split; one ``eigh`` of X gives the o_j, and X o and Y o (X
+    and Y freed once multiplied) the lambda_j and residuals.  X's
     eigenvalues cos(phi_j), lambda_j = e^{i phi_j}, are 2-to-1, so ``eigh``
-    can mix a mode with its mirror image conj(lambda_j).  Each run of
+    can mix a mode with its mirror image conj(lambda_j).  Each run C of
     consecutive modes with residuals above ``_SPLIT_FLAG`` is rotated by
-    the eigenvectors of o_C^T Y o_C, which take such modes apart, unless
-    that fails to lower the run's largest residual.
+    the eigenvectors of o_C^T Y o_C, from its residuals, unless that fails
+    to lower the run's largest residual.
     """
-    _, o = np.linalg.eigh(u.real)  # reads the lower triangle
-    lam, residual = np.empty(len(o), dtype=complex), np.empty(len(o))
-    for a in range(0, len(o), _ROW_CHUNK):
-        rows = slice(a, a + _ROW_CHUNK)
-        ot = o[:, rows].T.copy()
-        lam[rows], residual[rows] = _rayleigh(ot, _real_matmul(ot, u))
+    u = _real_matmul(w, np.multiply(d[:, None], w.T, order="C"))
+    u *= h[:, None]
+    u *= h
+    x, y = u.real.copy(), u.imag.copy()
+    del u
+    o = np.linalg.eigh(x)[1]  # reads the lower triangle
+    yo = y @ o
+    del y
+    xo = x @ o
+    del x
+    lam, residual = _rayleigh(o, xo, yo)
     flagged = np.flatnonzero(residual > _SPLIT_FLAG)
     for run in np.split(flagged, np.flatnonzero(np.diff(flagged) > 1) + 1):
         if run.size > 1:
-            ot = o[:, run].T.copy()
-            r = _real_matmul(ot, u)
-            y = r.imag @ ot.T
-            v = np.linalg.eigh(y + y.T)[1].T
-            lam_c, res_c = _rayleigh(v @ ot, _real_matmul(v, r))
+            oc = o[:, run]
+            xc = xo[:, run] + lam[run].real * oc
+            yc = yo[:, run] + lam[run].imag * oc
+            v = np.linalg.eigh(oc.T @ yc)[1]  # reads the lower triangle
+            oc, xc, yc = oc @ v, xc @ v, yc @ v
+            lam_c, res_c = _rayleigh(oc, xc, yc)
             if res_c.max() < residual[run].max():
-                o[:, run], lam[run], residual[run] = (v @ ot).T, lam_c, res_c
+                o[:, run], lam[run], residual[run] = oc, lam_c, res_c
     return lam, o, float(residual.max())
 
 
@@ -279,23 +285,17 @@ def _block_spectrum(w1, w0, ovl, schedule, readout, keep):
     at f = 1 and f = 0, and ``ovl`` = V_0^T V_1 the real overlap of their
     eigenvectors.  The drive is 1-0-1, so in the frame Y = U_0(tau_s/2)
     U_1(tau_c), Y U_T Y^-1 = U'' = P Q P with P = U_0(tau_s/2) and Q =
-    U_1(tau_c + tau_d): complex symmetric and unitary, with real
-    eigenvectors o_j (``_unitary_eigh``).  U'' is assembled in the f = 0
-    eigenbasis as D_0 W D_1 W^T D_0 with W = ovl, and the modes are
-    phi_j(0) = Y^-1 V_0 o_j = V_1 c_j.  The weights come from the pair rows
-    ``readout`` c_j (``readout``: the battery and charger rows of V_1),
-    formed as (m x 2) products; the coefficients c_j on the f = 1
-    eigenvectors are returned, with their boolean mask, only for weights
-    >= ``keep``.  An eigenpair residual ||U'' o_j - lambda_j o_j|| above
+    U_1(tau_c + tau_d), which ``_unitary_eigh`` forms in the f = 0
+    eigenbasis as D_0 W D_1 W^T D_0 (W = ovl) and diagonalizes.  The modes
+    are phi_j(0) = Y^-1 V_0 o_j = V_1 c_j; their weights come from the
+    pair rows ``readout`` c_j (the battery and charger rows of V_1), as
+    (m x 2) products, and the c_j are returned, with their boolean mask,
+    only for weights >= ``keep``.  An eigenpair residual above
     ``_CLOSURE_TOL`` raises NotAnEigenpairError.
     """
     half = np.exp(-0.5j * schedule.tau_s * w0)
-    u = _real_matmul(ovl, np.exp(-1j * (schedule.tau_c + schedule.tau_d)
-                                 * w1)[:, None] * ovl.T)
-    u *= half[:, None]
-    u *= half
-    lam, o, residual = _unitary_eigh(u)
-    del u
+    lam, o, residual = _unitary_eigh(
+        ovl, np.exp(-1j * (schedule.tau_c + schedule.tau_d) * w1), half)
     if residual > _CLOSURE_TOL:
         raise NotAnEigenpairError(residual=residual, tol=_CLOSURE_TOL)
     eps = fold_quasienergy(-np.angle(lam) / schedule.period, schedule.omega_T)
@@ -353,12 +353,22 @@ def compute_spectrum(
     from the eigensystem of ``props`` (built here if not given), which
     ``fbs_floquet_modes`` can then reuse; MemoryCapError, before any
     matrix is built, if they would not fit.  Only modes of system weight
-    >= ``weight_threshold`` keep their eigenvectors."""
+    >= ``weight_threshold`` keep their eigenvectors.  The arguments that
+    ``identify_fbs`` rejects raise ValueError before any work."""
+    _check_fbs_args(weight_threshold, gap_tolerance)
     check_memory(env, params.delta, spectrum=True)
     spec = _shell_spectrum(params, env, schedule, props, weight_threshold)
     idx = identify_fbs(spec, weight_threshold=weight_threshold,
                        gap_tolerance=gap_tolerance)
     return replace(spec, fbs_indices=idx)
+
+
+def _check_fbs_args(weight_threshold, gap_tolerance):
+    if not 0.0 < weight_threshold <= 1.0:
+        raise ValueError(f"weight_threshold must lie in (0, 1], "
+                         f"got {weight_threshold}")
+    if gap_tolerance is not None and not gap_tolerance >= 0.0:
+        raise ValueError(f"gap_tolerance must be >= 0, got {gap_tolerance}")
 
 
 def identify_fbs(
@@ -374,11 +384,7 @@ def identify_fbs(
     A threshold outside (0, 1] or a negative tolerance would flag uncoupled
     or in-band modes and raises ValueError.
     """
-    if not 0.0 < weight_threshold <= 1.0:
-        raise ValueError(f"weight_threshold must lie in (0, 1], "
-                         f"got {weight_threshold}")
-    if gap_tolerance is not None and not gap_tolerance >= 0.0:
-        raise ValueError(f"gap_tolerance must be >= 0, got {gap_tolerance}")
+    _check_fbs_args(weight_threshold, gap_tolerance)
     band = spectrum.band
     if gap_tolerance is None:
         n_bath = max(spectrum.dimension - 2, 1)
@@ -521,12 +527,6 @@ def decompose_energy_terms(modes: list[FloquetMode], ts
     empty mode list gives zero (complete discharge into the band).
     """
     ts_arr = np.atleast_1d(np.asarray(ts, dtype=float))
-    if not modes:
-        z = np.zeros(ts_arr.size)
-        return EnergyDecomposition(times=ts_arr, diagonal=np.zeros((0, ts_arr.size)),
-                                   interference=z, total=z.copy(),
-                                   elements=np.zeros((0, ts_arr.size)),
-                                   coefficients=np.zeros(0, dtype=complex))
     coeffs = np.empty(len(modes), dtype=complex)
     amps = np.empty((len(modes), ts_arr.size), dtype=complex)
     elements = np.empty((len(modes), ts_arr.size))
@@ -535,7 +535,7 @@ def decompose_energy_terms(modes: list[FloquetMode], ts
         coeffs[j] = np.conj(mode.phi0[1])
         amps[j] = coeffs[j] * np.exp(-1j * mode.epsilon * ts_arr) * battery
         elements[j] = np.abs(battery) ** 2
-    omega_b = modes[0].omega_b
+    omega_b = modes[0].omega_b if modes else 0.0  # no modes: all zero
     diagonal = omega_b * np.abs(amps) ** 2
     total = omega_b * np.abs(amps.sum(axis=0)) ** 2
     interference = total - diagonal.sum(axis=0)

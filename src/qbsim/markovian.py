@@ -34,8 +34,10 @@ def markov_rates(env: LatticeEnvironment, omega_0: float) -> MarkovRates:
     value diverges logarithmically.  K(m) is evaluated from 1 - m, formed as
     a product so that it keeps full precision near the edges.  The
     band-center point omega_0 = varpi is rejected: J diverges there and no
-    finite rate exists.
+    finite rate exists; so is a non-finite omega_0.
     """
+    if not math.isfinite(omega_0):
+        raise ValueError(f"omega_0 must be finite, got {omega_0}")
     if omega_0 == env.varpi:
         raise ValueError("J(omega) diverges at the band center; "
                          "Markovian rates are undefined at omega_0 = varpi")

@@ -22,7 +22,6 @@ __all__ = [
     "phase_fourier_coeff",
     "SecondOrderResult",
     "second_order_corrections",
-    "splitting_main_sum",
     "splitting_large_coupling",
     "asymptotic_energy_closed_form",
     "NonresonantPair",
@@ -157,30 +156,6 @@ def second_order_corrections(
     return SecondOrderResult(eps0=params.omega_0 - 0.5 * w_t,
                              eps2_plus=eps2_plus, eps2_minus=eps2_minus,
                              n_max=n_max, tail_bound=tail)
-
-
-def splitting_main_sum(
-    params: SystemParams,
-    env: LatticeEnvironment,
-    schedule: ProtocolSchedule,
-    n_max: int = 64,
-) -> float:
-    """Quasienergy splitting as the single combined harmonic sum.
-
-    Algebraically identical to eps2_plus - eps2_minus of
-    ``second_order_corrections``; kept as an independent evaluation path.
-    """
-    if params.delta != 0.0:
-        raise ValueError("splitting sum assumes zero detuning")
-    _check_protocol(params.kappa, schedule)
-    w_t = schedule.omega_T
-    shells = env.shells()
-    gs2 = env.coupling_per_mode**2 * shells.multiplicities
-    ns, fn2 = _harmonic_weights(params.kappa, schedule, n_max)
-    num = gs2[:, None] * ((1.0 - 2.0 * ns) * fn2)[None, :]
-    den = ((0.5 - ns) ** 2 * w_t)[None, :] \
-        - ((params.omega_0 - shells.frequencies) ** 2 / w_t)[:, None]
-    return float(abs(np.sum(num / den)))
 
 
 def splitting_large_coupling(env: LatticeEnvironment, kappa: float) -> float:

@@ -1,13 +1,14 @@
 """References that the fast paths are tested against: the full-basis
 isometry for the shell-basis tests, the two-sum Volterra march, the
-resonant +/- memory route, and the pointwise drive value with its
-piecewise walk over an interval."""
+resonant +/- memory route, the pointwise drive value with its piecewise
+walk over an interval, and the combined harmonic sum of the bound-state
+splitting."""
 
 import math
 
 import numpy as np
 
-from qbsim import dynamics
+from qbsim import dynamics, perturbation
 
 
 def bright_isometry(env) -> np.ndarray:
@@ -137,3 +138,17 @@ def drive_pieces(schedule, t0: float, t1: float):
         out.append((nxt - t, drive_value(schedule, mid)))
         t = nxt
     return out
+
+
+def splitting_main_sum(params, env, schedule, n_max: int = 64) -> float:
+    """Quasienergy splitting of the resonant pair as the single combined
+    harmonic sum, algebraically identical to eps2_plus - eps2_minus of
+    ``perturbation.second_order_corrections``."""
+    w_t = schedule.omega_T
+    shells = env.shells()
+    gs2 = env.coupling_per_mode**2 * shells.multiplicities
+    ns, fn2 = perturbation._harmonic_weights(params.kappa, schedule, n_max)
+    num = gs2[:, None] * ((1.0 - 2.0 * ns) * fn2)[None, :]
+    den = ((0.5 - ns) ** 2 * w_t)[None, :] \
+        - ((params.omega_0 - shells.frequencies) ** 2 / w_t)[:, None]
+    return float(abs(np.sum(num / den)))

@@ -158,6 +158,13 @@ class TestSpectralDensity:
         assert out[0] == 0.0 and out[-1] == 0.0
         assert out[3] == np.inf
 
+    def test_nan_frequency(self):
+        # a NaN frequency used to read as outside the band, J = 0
+        assert np.isnan(spectral_density(ENV, np.nan))
+        out = spectral_density(ENV, np.array([np.nan, 1.5, 3.2]))
+        assert np.isnan(out[0])
+        assert out[1] == spectral_density(ENV, 1.5) and out[2] == 0.0
+
 
 class TestDiscreteKernel:
     def test_brute_force_small_lattices(self):

@@ -295,10 +295,13 @@ class TestShellSpectrum:
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_allocates_no_dense_modes(self, delta):
         # a d x d complex array at d = 3202 alone takes 16 d^2 = 164 MB; the
-        # shell spectrum (n = 444), propagators included, peaks at 2.4 n^2
-        # floats at delta = 0 and 6.1 detuned (n^2 floats = 1.6 MB).
-        # Storing the vectors of all n coupled modes, a complex n x n array,
-        # raised the peaks to 4.6 and 8.0 and breaks either bound
+        # shell spectrum (n = 444), propagators included, peaks at 2.35 n^2
+        # floats at delta = 0 and 6.10 detuned (n^2 floats = 1.6 MB): U'' is
+        # freed once split into X and Y, and each of those once multiplied.
+        # Keeping U'' through the products with the eigenvectors raised the
+        # peaks to 2.56 and 7.06; storing the vectors of all n coupled
+        # modes, a complex n x n array, raised them to 4.6 and 8.0 and
+        # breaks either bound
         env = LatticeEnvironment(n_side=40, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=15.0)
         tau = 0.5 * np.pi / params.rabi
@@ -317,8 +320,9 @@ class TestShellSpectrum:
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_memory_cap(self, monkeypatch, delta):
         # the estimate, 3.5 n^2 floats resonant and 10 detuned, lies above
-        # the RSS peaks measured at n_side 60 (3.31 and 9.04 n^2 floats),
-        # 100 (2.87 and 9.19) and 140 (2.85 and 8.09)
+        # the RSS peaks measured at n_side 100 (3.13 and 9.19 n^2 floats)
+        # and 140 (2.81 and 8.09), and above the detuned 9.03 at n_side 60;
+        # the resonant 3.55 there exceeds it (heap reuse, see check_memory)
         env = LatticeEnvironment(n_side=6, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=delta, kappa=4.8)
         tau = 0.5 * np.pi / 4.8
@@ -411,16 +415,21 @@ class TestUnitaryEigh:
 
     PHI = np.concatenate([[0.0, np.pi, 1e-7, -1e-7],
                           np.linspace(0.1, 3.0, 28), -np.linspace(0.1, 3.0, 28)])
+    # pi/2 +- 1e-4 share Im(e^{i phi}), so a split on Im(U) alone mixes them
+    NEAR_IM = np.concatenate([[np.pi / 2 + 1e-4, np.pi / 2 - 1e-4],
+                              np.linspace(-1.5, -0.1, 6)])
 
-    def _unitary(self, phi=PHI):
-        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal(
+    @staticmethod
+    def _eigh(phi, seed=7):
+        """``_unitary_eigh`` of U = H W D W^T H with W = Q, D = diag(e^{i
+        phi}) and H = I."""
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
             (phi.size, phi.size)))
-        return (q * np.exp(1j * phi)) @ q.T
+        return floquet._unitary_eigh(q, np.exp(1j * phi), np.ones(phi.size)), q
 
     def test_matches_eigvals(self):
-        u = self._unitary()
-        lam, o, residual = floquet._unitary_eigh(u)
-        ref = np.linalg.eigvals(u)
+        (lam, o, residual), q = self._eigh(self.PHI)
+        ref = np.linalg.eigvals((q * np.exp(1j * self.PHI)) @ q.T)
         gap = np.abs(lam[:, None] - ref[None, :])
         assert gap.min(axis=0).max() < 1e-13
         assert gap.min(axis=1).max() < 1e-13
@@ -430,15 +439,26 @@ class TestUnitaryEigh:
     def test_split_is_needed(self, monkeypatch):
         # without the split on Im(U) the mirrored pairs stay mixed
         monkeypatch.setattr(floquet, "_SPLIT_FLAG", np.inf)
-        assert floquet._unitary_eigh(self._unitary())[2] > 1e-3
+        assert self._eigh(self.PHI)[0][2] > 1e-3
 
     def test_keeps_eigh_where_split_fails(self, monkeypatch):
-        # pi/2 +- 1e-4 share Im(e^{i phi}): the split of a run that holds
-        # both mixes them (residual 5e-5), where the eigh of Re(U) had not
-        phi = np.concatenate([[np.pi / 2 + 1e-4, np.pi / 2 - 1e-4],
-                              np.linspace(-1.5, -0.1, 6)])
+        # the split of a run that holds pi/2 +- 1e-4 mixes them (residual
+        # 5e-5), where the eigh of Re(U) had not
         monkeypatch.setattr(floquet, "_SPLIT_FLAG", 0.0)  # one run of all
-        assert floquet._unitary_eigh(self._unitary(phi))[2] < 1e-12
+        assert self._eigh(self.NEAR_IM)[0][2] < 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rotated_run_eigenvalues(self, monkeypatch, seed):
+        # a run rotated by the split is judged by its residual, which needs
+        # both the Re(U) and the Im(U) part of U o; the eigenvalues it
+        # keeps must be the exact ones
+        monkeypatch.setattr(floquet, "_SPLIT_FLAG", 0.0)  # one run of all
+        lam, _, residual = self._eigh(self.NEAR_IM, seed)[0]
+        ref = np.exp(1j * self.NEAR_IM)
+        gap = np.abs(lam[:, None] - ref[None, :])
+        assert gap.min(axis=0).max() < 1e-10
+        assert gap.min(axis=1).max() < 1e-10
+        assert residual < 1e-12
 
 
 class TestIdentifyFbs:
@@ -482,6 +502,19 @@ class TestIdentifyFbs:
         with pytest.raises(ValueError):
             identify_fbs(spec, **keys)
         assert identify_fbs(spec, weight_threshold=1.0, gap_tolerance=0.0).size == 0
+
+    @pytest.mark.parametrize("keys", [
+        dict(weight_threshold=-1.0), dict(weight_threshold=1.5),
+        dict(weight_threshold=float("nan")), dict(gap_tolerance=-1.0)])
+    def test_compute_spectrum_rejects_before_work(self, monkeypatch, keys):
+        # these used to be rejected only after the whole eigen-step, which
+        # at a threshold of -1 stored the vectors of all coupled modes
+        def eigen_step(*args):
+            raise AssertionError("the eigen-step ran")
+        monkeypatch.setattr(floquet, "_block_spectrum", eigen_step)
+        monkeypatch.setattr(dynamics, "MEMORY_CAP", 0)  # before the cap too
+        with pytest.raises(ValueError, match=f"{next(iter(keys))} must"):
+            compute_spectrum(PARAMS, ENV4, SCHEDULE, **keys)
 
 
 class TestFloquetMode:

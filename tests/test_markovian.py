@@ -64,6 +64,12 @@ class TestMarkovRates:
         with pytest.raises(ValueError):
             markov_rates(ENV, ENV.varpi)
 
+    @pytest.mark.parametrize("w0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequency_rejected(self, w0):
+        # these used to return gamma = 0 with a NaN shift
+        with pytest.raises(ValueError, match="omega_0 must be finite"):
+            markov_rates(ENV, w0)
+
     def test_outside_band(self):
         lo, hi = ENV.band_edges
         for w0 in (hi + 0.5, lo - 0.5):

@@ -14,8 +14,9 @@ from qbsim.perturbation import (
     phase_profile,
     second_order_corrections,
     splitting_large_coupling,
-    splitting_main_sum,
 )
+
+from oracles import splitting_main_sum
 
 
 def equal_schedule(kappa: float) -> ProtocolSchedule:
@@ -165,8 +166,6 @@ class TestSecondOrder:
         detuned = SystemParams.from_center(2.0, 0.5, 8.0)
         with pytest.raises(ValueError):
             second_order_corrections(detuned, self.ENV, equal_schedule(8.0))
-        with pytest.raises(ValueError):
-            splitting_main_sum(detuned, self.ENV, equal_schedule(8.0))
 
     def test_resonant_denominator(self):
         # kappa = 1.5 puts (n - 1/2) omega_T exactly on a lattice detuning
