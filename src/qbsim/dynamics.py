@@ -114,16 +114,6 @@ def _pair_hamiltonian(params: SystemParams, bath, f_value: float) -> np.ndarray:
     return h
 
 
-def _sector_hamiltonian(params: SystemParams, bath, f_value: float,
-                        sector: int) -> np.ndarray:
-    """One +/- sector of the resonant pair plus a bath (frequencies, couplings)."""
-    if params.delta != 0.0:
-        raise ValueError("sector decomposition requires zero detuning")
-    if sector not in (+1, -1):
-        raise ValueError("sector must be +1 or -1")
-    return _arrowhead(params.omega_0 + sector * params.kappa * f_value, bath)
-
-
 def build_hamiltonian(
     params: SystemParams, env: LatticeEnvironment, f_value: float
 ) -> np.ndarray:
@@ -143,10 +133,17 @@ def build_sector_hamiltonian(
     """(1 + N^2)-dimensional block of the resonant Hamiltonian.
 
     At delta = 0 the symmetric (+1) and antisymmetric (-1) combinations of
-    battery/charger and of the two baths decouple; the system level sits at
-    omega_0 + sector * kappa * f.
+    battery/charger and of the two baths decouple; each is the arrowhead
+    of its system level omega_0 + sector * kappa * f over the momentum
+    modes.  A detuned ``params`` or a sector other than +/-1 raises
+    ValueError.
     """
-    return _sector_hamiltonian(params, _bath_arrays(env), f_value, sector)
+    if params.delta != 0.0:
+        raise ValueError("sector decomposition requires zero detuning")
+    if sector not in (+1, -1):
+        raise ValueError("sector must be +1 or -1")
+    return _arrowhead(params.omega_0 + sector * params.kappa * f_value,
+                      _bath_arrays(env))
 
 
 def default_time_step(

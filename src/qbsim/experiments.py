@@ -344,8 +344,7 @@ def _plan_markov(cfg):
     if cfg.gamma is None:
         # the sidecar must hold them as finite numbers
         try:
-            rates = dataclasses.asdict(
-                markov_rates(resolve_environment(cfg), cfg.omega_0))
+            rates = dataclasses.asdict(markov_rates(plan.env, cfg.omega_0))
             if not all(map(math.isfinite, rates.values())):
                 raise ValueError(
                     f"the Markovian rates at omega_0 = {cfg.omega_0} are not "
@@ -371,9 +370,12 @@ def _plan_dynamics(cfg):
 def _plan_spectrum(cfg):
     """kappa-sweep at each grid point, d = 2 + 2 n_side^2 rows each;
     spectrum at cfg.kappa."""
-    check_memory(resolve_environment(cfg), cfg.delta, spectrum=True)
-    return _resolve(cfg, points=_sweep_points(cfg, 2 + 2 * cfg.n_side**2)
-                    if cfg.kind == "kappa-sweep" else ())
+    plan = _resolve(cfg)
+    check_memory(plan.env, cfg.delta, spectrum=True)
+    if cfg.kind != "kappa-sweep":
+        return plan
+    return dataclasses.replace(
+        plan, points=_sweep_points(cfg, 2 + 2 * cfg.n_side**2))
 
 
 def _plan_bound_states(cfg):
@@ -502,7 +504,8 @@ def _run_kappa_sweep(plan):
         points.append(point)
     return ([("", ["kappa"] + _SPECTRUM_HEADER,
               [np.concatenate(c) for c in zip(*blocks)])],
-            {"sweep": {"kappa": [k for k, _, _ in plan.points]}},
+            {"resolved": [_schedule_meta(s) for _, _, s in plan.points],
+             "sweep": {"kappa": [k for k, _, _ in plan.points]}},
             {"points": points})
 
 

@@ -88,7 +88,12 @@ def circular_distance(e1, e2, omega_T: float):
 
 @dataclass(frozen=True)
 class BandSupport:
-    """Folded image of the bath band [lo, hi] on the quasienergy circle."""
+    """Folded image of the bath band [lo, hi] on the quasienergy circle.
+
+    ``lo`` is the folded lower edge and ``width`` = hi - lo the band's own
+    width; a band at least omega_T wide covers the whole circle, and
+    ``distance`` is then 0 for every quasienergy.
+    """
 
     lo: float
     hi: float
@@ -97,10 +102,6 @@ class BandSupport:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def covers_zone(self) -> bool:
-        return self.width >= self.omega_T
 
     def distance(self, eps):
         """Circle distance from eps to the folded band (0 inside)."""

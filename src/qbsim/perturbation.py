@@ -163,17 +163,11 @@ def splitting_large_coupling(env: LatticeEnvironment, kappa: float) -> float:
 
     Follows from the combined harmonic sum when omega_T = 4 kappa / 3
     dominates every bath detuning; |f_0|^2 = 9/pi^2 on the constrained
-    protocol.
+    protocol.  A kappa that is not positive and finite raises ValueError.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    f0 = abs(phase_fourier_coeff(kappa, _equal_schedule(kappa), 0)) ** 2
-    return 3.0 * env.g**2 * f0 / kappa
-
-
-def _equal_schedule(kappa: float) -> ProtocolSchedule:
-    tau = 0.5 * math.pi / kappa
-    return ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+    if not 0 < kappa < math.inf:  # a NaN fails too
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    return 3.0 * env.g**2 * (9.0 / math.pi**2) / kappa
 
 
 def asymptotic_energy_closed_form(
@@ -200,15 +194,13 @@ class NonresonantPair:
     """Zeroth-order bound-state pair at finite detuning.
 
     The degenerate resonant quasienergy splits by 2*delta; the members
-    localize on the battery and the charger respectively (system-space
-    amplitude vectors in (battery, charger) ordering).
+    are the bare battery and charger states, at ``eps_battery`` and
+    ``eps_charger``.
     """
 
     eps_battery: float
     eps_charger: float
     splitting: float
-    battery_vector: tuple[complex, complex]
-    charger_vector: tuple[complex, complex]
 
 
 def nonresonant_zeroth_order(
@@ -222,6 +214,4 @@ def nonresonant_zeroth_order(
         eps_battery=eps0 + d,
         eps_charger=eps0 - d,
         splitting=2.0 * abs(d),
-        battery_vector=(1.0 + 0.0j, 0.0j),
-        charger_vector=(0.0j, 1.0 + 0.0j),
     )

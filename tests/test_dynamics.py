@@ -241,10 +241,10 @@ class TestBlockEigensystem:
         bath = dynamics._bath_arrays(env, env.shells())
         for f in (1.0, 0.0):
             for a, sector in ((0, -1), (1, +1)):
+                apex = params.omega_0 + sector * params.kappa * f
                 np.testing.assert_allclose(
                     props.blocks[f][a][0],
-                    np.linalg.eigvalsh(dynamics._sector_hamiltonian(
-                        params, bath, f, sector)),
+                    np.linalg.eigvalsh(dynamics._arrowhead(apex, bath)),
                     rtol=0, atol=1e-13)
 
 

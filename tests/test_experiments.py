@@ -1,7 +1,9 @@
 """Experiment configuration, runners, and tabular output helpers."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -288,6 +290,16 @@ class TestPackageSurface:
             run_experiment(cfg, tmp_path, jobs=2)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name", ["qbsim"] + sorted(
+        f"qbsim.{m.name}" for m in pkgutil.iter_modules(qbsim.__path__)))
+    def test_every_export_resolves_once(self, name):
+        # a deletion cannot leave a stale or doubled public name behind
+        module = importlib.import_module(name)
+        exports = getattr(module, "__all__", [])
+        assert len(set(exports)) == len(exports)
+        for export in exports:
+            assert hasattr(module, export), export
+
     def test_runs_without_scipy_linalg(self, tmp_path):
         # only the full-basis Schur oracle needs scipy.linalg, so importing
         # the package and running every kind leaves it unloaded; the oracle
@@ -447,6 +459,37 @@ class TestRunners:
         assert [p["kappa"] for p in summary["points"]] == [7.5, 8.0, 8.5]
         header = (tmp_path / "sw.csv").read_text().splitlines()[0]
         assert header == "kappa,index,quasienergy,system_weight,is_fbs"
+
+    def test_sweep_sidecar_names_each_point_schedule(self, tmp_path):
+        # fig4c runs kappa = 5 ... 15 on equal segments: each point's
+        # resolved period is 3 pi / (2 kappa), in grid order
+        cfg = replace(PRESETS["fig4c"][0], n_side=2)
+        files, _ = run_experiment(cfg, tmp_path)
+        with open(files[-1]) as fh:
+            meta = json.load(fh)
+        kappas = meta["sweep"]["kappa"]
+        assert kappas == sweep_grid_values(cfg).tolist()
+        assert len(meta["resolved"]) == len(kappas) == 21
+        for kappa, resolved in zip(kappas, meta["resolved"], strict=True):
+            assert resolved["period"] == pytest.approx(
+                3 * np.pi / (2 * kappa), rel=1e-14)
+            assert resolved["tau_c"] == resolved["tau_s"] == resolved["tau_d"]
+
+    @pytest.mark.parametrize("keys", [
+        dict(kind="kappa-sweep", kappa_min=7.5, kappa_max=8.5,
+             kappa_step=0.5),
+        dict(kind="markov", omega_0=1.5)], ids=["kappa-sweep", "markov"])
+    def test_one_environment_per_plan(self, monkeypatch, keys):
+        # the memory check, the sweep points and the Markovian rates read
+        # the plan's environment; none builds its own
+        calls = []
+        resolve = experiments.resolve_environment
+        monkeypatch.setattr(experiments, "resolve_environment",
+                            lambda cfg: calls.append(cfg) or resolve(cfg))
+        plan = validate_config(ExperimentConfig(n_side=3, **keys))
+        assert len(calls) == 1
+        if keys["kind"] == "markov":
+            assert plan.rates["gamma"] > 0
 
     def test_spectrum(self, tmp_path):
         cfg = ExperimentConfig(kind="spectrum", label="sp", n_side=3,

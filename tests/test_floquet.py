@@ -98,7 +98,6 @@ class TestBandSupport:
     def test_distance_inside_and_out(self):
         band = BandSupport(lo=-0.2, hi=0.3, omega_T=2.0)
         assert band.width == pytest.approx(0.5)
-        assert not band.covers_zone
         assert band.distance(0.1) == 0.0
         assert band.distance(-0.2) == 0.0
         assert band.distance(0.35) == pytest.approx(0.05, abs=1e-12)
@@ -107,7 +106,6 @@ class TestBandSupport:
 
     def test_covering_band(self):
         band = BandSupport(lo=-1.0, hi=3.0, omega_T=2.0)
-        assert band.covers_zone
         np.testing.assert_array_equal(band.distance(np.array([-0.9, 0.0, 0.9])), 0.0)
 
 

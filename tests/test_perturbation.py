@@ -196,6 +196,21 @@ class TestLargeCoupling:
         with pytest.raises(ValueError):
             splitting_large_coupling(env, 0.0)
 
+    @pytest.mark.parametrize("kappa", [-1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_negative_and_non_finite(self, kappa):
+        env = LatticeEnvironment(n_side=2, varpi=1.0, q=0.5, g=0.5)
+        with pytest.raises(ValueError):
+            splitting_large_coupling(env, kappa)
+
+    def test_equals_harmonic_on_sm_s1_grid(self):
+        # the closed |f_0|^2 = 9/pi^2 is the harmonic's value to the bit,
+        # so the closed form gives what 3 g^2 |f_0|^2 / kappa gives
+        env = LatticeEnvironment(n_side=2, varpi=1.0, q=0.5, g=0.5)
+        for kappa in (5.0 + 0.5 * np.arange(21)).tolist():
+            f0 = abs(phase_fourier_coeff(kappa, equal_schedule(kappa), 0))**2
+            assert splitting_large_coupling(env, kappa) \
+                == 3.0 * env.g**2 * f0 / kappa
+
 
 class TestClosedFormEnergy:
     KAPPA = 15.0
@@ -234,8 +249,6 @@ class TestNonresonant:
         assert pair.eps_battery == pytest.approx(eps0 + 0.5, rel=1e-12)
         assert pair.eps_charger == pytest.approx(eps0 - 0.5, rel=1e-12)
         assert pair.splitting == pytest.approx(1.0, rel=1e-12)
-        assert pair.battery_vector == (1.0 + 0.0j, 0.0j)
-        assert pair.charger_vector == (0.0j, 1.0 + 0.0j)
 
     def test_protocol_guard(self):
         params = SystemParams.from_center(2.0, 0.5, 15.0)
