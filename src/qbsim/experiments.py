@@ -32,7 +32,6 @@ from .perturbation import (
     _check_protocol,
     asymptotic_energy_closed_form,
     nonresonant_zeroth_order,
-    phase_fourier_coeff,
     second_order_corrections,
     splitting_large_coupling,
 )
@@ -401,54 +400,21 @@ def _plan_perturbation(cfg):
 
 # ---------------------------------------------------------------------------
 # runners, one per kind: each takes the kind's plan and returns (tables,
-# sidecar entries, summary fragment); a table is (stem suffix, header,
-# columns).  run_plan writes the tables in order as
-# <stem><suffix>.csv, then one <stem>.meta.json: config, resolved, version,
-# the runner's entries (which may replace resolved) and columns; the
+# sidecar entries, summary fragment); a table is (stem suffix, columns),
+# with columns an ordered {name: (description, values)}.  run_plan writes
+# the tables in order as <stem><suffix>.csv, then one <stem>.meta.json:
+# config, resolved, sweep (of the sweep kinds), version, the runner's
+# entries, and columns: the description of every column written.  The
 # summary starts kind, label.
 
-_SPECTRUM_HEADER = ["index", "quasienergy", "system_weight", "is_fbs"]
-_TRACE_COLUMNS = {"t": "time", "energy": "battery energy (hbar = 1)"}
-_SPECTRUM_COLUMNS = {"index": "mode index",
-                     "quasienergy": "folded quasienergy",
-                     "system_weight": "battery+charger weight",
-                     "is_fbs": "bound-state flag"}
-# the sidecar's "columns" entry of each kind
-_COLUMNS = {
-    "ideal-cycle": _TRACE_COLUMNS,
-    "markov": {"t": "time", "energy": "decay-enveloped battery energy"},
-    "dynamics": _TRACE_COLUMNS,
-    "kappa-sweep": {"kappa": "coupling", **_SPECTRUM_COLUMNS},
-    "spectrum": _SPECTRUM_COLUMNS,
-    "asymptotic": {
-        "t": "time", "energy_exact": "propagated battery energy",
-        "energy_asymptotic": "bound-state-only battery energy",
-        "diag_j": "battery population of bound state j (dimensionless)",
-        "interference": "cross term / omega_b (dimensionless)"},
-    "perturbation": {
-        "kappa": "coupling", "eps0": "shared zeroth-order quasienergy",
-        "eps2_plus/eps2_minus": "second-order corrections",
-        "splitting_*": "bound-state splitting by method",
-        "energy_closed_form":
-            "analytic beating energy at the last grid point (absolute)"},
-    "nonresonant": {
-        "index": "bound-state index",
-        "weight_battery/weight_charger": "|<b|phi>|^2, |<c|phi>|^2",
-        "c_initial_sq": "initial-state overlap |c_j|^2",
-        "component": "0 battery, 1 charger, then the battery-bath and "
-                     "charger-bath frequency shells",
-        "multiplicity": "lattice modes in the component (1, 1, then m_s)",
-        "p_j": "probability of each one of the component's modes in bound "
-               "state j",
-        "diag_j": "battery population of bound state j",
-        "interference": "cross term / omega_b"},
-}
+def _energy_trace(ts, energies, what="battery energy (hbar = 1)"):
+    return {"t": ("time", ts), "energy": (what, energies)}
 
 
 def _run_ideal_cycle(plan):
     ts = plan.times
-    return ([("", ["t", "energy"],
-              [ts, ideal_energy(plan.params, plan.schedule, ts)])],
+    return ([("", _energy_trace(
+                ts, ideal_energy(plan.params, plan.schedule, ts)))],
             {}, {"peak_energy": ideal_peak_energy(plan.params),
                  "period": plan.schedule.period})
 
@@ -456,7 +422,9 @@ def _run_ideal_cycle(plan):
 def _run_markov(plan):
     ts, rates = plan.times, plan.rates
     energies = markov_energy(plan.params, plan.schedule, rates["gamma"], ts)
-    return [("", ["t", "energy"], [ts, energies])], rates, rates
+    return ([("", _energy_trace(ts, energies,
+                                "decay-enveloped battery energy"))],
+            rates, rates)
 
 
 def _run_dynamics(plan):
@@ -471,7 +439,7 @@ def _run_dynamics(plan):
                                rotating=cfg.route == "volterra-pm")
     solver = {**trace.metadata, "route": cfg.route}
     tail = trace.times >= plan.t_max - T - 1e-9 * T
-    return ([("", ["t", "energy"], [trace.times, trace.energies])],
+    return ([("", _energy_trace(trace.times, trace.energies))],
             {"solver": solver},
             {"route": cfg.route,
              "final_period_mean": float(np.mean(trace.energies[tail])),
@@ -492,32 +460,35 @@ def _spectrum_rows(cfg, env, kappa, params, schedule):
         i, j = spec.fbs_indices
         point["delta_eps0"] = float(circular_distance(
             spec.quasienergies[i], spec.quasienergies[j], spec.omega_T))
-    return [np.arange(spec.dimension), spec.quasienergies,
-            spec.system_weights, flags], point
+    return {"index": ("mode index", np.arange(spec.dimension)),
+            "quasienergy": ("folded quasienergy", spec.quasienergies),
+            "system_weight": ("battery+charger weight", spec.system_weights),
+            "is_fbs": ("bound-state flag", flags)}, point
 
 
 def _run_kappa_sweep(plan):
     blocks, points = [], []
-    for sweep_point in plan.points:
-        cols, point = _spectrum_rows(plan.cfg, plan.env, *sweep_point)
-        blocks.append([np.full(cols[0].size, sweep_point[0])] + cols)
+    for kappa, params, schedule in plan.points:
+        cols, point = _spectrum_rows(plan.cfg, plan.env, kappa, params,
+                                     schedule)
+        rows = cols["index"][1].size
+        blocks.append({"kappa": ("coupling", np.full(rows, kappa)), **cols})
         points.append(point)
-    return ([("", ["kappa"] + _SPECTRUM_HEADER,
-              [np.concatenate(c) for c in zip(*blocks)])],
-            {"resolved": [_schedule_meta(s) for _, _, s in plan.points],
-             "sweep": {"kappa": [k for k, _, _ in plan.points]}},
-            {"points": points})
+    columns = {name: (text, np.concatenate([b[name][1] for b in blocks]))
+               for name, (text, _) in blocks[0].items()}
+    return [("", columns)], {}, {"points": points}
 
 
 def _run_spectrum(plan):
     cols, point = _spectrum_rows(plan.cfg, plan.env, plan.cfg.kappa,
                                  plan.params, plan.schedule)
-    return [("", _SPECTRUM_HEADER, cols)], {}, point
+    return [("", cols)], {}, point
 
 
 def _bound_state_energy(plan, ts):
-    """Bound states, their energy terms over ``ts``, diag_j/interference;
-    the spectrum and its modes share one eigensystem."""
+    """Bound states and their energy terms over ``ts``, with the columns
+    energy_asymptotic, diag_j and interference; the spectrum and its modes
+    share one eigensystem."""
     cfg, params, env, schedule = plan.cfg, plan.params, plan.env, plan.schedule
     props = SegmentPropagators(params, env)
     spec = compute_spectrum(params, env, schedule,
@@ -526,16 +497,21 @@ def _bound_state_energy(plan, ts):
     modes = fbs_floquet_modes(params, env, schedule, spec,
                               n_samples=_SAMPLES_PER_PERIOD, props=props)
     decomp = decompose_energy_terms(modes, ts)
-    header = [f"diag_{j + 1}" for j in range(len(modes))] + ["interference"]
-    cols = list(decomp.elements) + [decomp.interference / params.omega_b]
-    return spec, modes, decomp, header, cols
+    cols = {"energy_asymptotic": ("bound-state-only battery energy",
+                                  decomp.total)}
+    for j, element in enumerate(decomp.elements, start=1):
+        cols[f"diag_{j}"] = (f"battery population of bound state {j} "
+                             "(dimensionless)", element)
+    cols["interference"] = ("cross term / omega_b (dimensionless)",
+                            decomp.interference / params.omega_b)
+    return spec, modes, decomp, cols
 
 
 def _run_asymptotic(plan):
     T, t_max, ts = plan.schedule.period, plan.t_max, plan.times
     trace = propagate_exact(plan.params, plan.env, plan.schedule, t_max=t_max,
                             sample_dt=plan.step)
-    spec, modes, decomp, header, cols = _bound_state_energy(plan, ts)
+    spec, modes, decomp, cols = _bound_state_energy(plan, ts)
     m = len(modes)
     tail = ts >= t_max - min(20.0 * T, t_max) - 1e-9 * T
     diff = np.abs(trace.energies[tail] - decomp.total[tail])
@@ -544,8 +520,9 @@ def _run_asymptotic(plan):
     if m == 2:
         summary["delta_eps0"] = float(circular_distance(
             modes[0].epsilon, modes[1].epsilon, spec.omega_T))
-    return ([("", ["t", "energy_exact", "energy_asymptotic"] + header,
-              [ts, trace.energies, decomp.total] + cols)],
+    return ([("", {"t": ("time", ts),
+                   "energy_exact": ("propagated battery energy",
+                                    trace.energies), **cols})],
             {"m_fbs": m,
              "quasienergies": [mode.epsilon for mode in modes],
              "coefficients_sq": [float(abs(c)**2)
@@ -555,9 +532,6 @@ def _run_asymptotic(plan):
 
 def _run_perturbation(plan):
     cfg, env = plan.cfg, plan.env
-    header = ["kappa", "eps0", "eps2_plus", "eps2_minus",
-              "splitting_perturbative", "splitting_exact",
-              "splitting_large_kappa"]
     rows, points = [], []
     for kappa, params, schedule in plan.points:
         res = second_order_corrections(params, env, schedule)
@@ -571,22 +545,34 @@ def _run_perturbation(plan):
         if math.isfinite(exact):
             entry["relative_error"] = abs(res.splitting - exact) / exact
         points.append(entry)
+    texts = {
+        "kappa": "coupling", "eps0": "shared zeroth-order quasienergy",
+        "eps2_plus": "second-order correction, symmetric branch",
+        "eps2_minus": "second-order correction, antisymmetric branch",
+        "splitting_perturbative": "bound-state splitting "
+                                  "|eps2_plus - eps2_minus|",
+        "splitting_exact": "bound-state splitting of the spectrum (NaN "
+                           "unless it has two bound states)",
+        "splitting_large_kappa": "large-coupling law 3 g^2 |f_0|^2 / kappa"}
+    columns = {name: (text, np.asarray(c)) for (name, text), c
+               in zip(texts.items(), zip(*rows), strict=True)}
     # closed-form beating curve at the stiffest grid point, the last one,
     # over 5T at T/96: a formula, so finer than the T/24 traces costs nothing
+    kappa, _, schedule = plan.points[-1]
     ts = np.linspace(0.0, 5.0 * schedule.period, 5 * 96 + 1)
     curve = cfg.omega_0 * asymptotic_energy_closed_form(
-        res.splitting, kappa, schedule, ts)
-    return ([("", header, [np.asarray(c) for c in zip(*rows)]),
-             ("-closed-form", ["t", "energy_closed_form"], [ts, curve])],
-            {"resolved": _schedule_meta(schedule),
-             "sweep": {"kappa": [k for k, _, _ in plan.points]},
-             "f0_sq": float(abs(phase_fourier_coeff(kappa, schedule, 0))**2)},
+        points[-1]["splitting_perturbative"], kappa, schedule, ts)
+    return ([("", columns),
+             ("-closed-form", {"t": ("time", ts), "energy_closed_form": (
+                 "analytic beating energy at the last grid point "
+                 "(absolute)", curve)})],
+            {"f0_sq": 9.0 / math.pi**2},
             {"points": points})
 
 
 def _run_nonresonant(plan):
     params, ts = plan.params, plan.times
-    _, modes, decomp, header, cols = _bound_state_energy(plan, ts)
+    _, modes, decomp, cols = _bound_state_energy(plan, ts)
     m = len(modes)
     zeroth = nonresonant_zeroth_order(params, plan.schedule)
     # battery, charger, the battery-bath shells, the charger-bath shells:
@@ -594,22 +580,30 @@ def _run_nonresonant(plan):
     shell_m = plan.env.shells().multiplicities
     mult = np.concatenate([[1, 1], shell_m, shell_m])
     spread = 1.0 / np.sqrt(mult)
-    weights = {
-        "weight_battery": [float(abs(mode.phi0[0])**2) for mode in modes],
-        "weight_charger": [float(abs(mode.phi0[1])**2) for mode in modes],
-        "c_initial_sq": [float(abs(c)**2) for c in decomp.coefficients]}
-    tables = [
-        ("-modes", ["index", "quasienergy"] + list(weights),
-         [np.arange(m), [mode.epsilon for mode in modes]]
-         + list(weights.values())),
-        ("-distribution",
-         ["component", "multiplicity"] + [f"p_{j + 1}" for j in range(m)],
-         [np.arange(mult.size), mult]
-         + [np.abs(spread * mode.phi0)**2 for mode in modes]),
-        ("-energy", ["t", "energy_asymptotic"] + header,
-         [ts, decomp.total] + cols),
-    ]
-    summary = {"m_fbs": m, **weights}
+    mode_table = {
+        "index": ("bound-state index", np.arange(m)),
+        "quasienergy": ("folded quasienergy of the bound state",
+                        [mode.epsilon for mode in modes]),
+        "weight_battery": ("|<b|phi>|^2", [float(abs(mode.phi0[0])**2)
+                                           for mode in modes]),
+        "weight_charger": ("|<c|phi>|^2", [float(abs(mode.phi0[1])**2)
+                                           for mode in modes]),
+        "c_initial_sq": ("initial-state overlap |c_j|^2",
+                         [float(abs(c)**2) for c in decomp.coefficients])}
+    distribution = {
+        "component": ("0 battery, 1 charger, then the battery-bath and "
+                      "charger-bath frequency shells", np.arange(mult.size)),
+        "multiplicity": ("lattice modes in the component (1, 1, then m_s)",
+                         mult)}
+    for j, mode in enumerate(modes, start=1):
+        distribution[f"p_{j}"] = (
+            "probability of each one of the component's modes in bound "
+            f"state {j}", np.abs(spread * mode.phi0)**2)
+    tables = [("-modes", mode_table), ("-distribution", distribution),
+              ("-energy", {"t": ("time", ts), **cols})]
+    summary = {"m_fbs": m, **{key: mode_table[key][1] for key in
+                              ("weight_battery", "weight_charger",
+                               "c_initial_sq")}}
     n_per = _SAMPLES_PER_PERIOD
     if decomp.total.size > n_per:
         e0, e1 = decomp.total[:-n_per], decomp.total[n_per:]
@@ -649,11 +643,18 @@ def run_plan(plan: _Plan, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     tables, entries, fragment = _KIND_STEPS[cfg.kind][1](plan)
     stem = cfg.label or cfg.kind
-    files = [write_csv(csv_path(out_dir, stem + suffix), header, columns)
-             for suffix, header, columns in tables]
+    files, described = [], {}
+    for suffix, columns in tables:
+        files.append(write_csv(csv_path(out_dir, stem + suffix),
+                               list(columns),
+                               [values for _, values in columns.values()]))
+        described.update((name, text) for name, (text, _) in columns.items())
     meta = {"config": dataclasses.asdict(cfg),
             "resolved": _schedule_meta(plan.schedule),
-            "version": __version__, **entries, "columns": _COLUMNS[cfg.kind]}
+            "version": __version__, **entries, "columns": described}
+    if plan.points:  # the sweep kinds
+        meta["resolved"] = [_schedule_meta(s) for _, _, s in plan.points]
+        meta["sweep"] = {"kappa": [k for k, _, _ in plan.points]}
     files.append(write_metadata(meta_path(out_dir, stem), meta))
     return files, {"kind": cfg.kind, "label": stem, **fragment}
 

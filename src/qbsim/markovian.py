@@ -56,20 +56,18 @@ def markov_rates(env: LatticeEnvironment, omega_0: float) -> MarkovRates:
 def markov_energy(
     params: SystemParams,
     schedule: ProtocolSchedule,
-    rates: MarkovRates | float,
+    gamma: float,
     t,
 ) -> float | np.ndarray:
     """Memoryless-limit battery energy omega_0 exp(-2 Gamma t) sin^2(kappa F(t)).
 
-    F(t) is the accumulated drive integral.  The sin^2 law is the resonant
-    pair's population, so a detuned pair (delta != 0) is rejected.  `rates`
-    may be a MarkovRates or a bare decay rate; the frequency shift only
-    rotates the phase of the amplitude and drops out of the population
-    either way.
+    F(t) is the accumulated drive integral and ``gamma`` the decay rate
+    Gamma.  The sin^2 law is the resonant pair's population, so a detuned
+    pair (delta != 0) is rejected.  The frequency shift of MarkovRates only
+    rotates the phase of the amplitude and drops out of the population.
     """
     if params.delta != 0.0:
         raise ValueError("markov_energy holds only at zero detuning")
-    gamma = rates.gamma if isinstance(rates, MarkovRates) else float(rates)
     if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
     ts = np.asarray(t, dtype=float)

@@ -121,33 +121,24 @@ class ProtocolSchedule:
 def optimal_schedule(
     kappa: float,
     delta: float,
-    n1: int = 0,
-    n2: int = 1,
-    n3: int = 0,
     tau_s: float | None = None,
 ) -> ProtocolSchedule:
     """Schedule making each cycle return the pair to its initial state.
 
-    Charging and discharging windows satisfy Omega*tau = (1/2 + n)*pi with
+    Charging and discharging windows satisfy Omega*tau = pi/2 with
     Omega = sqrt(kappa^2 + delta^2); the storage window satisfies
-    delta*tau_s = n2*pi.  At delta = 0 the storage duration is free and must
+    |delta|*tau_s = pi.  At delta = 0 the storage duration is free and must
     be supplied explicitly via ``tau_s``; an explicit ``tau_s`` also
-    overrides n2 when delta != 0.
+    overrides that window when delta != 0.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    if n1 < 0 or n3 < 0:
-        raise ValueError("n1 and n3 must be nonnegative integers")
-    omega = math.hypot(kappa, delta)
-    tc = (0.5 + n1) * math.pi / omega
-    td = (0.5 + n3) * math.pi / omega
+    half_swap = 0.5 * math.pi / math.hypot(kappa, delta)
     if tau_s is None:
         if delta == 0.0:
             raise ValueError(
                 "storage duration is unconstrained at delta = 0; pass tau_s"
             )
-        if n2 < 1:
-            raise ValueError("n2 must be a positive integer")
-        tau_s = n2 * math.pi / abs(delta)
-    return ProtocolSchedule(tau_c=tc, tau_s=float(tau_s), tau_d=td)
-
+        tau_s = math.pi / abs(delta)
+    return ProtocolSchedule(tau_c=half_swap, tau_s=float(tau_s),
+                            tau_d=half_swap)

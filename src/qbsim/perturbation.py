@@ -61,11 +61,13 @@ def _exp_integral(a: float, lo: float, hi: float) -> complex:
     return (np.exp(-1j * a * lo) - np.exp(-1j * a * hi)) / (1j * a)
 
 
-def phase_fourier_coeff(kappa: float, schedule: ProtocolSchedule, n: int) -> complex:
+def phase_fourier_coeff(kappa: float, schedule: ProtocolSchedule, n):
     """Closed-form harmonic f_n = (1/T) int_0^T e^{-i n omega_T t} y(t) dt.
 
     Independent of kappa on the constrained protocol (the reduced-time
-    profile is universal); the full signature checks the protocol.
+    profile is universal); the full signature checks the protocol, once
+    per call.  ``n`` is an integer or an integer array; an array gives
+    the array of its harmonics.
     """
     _check_protocol(kappa, schedule)
     th = _THETA
@@ -74,7 +76,7 @@ def phase_fourier_coeff(kappa: float, schedule: ProtocolSchedule, n: int) -> com
     i1 = _exp_integral(a1, 0.0, 1.0 / 3.0)
     i2 = np.exp(-1j * th) * _exp_integral(a2, 1.0 / 3.0, 2.0 / 3.0)
     i3 = np.exp(1j * th) * _exp_integral(a1, 2.0 / 3.0, 1.0)
-    return complex(i1 + i2 + i3)
+    return complex(i1 + i2 + i3) if np.ndim(n) == 0 else i1 + i2 + i3
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,6 @@ class SecondOrderResult:
     @property
     def splitting(self) -> float:
         return abs(self.eps2_plus - self.eps2_minus)
-
-
-def _harmonic_weights(kappa, schedule, n_max):
-    ns = np.arange(-n_max, n_max + 1)
-    fn2 = np.array([abs(phase_fourier_coeff(kappa, schedule, int(n))) ** 2
-                    for n in ns])
-    return ns, fn2
 
 
 def second_order_corrections(
@@ -126,7 +121,8 @@ def second_order_corrections(
 
     n_max = 8
     while True:
-        ns, fn2 = _harmonic_weights(params.kappa, schedule, n_max)
+        ns = np.arange(-n_max, n_max + 1)
+        fn2 = np.abs(phase_fourier_coeff(params.kappa, schedule, ns)) ** 2
         remainder = max(0.0, 1.0 - fn2.sum())
         margin = (n_max + 0.5) * w_t - detune_max
         tail = math.inf if margin <= 0 else env.g**2 * remainder / margin

@@ -147,7 +147,9 @@ def splitting_main_sum(params, env, schedule, n_max: int = 64) -> float:
     w_t = schedule.omega_T
     shells = env.shells()
     gs2 = env.coupling_per_mode**2 * shells.multiplicities
-    ns, fn2 = perturbation._harmonic_weights(params.kappa, schedule, n_max)
+    ns = np.arange(-n_max, n_max + 1)
+    fn2 = np.abs(perturbation.phase_fourier_coeff(params.kappa, schedule,
+                                                  ns)) ** 2
     num = gs2[:, None] * ((1.0 - 2.0 * ns) * fn2)[None, :]
     den = ((0.5 - ns) ** 2 * w_t)[None, :] \
         - ((params.omega_0 - shells.frequencies) ** 2 / w_t)[:, None]

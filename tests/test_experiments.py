@@ -367,6 +367,29 @@ class TestRecordedConfigs:
             meta = tmp_path / f"{result['label']}.meta.json"
             assert json.loads(meta.read_text())["config"] == cfg
 
+    @pytest.mark.parametrize("cfg", [
+        *(replace(cfg, n_side=4) for name in sorted(PRESETS)
+          for cfg in PRESETS[name]),
+        replace(PRESETS["fig3b"][0], n_side=4, kind="spectrum"),
+        replace(PRESETS["fig2a"][0], n_side=4, route="volterra-pm",
+                delta=0.5)],
+        ids=lambda cfg: f"{cfg.kind}-{cfg.label}-{cfg.route}")
+    def test_sidecar_describes_each_column_written(self, tmp_path, cfg):
+        # the sidecar's columns name every CSV header of the run once,
+        # with a description, and nothing the run did not write
+        files, _ = run_experiment(cfg, tmp_path)
+        written = set()
+        for path in files[:-1]:
+            with open(path) as fh:
+                header = fh.readline().rstrip("\n").split(",")
+            assert len(set(header)) == len(header)
+            written.update(header)
+        with open(files[-1]) as fh:
+            described = json.load(fh)["columns"]
+        assert set(described) == written
+        assert all(isinstance(text, str) and text
+                   for text in described.values())
+
 
 class TestScheduleResolution:
     def test_quarter_swap_default(self):
@@ -392,6 +415,21 @@ def _check_outputs(out_dir, files, names):
     meta = json.loads((out_dir / names[-1]).read_text())
     assert {"config", "resolved", "version", "columns",
             "created_at"} <= set(meta)
+
+
+def _check_point_schedules(out_dir, cfg):
+    """The sidecar of ``cfg``, a sweep over kappa = 5 ... 15 on equal
+    segments, lists the grid and each point's schedule in grid order."""
+    files, _ = run_experiment(cfg, out_dir)
+    with open(files[-1]) as fh:
+        meta = json.load(fh)
+    kappas = meta["sweep"]["kappa"]
+    assert kappas == sweep_grid_values(cfg).tolist()
+    assert len(meta["resolved"]) == len(kappas) == 21
+    for kappa, resolved in zip(kappas, meta["resolved"], strict=True):
+        assert resolved["period"] == pytest.approx(
+            3 * np.pi / (2 * kappa), rel=1e-14)
+        assert resolved["tau_c"] == resolved["tau_s"] == resolved["tau_d"]
 
 
 class TestRunners:
@@ -463,17 +501,13 @@ class TestRunners:
     def test_sweep_sidecar_names_each_point_schedule(self, tmp_path):
         # fig4c runs kappa = 5 ... 15 on equal segments: each point's
         # resolved period is 3 pi / (2 kappa), in grid order
-        cfg = replace(PRESETS["fig4c"][0], n_side=2)
-        files, _ = run_experiment(cfg, tmp_path)
-        with open(files[-1]) as fh:
-            meta = json.load(fh)
-        kappas = meta["sweep"]["kappa"]
-        assert kappas == sweep_grid_values(cfg).tolist()
-        assert len(meta["resolved"]) == len(kappas) == 21
-        for kappa, resolved in zip(kappas, meta["resolved"], strict=True):
-            assert resolved["period"] == pytest.approx(
-                3 * np.pi / (2 * kappa), rel=1e-14)
-            assert resolved["tau_c"] == resolved["tau_s"] == resolved["tau_d"]
+        _check_point_schedules(tmp_path, replace(PRESETS["fig4c"][0],
+                                                 n_side=2))
+
+    def test_perturbation_sidecar_names_each_point_schedule(self, tmp_path):
+        # sm-s1 sweeps the same grid; its sidecar lists every point too
+        _check_point_schedules(tmp_path, replace(PRESETS["sm-s1"][0],
+                                                 n_side=2))
 
     @pytest.mark.parametrize("keys", [
         dict(kind="kappa-sweep", kappa_min=7.5, kappa_max=8.5,

@@ -132,13 +132,6 @@ class TestMarkovEnergy:
         e1 = markov_energy(params, self.SCHEDULE, gamma, t1)
         assert e1 == pytest.approx(e0 * np.exp(-2 * gamma * (t1 - t0)), rel=1e-12)
 
-    def test_accepts_rates_object(self):
-        params = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=0.8)
-        rates = MarkovRates(gamma=0.3, lamb_shift=0.1)
-        assert markov_energy(params, self.SCHEDULE, rates, 1.3) == markov_energy(
-            params, self.SCHEDULE, 0.3, 1.3
-        )
-
     def test_scalar_and_validation(self):
         params = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=0.8)
         out = markov_energy(params, self.SCHEDULE, 0.1, 1.3)

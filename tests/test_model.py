@@ -173,13 +173,6 @@ class TestOptimalSchedule:
         assert omega * s.tau_d == pytest.approx(math.pi / 2)
         assert abs(0.3) * s.tau_s == pytest.approx(math.pi)
 
-    def test_higher_windings(self):
-        s = optimal_schedule(kappa=2.0, delta=0.5, n1=1, n2=3, n3=2)
-        omega = math.hypot(2.0, 0.5)
-        assert omega * s.tau_c == pytest.approx(1.5 * math.pi)
-        assert omega * s.tau_d == pytest.approx(2.5 * math.pi)
-        assert 0.5 * s.tau_s == pytest.approx(3 * math.pi)
-
     def test_resonant_needs_explicit_storage(self):
         with pytest.raises(ValueError):
             optimal_schedule(kappa=1.5, delta=0.0)

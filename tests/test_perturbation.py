@@ -123,6 +123,17 @@ class TestFourierCoefficients:
         )
         assert 0.0 < 1.0 - total < 1e-6
 
+    def test_array_equals_scalar_harmonics(self):
+        # every harmonic the n_max doubling can reach (n_max <= 128), and
+        # the weights |f_n|^2 that second_order_corrections sums, to the bit
+        ns = np.arange(-128, 129)
+        coeffs = phase_fourier_coeff(self.KAPPA, self.SCH, ns)
+        scalars = [phase_fourier_coeff(self.KAPPA, self.SCH, n)
+                   for n in ns.tolist()]
+        assert coeffs.tolist() == scalars
+        assert (np.abs(coeffs) ** 2).tolist() == [abs(c) ** 2
+                                                  for c in scalars]
+
     def test_flat_profile_recovers_delta(self):
         for n in (0, 1, 3):
             c = phase_fourier_coeff_quadrature(
@@ -204,10 +215,12 @@ class TestLargeCoupling:
 
     def test_equals_harmonic_on_sm_s1_grid(self):
         # the closed |f_0|^2 = 9/pi^2 is the harmonic's value to the bit,
-        # so the closed form gives what 3 g^2 |f_0|^2 / kappa gives
+        # so the closed form gives what 3 g^2 |f_0|^2 / kappa gives (and
+        # the perturbation sidecar's f0_sq, 9/pi^2, the harmonic's value)
         env = LatticeEnvironment(n_side=2, varpi=1.0, q=0.5, g=0.5)
         for kappa in (5.0 + 0.5 * np.arange(21)).tolist():
             f0 = abs(phase_fourier_coeff(kappa, equal_schedule(kappa), 0))**2
+            assert f0 == 9.0 / np.pi**2
             assert splitting_large_coupling(env, kappa) \
                 == 3.0 * env.g**2 * f0 / kappa
 
