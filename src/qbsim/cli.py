@@ -21,6 +21,7 @@ from .experiments import (
     run_plan,
     validate_config,
 )
+from .output import _write_new
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,8 +98,7 @@ def _cmd_run(args) -> int:
         "files": [os.path.basename(p) for p in all_files],
     }, indent=2, sort_keys=True, allow_nan=False)
     summary_file = os.path.join(args.out, "summary.json")
-    with open(summary_file, "w") as fh:
-        fh.write(text + "\n")
+    _write_new(summary_file, text + "\n")
     print(summary_file)
     return 0
 

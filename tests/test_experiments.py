@@ -648,6 +648,43 @@ class TestOutputHelpers:
             "1,4611686018427387904,nan,-1.2345678901234566e+17,"
             "4.9406564584124654e-324"]
 
+    @pytest.mark.parametrize("header, columns", [
+        (["a", "b"], [np.array([1.0]), np.array([1.0, 2.0])]),
+        ([], []),
+        (["a"], [np.ones((2, 2))]),
+    ], ids=["unequal-lengths", "empty-header", "2d-column"])
+    def test_rejected_write_csv_keeps_old_file(self, tmp_path, header,
+                                               columns):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a"], [np.array([1.0, 2.0])])
+        old = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_csv(path, header, columns)
+        assert path.read_bytes() == old
+
+    def test_rejected_write_metadata_keeps_old_file(self, tmp_path):
+        path = tmp_path / "t.meta.json"
+        write_metadata(path, {"x": 1.0})
+        old = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_metadata(path, {"x": float("nan")})
+        assert path.read_bytes() == old
+
+    @pytest.mark.parametrize("write", [
+        lambda path, x: write_csv(path, ["x"], [np.array([x])]),
+        lambda path, x: write_metadata(path, {"x": x, "created_at": "t0"}),
+    ], ids=["csv", "metadata"])
+    def test_rewrite_creates_new_file(self, tmp_path, write):
+        # a writer that truncates in place would change the linked bytes
+        path, fresh = tmp_path / "t", tmp_path / "fresh"
+        write(path, 1.0)
+        old = path.read_bytes()
+        os.link(path, tmp_path / "link")
+        write(path, 2.0)
+        write(fresh, 2.0)
+        assert (tmp_path / "link").read_bytes() == old
+        assert path.read_bytes() == fresh.read_bytes() != old
+
     def test_write_metadata(self, tmp_path):
         path = tmp_path / "t.meta.json"
         write_metadata(path, {"x": np.float64(1.5), "n": np.int64(3),
