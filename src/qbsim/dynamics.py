@@ -294,12 +294,13 @@ class SegmentPropagators:
     Runs are cut into chunks of ``_MARCH_CHUNK`` steps, so a march holds
     O(n) numbers however many steps it takes.  ``apply`` is the direct step
     V_f exp(-i w_f dt) V_f^T b, kept as the reference for that path.
-    ``dimension`` is the lattice dimension d = 2 + 2N^2 that the shell
-    states reduce; nothing here uses it.
+    ``params`` and ``env`` are the system it was built for, ``dimension``
+    its lattice dimension d = 2 + 2N^2, which nothing here uses.
     """
 
     def __init__(self, params: SystemParams, env: LatticeEnvironment):
         check_memory(env, params.delta)
+        self.params, self.env = params, env
         self.dimension = 2 + 2 * env.n_modes
         self.shells = env.shells()
         bath = _bath_arrays(env, self.shells)
@@ -409,34 +410,30 @@ class SegmentPropagators:
 
 
 def propagate_exact(
-    params: SystemParams,
-    env: LatticeEnvironment,
+    props: SegmentPropagators,
     schedule: ProtocolSchedule,
     t_max: float,
     sample_dt: float | None = None,
-    props: SegmentPropagators | None = None,
 ) -> EnergyTrace:
     """Numerically exact lattice propagation, sampled on a uniform grid.
 
-    Starts from the charger-excited state.  ``sample_dt`` (default: the
-    shortest segment /8, in whole steps) must divide every drive segment
-    and t_max (``_build_grid``), so every drive switch is a grid point.
-    Returns an EnergyTrace carrying u_b and u_c at the samples
-    (``SegmentPropagators.march``) and ``final_norm``, the norm of the last
-    shell vector.
+    Starts from the charger-excited state of the system ``props`` was
+    built for.  ``sample_dt`` (default: the shortest segment /8, in whole
+    steps) must divide every drive segment and t_max (``_build_grid``), so
+    every drive switch is a grid point.  Returns an EnergyTrace carrying
+    u_b and u_c at the samples (``SegmentPropagators.march``) and
+    ``final_norm``, the norm of the last shell vector.
     """
     if sample_dt is None:
         sample_dt = _whole_step(
             schedule, min(s for s, _ in schedule.segments()) / 8.0)
     h, n_steps, f_step = _build_grid(schedule, t_max, sample_dt)
-    if props is None:
-        props = SegmentPropagators(params, env)
     state = np.zeros(props.evals[1.0].size, dtype=complex)
     state[1] = 1.0
     pair, end = props.march(state, h, f_step)
     u_b, u_c = pair.T
     times = np.arange(n_steps + 1) * h
-    energies = params.omega_b * np.abs(u_b) ** 2
+    energies = props.params.omega_b * np.abs(u_b) ** 2
     meta = {
         "route": "exact",
         "dt": h,

@@ -16,6 +16,7 @@ to the emitter; ``LatticeEnvironment.shells`` groups the modes.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,9 +53,13 @@ class LatticeEnvironment:
     g: float
 
     def __post_init__(self):
+        try:  # a float, even a whole one, would make n_modes a float
+            if operator.index(self.n_side) < 1:
+                raise ValueError("n_side must be >= 1")
+        except TypeError:
+            raise ValueError(f"n_side must be an integer, got "
+                             f"{self.n_side!r}") from None
         # chained comparisons fail for NaN as well as out of range
-        if not self.n_side >= 1:
-            raise ValueError("n_side must be >= 1")
         if not math.isfinite(self.varpi):
             raise ValueError("band center varpi must be finite")
         if not 0 < self.q < math.inf:

@@ -429,12 +429,14 @@ def _run_markov(plan):
 
 def _run_dynamics(plan):
     cfg, T = plan.cfg, plan.schedule.period
-    args = (plan.params, plan.env, plan.schedule)
     if cfg.route == "exact":
-        trace = propagate_exact(*args, t_max=plan.t_max, sample_dt=plan.step)
+        trace = propagate_exact(SegmentPropagators(plan.params, plan.env),
+                                plan.schedule, t_max=plan.t_max,
+                                sample_dt=plan.step)
     else:
         # volterra-pm is the march in the frame rotating at omega_0
-        trace = solve_volterra(*args, t_max=plan.t_max, dt=plan.step,
+        trace = solve_volterra(plan.params, plan.env, plan.schedule,
+                               t_max=plan.t_max, dt=plan.step,
                                kernel=cfg.kernel,
                                rotating=cfg.route == "volterra-pm")
     solver = {**trace.metadata, "route": cfg.route}
@@ -494,8 +496,8 @@ def _bound_state_energy(plan, ts):
     spec = compute_spectrum(params, env, schedule,
                             weight_threshold=cfg.weight_threshold,
                             gap_tolerance=cfg.gap_tolerance, props=props)
-    modes = fbs_floquet_modes(params, env, schedule, spec,
-                              n_samples=_SAMPLES_PER_PERIOD, props=props)
+    modes = fbs_floquet_modes(props, schedule, spec,
+                              n_samples=_SAMPLES_PER_PERIOD)
     decomp = decompose_energy_terms(modes, ts)
     cols = {"energy_asymptotic": ("bound-state-only battery energy",
                                   decomp.total)}
@@ -509,8 +511,8 @@ def _bound_state_energy(plan, ts):
 
 def _run_asymptotic(plan):
     T, t_max, ts = plan.schedule.period, plan.t_max, plan.times
-    trace = propagate_exact(plan.params, plan.env, plan.schedule, t_max=t_max,
-                            sample_dt=plan.step)
+    trace = propagate_exact(SegmentPropagators(plan.params, plan.env),
+                            plan.schedule, t_max=t_max, sample_dt=plan.step)
     spec, modes, decomp, cols = _bound_state_energy(plan, ts)
     m = len(modes)
     tail = ts >= t_max - min(20.0 * T, t_max) - 1e-9 * T

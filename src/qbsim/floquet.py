@@ -316,19 +316,21 @@ def resonant_spectrum(
     schedule: ProtocolSchedule,
     props: SegmentPropagators | None = None,
 ) -> QuasienergySpectrum:
-    """``_shell_spectrum`` at zero detuning, keeping the vectors of weight
-    >= 0.05; ValueError at any other detuning."""
+    """``compute_spectrum`` at zero detuning; ValueError otherwise."""
     if params.delta != 0.0:
         raise ValueError("resonant_spectrum requires zero detuning")
-    return _shell_spectrum(params, env, schedule, props, keep=0.05)
+    return compute_spectrum(params, env, schedule, props=props)
 
 
 def _shell_spectrum(params, env, schedule, props, keep):
     """Spectrum on the bright shells at any detuning: U_T diagonalized once
-    per block of ``props.overlap()`` (``props`` built here if None), and
-    the modes with system weight >= ``keep`` expanded in one ``expand``."""
+    per block of ``props.overlap()`` (built here if None; ValueError if
+    built for another params or env), and the modes with system weight
+    >= ``keep`` expanded in one ``expand``."""
     if props is None:
         props = SegmentPropagators(params, env)
+    elif (props.params, props.env) != (params, env):
+        raise ValueError("props was built for another params or env")
     n = props.evals[1.0].size
     eps, weights, kept, parts = np.empty(n), np.empty(n), np.empty(n, bool), []
     for cols, ovl in props.overlap():
@@ -353,7 +355,8 @@ def compute_spectrum(
     """Full-basis spectrum with FBS classification, built on the shells
     from the eigensystem of ``props`` (built here if not given), which
     ``fbs_floquet_modes`` can then reuse; MemoryCapError, before any
-    matrix is built, if they would not fit.  Only modes of system weight
+    matrix is built, if they would not fit, and ValueError if ``props``
+    was built for another params or env.  Only modes of system weight
     >= ``weight_threshold`` keep their eigenvectors.  The arguments that
     ``identify_fbs`` rejects raise ValueError before any work."""
     _check_fbs_args(weight_threshold, gap_tolerance)
@@ -433,26 +436,24 @@ class FloquetMode:
 
 
 def floquet_mode(
-    params: SystemParams,
-    env: LatticeEnvironment,
+    props: SegmentPropagators,
     schedule: ProtocolSchedule,
     phi0: np.ndarray,
     epsilon: float,
     n_samples: int = 96,
-    props: SegmentPropagators | None = None,
 ) -> FloquetMode:
     """Sample the periodic Floquet mode built on an eigenvector of U_T.
 
-    ``phi0`` is the eigenvector on the bright shells, of size 2 + 2S (a
-    stored column of ``QuasienergySpectrum.vectors``); any other size
-    raises ValueError.  The samples are the steps of the ``_build_grid``
-    grid at T / n_samples, which raises ValueError unless every drive
-    segment is a whole number of them.  One ``march`` over the period
-    gives the battery and charger amplitudes at the offsets and phi(T) for
-    the closure residual.
+    ``phi0`` is the eigenvector on the bright shells of ``props``, of size
+    2 + 2S (a stored column of ``QuasienergySpectrum.vectors``); any other
+    size raises ValueError.  The samples are the steps of the
+    ``_build_grid`` grid at T / n_samples, which raises ValueError unless
+    n_samples >= 1 and every drive segment is a whole number of them.  One
+    ``march`` over the period gives the battery and charger amplitudes at
+    the offsets and phi(T) for the closure residual.
     """
-    if props is None:
-        props = SegmentPropagators(params, env)
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     T = schedule.period
     n = props.evals[1.0].size
     phi0 = np.asarray(phi0, dtype=complex)
@@ -469,36 +470,30 @@ def floquet_mode(
     pair = pair[:-1] * np.exp(1j * epsilon * offsets)[:, None]
     # ||phi(T) - phi(0)|| coincides with the eigenpair residual
     return FloquetMode(epsilon=float(epsilon), phi0=phi0, offsets=offsets,
-                       pair=pair, period=T, omega_b=params.omega_b,
+                       pair=pair, period=T, omega_b=props.params.omega_b,
                        closure_error=residual)
 
 
 def fbs_floquet_modes(
-    params: SystemParams,
-    env: LatticeEnvironment,
+    props: SegmentPropagators,
     schedule: ProtocolSchedule,
     spectrum: QuasienergySpectrum,
     n_samples: int = 96,
-    props: SegmentPropagators | None = None,
 ) -> list[FloquetMode]:
     """FloquetMode objects for every classified bound state of a shell
-    spectrum (``compute_spectrum``), sampled from its stored vectors;
-    ValueError for a bound state with none (flagged by ``identify_fbs``
-    below the threshold the spectrum was built with)."""
+    spectrum (``compute_spectrum``) built on ``props``, sampled from its
+    stored vectors; ValueError for a bound state with none (flagged by
+    ``identify_fbs`` below the threshold the spectrum was built with)."""
     if spectrum.fbs_indices is None:
         raise ValueError("spectrum has no FBS classification; "
                          "run identify_fbs/compute_spectrum first")
     if np.any(spectrum.columns[spectrum.fbs_indices] < 0):
         raise ValueError("a bound state has no stored vector: build the "
                          "spectrum at a threshold no higher than identify_fbs")
-    if props is None:
-        props = SegmentPropagators(params, env)
-    return [
-        floquet_mode(params, env, schedule,
-                     spectrum.vectors[:, spectrum.columns[j]],
-                     spectrum.quasienergies[j], n_samples=n_samples, props=props)
-        for j in spectrum.fbs_indices
-    ]
+    return [floquet_mode(props, schedule,
+                         spectrum.vectors[:, spectrum.columns[j]],
+                         spectrum.quasienergies[j], n_samples=n_samples)
+            for j in spectrum.fbs_indices]
 
 
 @dataclass

@@ -78,20 +78,26 @@ def _schedule(kappa: float) -> qb.ProtocolSchedule:
 
 
 @functools.lru_cache(maxsize=None)
+def _props(kappa: float, delta: float = 0.0) -> qb.SegmentPropagators:
+    return qb.SegmentPropagators(_params(kappa, delta), ENV30)
+
+
+@functools.lru_cache(maxsize=None)
 def _spectrum(kappa: float, delta: float = 0.0) -> qb.QuasienergySpectrum:
-    return qb.compute_spectrum(_params(kappa, delta), ENV30, _schedule(kappa))
+    return qb.compute_spectrum(_params(kappa, delta), ENV30, _schedule(kappa),
+                               props=_props(kappa, delta))
 
 
 @functools.lru_cache(maxsize=None)
 def _modes(kappa: float, delta: float = 0.0) -> list:
-    return qb.fbs_floquet_modes(_params(kappa, delta), ENV30,
-                                _schedule(kappa), _spectrum(kappa, delta))
+    return qb.fbs_floquet_modes(_props(kappa, delta), _schedule(kappa),
+                                _spectrum(kappa, delta))
 
 
 @functools.lru_cache(maxsize=None)
 def _trace_100(kappa: float) -> qb.EnergyTrace:
     sched = _schedule(kappa)
-    return qb.propagate_exact(_params(kappa), ENV30, sched,
+    return qb.propagate_exact(_props(kappa), sched,
                               t_max=100.0 * sched.period,
                               sample_dt=sched.period / SAMPLES_PER_PERIOD)
 
@@ -216,8 +222,8 @@ def test_criterion_05_route_equivalence():
 
     def route_gap(dt: float) -> float:
         volt = qb.solve_volterra(params, env10, sched, t_max, dt=dt)
-        exact = qb.propagate_exact(params, env10, sched, t_max,
-                                   sample_dt=volt.metadata["dt"])
+        exact = qb.propagate_exact(qb.SegmentPropagators(params, env10),
+                                   sched, t_max, sample_dt=volt.metadata["dt"])
         return float(np.max(np.abs(volt.u_b - exact.u_b)))
 
     errs = [route_gap(d0 / div) for div in (4, 8, 16)]

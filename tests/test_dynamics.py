@@ -255,15 +255,16 @@ class TestExactPropagation:
         env = LatticeEnvironment(n_side=3, varpi=1.0, q=0.5, g=0.0)
         params = SystemParams(omega_b=1.3, omega_c=2.7, kappa=0.9)
         schedule = ProtocolSchedule(tau_c=0.7, tau_s=1.1, tau_d=0.5)
-        trace = propagate_exact(params, env, schedule, t_max=3 * schedule.period,
-                                sample_dt=0.05)
+        trace = propagate_exact(SegmentPropagators(params, env), schedule,
+                                t_max=3 * schedule.period, sample_dt=0.05)
         for i in np.linspace(0, len(trace.times) - 1, 40, dtype=int):
             c_b, c_c = ideal_evolve(params, schedule, trace.times[i])
             assert abs(trace.u_b[i] - c_b) < 1e-10
             assert abs(trace.u_c[i] - c_c) < 1e-10
 
     def test_norm_conserved(self):
-        trace = propagate_exact(PARAMS, ENV10, SCHEDULE, t_max=2 * SCHEDULE.period,
+        trace = propagate_exact(SegmentPropagators(PARAMS, ENV10), SCHEDULE,
+                                t_max=2 * SCHEDULE.period,
                                 sample_dt=SCHEDULE.period / 30)
         assert trace.metadata["final_norm"] == pytest.approx(1.0, abs=1e-12)
 
@@ -271,13 +272,13 @@ class TestExactPropagation:
         schedule = ProtocolSchedule(tau_c=0.7, tau_s=1.1, tau_d=0.5)
         env = LatticeEnvironment(n_side=3, varpi=1.0, q=0.5, g=0.5)
         params = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=0.8)
-        trace = propagate_exact(params, env, schedule, t_max=2 * schedule.period,
-                                sample_dt=0.05)
+        trace = propagate_exact(SegmentPropagators(params, env), schedule,
+                                t_max=2 * schedule.period, sample_dt=0.05)
         for edge in (0.7, 1.8, 2.3, 3.0, 4.6):
             assert np.min(np.abs(trace.times - edge)) < 1e-9
 
     def test_energy_column_identity(self):
-        trace = propagate_exact(PARAMS, ENV10, SCHEDULE,
+        trace = propagate_exact(SegmentPropagators(PARAMS, ENV10), SCHEDULE,
                                 t_max=2 * SCHEDULE.period / 3,
                                 sample_dt=SCHEDULE.period / 30)
         np.testing.assert_allclose(trace.energies,
@@ -304,9 +305,8 @@ class TestEigenbasisStepping:
             schedule = ProtocolSchedule(*taus)
             sample_dt = 0.05
         props = SegmentPropagators(params, env)
-        trace = propagate_exact(params, env, schedule,
-                                t_max=20 * schedule.period,
-                                sample_dt=sample_dt, props=props)
+        trace = propagate_exact(props, schedule, t_max=20 * schedule.period,
+                                sample_dt=sample_dt)
         h = trace.metadata["dt"]
         state = np.zeros(2 + 2 * env.shells().frequencies.size, dtype=complex)
         state[1] = 1.0
@@ -355,7 +355,7 @@ class TestShellPropagators:
                              ids=["equal", "unequal"])
     def test_trace_matches_expm(self, n_side, delta, taus):
         env, params, schedule, sample_dt = _shell_case(n_side, delta, taus)
-        trace = propagate_exact(params, env, schedule,
+        trace = propagate_exact(SegmentPropagators(params, env), schedule,
                                 t_max=4 * schedule.period, sample_dt=sample_dt)
         h = trace.metadata["dt"]
         state = np.zeros(2 + 2 * env.n_modes, dtype=complex)
@@ -376,7 +376,7 @@ class TestShellPropagators:
         # final_norm is the norm of the shell coefficients; the oracle steps
         # the full-basis start by dense exponentials over the same horizon
         env, params, schedule, sample_dt = _shell_case(6, delta, taus)
-        trace = propagate_exact(params, env, schedule,
+        trace = propagate_exact(SegmentPropagators(params, env), schedule,
                                 t_max=4 * schedule.period, sample_dt=sample_dt)
         state = np.zeros(2 + 2 * env.n_modes, dtype=complex)
         state[1] = 1.0
@@ -392,10 +392,11 @@ class TestShellPropagators:
         j = int(np.argmax(spec.system_weights))
         tracemalloc.start()
         try:
-            trace = propagate_exact(params, env, schedule,
+            props = SegmentPropagators(params, env)
+            trace = propagate_exact(props, schedule,
                                     t_max=2 * schedule.period,
                                     sample_dt=sample_dt)
-            mode = floquet_mode(params, env, schedule,
+            mode = floquet_mode(props, schedule,
                                 spec.vectors[:, spec.columns[j]],
                                 spec.quasienergies[j], n_samples=24)
             peak = tracemalloc.get_traced_memory()[1]
@@ -419,8 +420,8 @@ class TestVolterraRoute:
         h0 = default_time_step(PARAMS, ENV10, SCHEDULE)
         t_max = 2 * SCHEDULE.period
         volt = solve_volterra(PARAMS, ENV10, SCHEDULE, t_max, dt=h0 / 8)
-        exact = propagate_exact(PARAMS, ENV10, SCHEDULE, t_max,
-                                sample_dt=volt.metadata["dt"])
+        exact = propagate_exact(SegmentPropagators(PARAMS, ENV10), SCHEDULE,
+                                t_max, sample_dt=volt.metadata["dt"])
         np.testing.assert_allclose(volt.times, exact.times, atol=1e-12)
         err = np.max(np.abs(volt.u_b - exact.u_b))
         assert err < 3e-4
@@ -431,7 +432,8 @@ class TestVolterraRoute:
         errs = []
         for div in (2, 4, 8):
             volt = solve_volterra(PARAMS, ENV10, SCHEDULE, t_max, dt=h0 / div)
-            exact = propagate_exact(PARAMS, ENV10, SCHEDULE, t_max,
+            exact = propagate_exact(SegmentPropagators(PARAMS, ENV10),
+                                    SCHEDULE, t_max,
                                     sample_dt=volt.metadata["dt"])
             errs.append(np.max(np.abs(volt.u_b - exact.u_b)))
         order1 = np.log2(errs[0] / errs[1])
@@ -448,7 +450,8 @@ class TestVolterraRoute:
         errs = []
         for div in (2, 4, 8):
             volt = solve_volterra(params, ENV10, SCHEDULE, t_max, dt=h0 / div)
-            exact = propagate_exact(params, ENV10, SCHEDULE, t_max,
+            exact = propagate_exact(SegmentPropagators(params, ENV10),
+                                    SCHEDULE, t_max,
                                     sample_dt=volt.metadata["dt"])
             errs.append(np.max(np.abs(volt.u_b - exact.u_b)))
         assert errs[2] < 5e-5
@@ -568,8 +571,8 @@ class TestPlusMinusRoute:
         t_max = 5 * schedule.period
         rot = self.rotating(params, env, schedule, t_max)
         lab = solve_volterra(params, env, schedule, t_max)
-        exact = propagate_exact(params, env, schedule, t_max,
-                                sample_dt=rot.metadata["dt"])
+        exact = propagate_exact(SegmentPropagators(params, env), schedule,
+                                t_max, sample_dt=rot.metadata["dt"])
         err_rot = np.max(np.abs(rot.u_b - exact.u_b))
         err_lab = np.max(np.abs(lab.u_b - exact.u_b))
         assert err_rot < err_lab

@@ -45,6 +45,10 @@ class TestLatticeEnvironment:
             LatticeEnvironment(n_side=4, varpi=1.0, q=0.0, g=0.5)
         with pytest.raises(ValueError):
             LatticeEnvironment(n_side=4, varpi=1.0, q=0.5, g=-0.1)
+        # a float, even a whole one, would make n_modes a float
+        for n_side in (2.5, 2.0):
+            with pytest.raises(ValueError, match="integer"):
+                LatticeEnvironment(n_side=n_side, varpi=1.0, q=0.5, g=0.5)
 
     @pytest.mark.parametrize("keys", [
         dict(q=np.nan), dict(g=np.nan), dict(varpi=np.nan),

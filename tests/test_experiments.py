@@ -88,6 +88,8 @@ class TestValidation:
             validate_config(ExperimentConfig(kind="spectrum", kappa=-1.0))
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(kind="dynamics", n_side=0))
+        with pytest.raises(ConfigError, match="n_side must be an integer"):
+            validate_config(ExperimentConfig(kind="spectrum", n_side=2.5))
         # omega_0 <= |delta| would make a level splitting nonpositive
         with pytest.raises(ConfigError, match="omega_0"):
             validate_config(ExperimentConfig(kind="spectrum", omega_0=2.0,
@@ -289,6 +291,17 @@ class TestPackageSurface:
         with pytest.raises(ConfigError, match="jobs"):
             run_experiment(cfg, tmp_path, jobs=2)
         assert not list(tmp_path.iterdir())
+
+    def test_readme_quick_start(self):
+        # the README's Python quick start runs as written
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("## Python quick start\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(code, scope)
+        assert len(scope["spec"].fbs_indices) == 2
+        assert len(scope["modes"]) == 2
 
     @pytest.mark.parametrize("name", ["qbsim"] + sorted(
         f"qbsim.{m.name}" for m in pkgutil.iter_modules(qbsim.__path__)))

@@ -34,6 +34,7 @@ KAPPA = 8.0
 PARAMS = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=KAPPA)
 TAU = 0.5 * np.pi / KAPPA
 SCHEDULE = ProtocolSchedule(tau_c=TAU, tau_s=TAU, tau_d=TAU)
+PROPS4 = SegmentPropagators(PARAMS, ENV4)
 
 
 def _shell_vector(spec, j):
@@ -55,7 +56,7 @@ def _all_modes(params, env, schedule):
 
 @pytest.fixture(scope="module")
 def spectrum4():
-    return compute_spectrum(PARAMS, ENV4, SCHEDULE)
+    return compute_spectrum(PARAMS, ENV4, SCHEDULE, props=PROPS4)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def all_modes4():
 
 @pytest.fixture(scope="module")
 def modes4(spectrum4):
-    return fbs_floquet_modes(PARAMS, ENV4, SCHEDULE, spectrum4, n_samples=24)
+    return fbs_floquet_modes(PROPS4, SCHEDULE, spectrum4, n_samples=24)
 
 
 class TestFolding:
@@ -333,6 +334,32 @@ class TestShellSpectrum:
         monkeypatch.setattr(dynamics, "MEMORY_CAP", estimate)
         compute_spectrum(params, env, sch)  # admitted at its estimate
 
+    def test_resonant_memory_cap(self, monkeypatch):
+        # 40 000 bytes lies between the propagators' own estimate, 20 n^2 =
+        # 32 000 at n = 40, and the spectrum's 28 n^2 = 44 800
+        env = LatticeEnvironment(n_side=10, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=4.8)
+        tau = 0.5 * np.pi / 4.8
+        sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        assert 2 + 2 * env.shells().frequencies.size == 40
+        monkeypatch.setattr(dynamics, "MEMORY_CAP", 40_000)
+        with pytest.raises(MemoryCapError):
+            resonant_spectrum(params, env, sch)
+
+    @pytest.mark.parametrize("other", ["params", "env"])
+    def test_rejects_props_of_another_system(self, other):
+        # a props built for kappa 15 gives one bound state at kappa 4.8
+        # instead of two, with quasienergies off by up to 0.30
+        env = LatticeEnvironment(n_side=10, varpi=1.0, q=0.5, g=0.5)
+        params = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=4.8)
+        tau = 0.5 * np.pi / 4.8
+        sch = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
+        props = SegmentPropagators(
+            replace(params, kappa=15.0) if other == "params" else params,
+            replace(env, g=0.6) if other == "env" else env)
+        with pytest.raises(ValueError, match="another params or env"):
+            compute_spectrum(params, env, sch, props=props)
+
 
 def _schur_block(w1, w0, ovl, schedule, readout, keep):
     """Quasienergies, weights and kept Schur vectors of a shell block's
@@ -522,7 +549,7 @@ class TestFloquetMode:
         sch = ProtocolSchedule(tau_c=0.5, tau_s=1.0, tau_d=0.5)
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
-        mode = floquet_mode(env=env, params=par, schedule=sch,
+        mode = floquet_mode(props=SegmentPropagators(par, env), schedule=sch,
                             phi0=_shell_vector(spec, j),
                             epsilon=spec.quasienergies[j], n_samples=4)
         h1 = build_hamiltonian(par, env, 1.0)
@@ -540,7 +567,7 @@ class TestFloquetMode:
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
         with pytest.raises(NotAnEigenpairError):
-            floquet_mode(PARAMS, ENV4, SCHEDULE, v, 0.1)
+            floquet_mode(PROPS4, SCHEDULE, v, 0.1)
 
     def test_rejects_full_basis_vector(self, spectrum4):
         # phi(0) is a shell vector; the full-basis expansion of the same
@@ -550,8 +577,7 @@ class TestFloquetMode:
         phi = bright_isometry(ENV4) @ _shell_vector(spectrum4, j)
         assert phi.size == 34 != n
         with pytest.raises(ValueError, match=rf"size 2 \+ 2S = {n}\b"):
-            floquet_mode(PARAMS, ENV4, SCHEDULE, phi,
-                         spectrum4.quasienergies[j])
+            floquet_mode(PROPS4, SCHEDULE, phi, spectrum4.quasienergies[j])
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_samples_match_apply_path(self, delta):
@@ -562,8 +588,8 @@ class TestFloquetMode:
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
         props = SegmentPropagators(par, env)
-        mode = floquet_mode(par, env, sch, _shell_vector(spec, j),
-                            spec.quasienergies[j], n_samples=12, props=props)
+        mode = floquet_mode(props, sch, _shell_vector(spec, j),
+                            spec.quasienergies[j], n_samples=12)
         raw, prev = mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
             for dur, f in drive_pieces(sch, prev, s):
@@ -592,8 +618,9 @@ class TestFloquetMode:
         sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
         spec = compute_spectrum(par, env, sch)
         j = int(np.argmax(spec.system_weights))
-        mode = floquet_mode(par, env, sch, _shell_vector(spec, j),
-                            spec.quasienergies[j], n_samples=12)
+        mode = floquet_mode(SegmentPropagators(par, env), sch,
+                            _shell_vector(spec, j), spec.quasienergies[j],
+                            n_samples=12)
         cache, raw, prev = {}, bright_isometry(env) @ mode.phi0, 0.0
         for k, s in enumerate(mode.offsets):
             for dur, f in drive_pieces(sch, prev, s):
@@ -624,8 +651,8 @@ class TestFloquetMode:
         phi0 = bright_isometry(env) @ _shell_vector(spec, j)
         for shift in (0.0, 1e-8 / sch.period):
             eps = spec.quasienergies[j] + shift
-            mode = floquet_mode(par, env, sch, _shell_vector(spec, j), eps,
-                                n_samples=12)
+            mode = floquet_mode(SegmentPropagators(par, env), sch,
+                                _shell_vector(spec, j), eps, n_samples=12)
             lam = np.exp(-1j * eps * sch.period)
             expected = np.linalg.norm(u @ phi0 - lam * phi0)
             assert mode.closure_error == pytest.approx(expected, abs=1e-12)
@@ -639,11 +666,18 @@ class TestFloquetMode:
         par = SystemParams.from_center(omega_0=2.0, delta=0.0, kappa=4.8)
         tau = 0.5 * np.pi / 4.8
         sch = ProtocolSchedule(*(taus or (tau, tau, tau)))
-        spec = compute_spectrum(par, env, sch)
+        props = SegmentPropagators(par, env)
+        spec = compute_spectrum(par, env, sch, props=props)
         j = int(np.argmax(spec.system_weights))
         with pytest.raises(ValueError, match="not aligned"):
-            floquet_mode(par, env, sch, _shell_vector(spec, j),
+            floquet_mode(props, sch, _shell_vector(spec, j),
                          spec.quasienergies[j], n_samples=7)
+
+    def test_rejects_no_samples(self, spectrum4):
+        j = spectrum4.fbs_indices[0]
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            floquet_mode(PROPS4, SCHEDULE, _shell_vector(spectrum4, j),
+                         spectrum4.quasienergies[j], n_samples=0)
 
     def test_sampling_memory_does_not_grow_with_samples(self):
         # 960 full-basis samples at d = 3202 alone would take 49 MB
@@ -657,8 +691,8 @@ class TestFloquetMode:
         n_samples, d = 960, spec.dimension
         tracemalloc.start()
         try:
-            mode = floquet_mode(par, env, sch, phi0, spec.quasienergies[j],
-                                n_samples=n_samples)
+            mode = floquet_mode(SegmentPropagators(par, env), sch, phi0,
+                                spec.quasienergies[j], n_samples=n_samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -672,8 +706,7 @@ class TestFloquetMode:
         phi0[2] += 1e-3
         phi0 /= np.linalg.norm(phi0)
         with pytest.raises(NotAnEigenpairError):
-            floquet_mode(PARAMS, ENV4, SCHEDULE, phi0,
-                         spectrum4.quasienergies[j])
+            floquet_mode(PROPS4, SCHEDULE, phi0, spectrum4.quasienergies[j])
 
     def test_offset_index(self, modes4):
         mode = modes4[0]
@@ -698,7 +731,7 @@ class TestAsymptoticEnergy:
             one_period_operator(PARAMS, ENV4, SCHEDULE), SCHEDULE, ENV4
         )
         with pytest.raises(ValueError):
-            fbs_floquet_modes(PARAMS, ENV4, SCHEDULE, spec)
+            fbs_floquet_modes(PROPS4, SCHEDULE, spec)
 
     def test_requires_stored_vectors(self):
         # built at threshold 1, the spectrum stores no vector for the two
@@ -707,7 +740,7 @@ class TestAsymptoticEnergy:
         low = identify_fbs(spec)
         assert spec.vectors.shape[1] == 0 and low.size == 2
         with pytest.raises(ValueError, match="no stored vector"):
-            fbs_floquet_modes(PARAMS, ENV4, SCHEDULE,
+            fbs_floquet_modes(PROPS4, SCHEDULE,
                               replace(spec, fbs_indices=low))
 
     def test_empty_modes_discharge(self):
@@ -721,7 +754,7 @@ class TestAsymptoticEnergy:
         # predicted energy at any aligned sample time
         j = spectrum4.fbs_indices[0]
         shifted = floquet_mode(
-            PARAMS, ENV4, SCHEDULE, _shell_vector(spectrum4, j),
+            PROPS4, SCHEDULE, _shell_vector(spectrum4, j),
             spectrum4.quasienergies[j] + SCHEDULE.omega_T, n_samples=24,
         )
         ts = np.arange(0, 24 * 8) * (SCHEDULE.period / 24)
@@ -749,7 +782,7 @@ class TestAsymptoticEnergy:
         from qbsim import propagate_exact
 
         t_max = 30 * SCHEDULE.period
-        trace = propagate_exact(PARAMS, ENV4, SCHEDULE, t_max,
+        trace = propagate_exact(PROPS4, SCHEDULE, t_max,
                                 sample_dt=SCHEDULE.period / 24)
         sel = trace.times >= 20 * SCHEDULE.period
         asym = decompose_energy_terms(modes4, trace.times[sel]).total
@@ -767,9 +800,10 @@ class TestAsymptoticEnergy:
         tau = 0.5 * np.pi / kappa
         schedule = ProtocolSchedule(tau_c=tau, tau_s=tau, tau_d=tau)
         T = schedule.period
-        trace = propagate_exact(params, env, schedule, 40 * T, sample_dt=T / 24)
-        spec = compute_spectrum(params, env, schedule)
-        modes = fbs_floquet_modes(params, env, schedule, spec)
+        props = SegmentPropagators(params, env)
+        trace = propagate_exact(props, schedule, 40 * T, sample_dt=T / 24)
+        spec = compute_spectrum(params, env, schedule, props=props)
+        modes = fbs_floquet_modes(props, schedule, spec)
         sel = trace.times >= 30 * T - 1e-9 * T
         asym = decompose_energy_terms(modes, trace.times[sel]).total
         assert np.mean(np.abs(asym - trace.energies[sel])) < 1e-3
